@@ -14,7 +14,7 @@ struct Measurement {
   xbase::u64 pruned = 0;
 };
 
-Measurement Measure(benchutil::Rig& rig, const ebpf::Program& prog,
+Measurement Measure(safex::System& rig, const ebpf::Program& prog,
                     bool disable_pruning) {
   ebpf::VerifyOptions opts;
   opts.version = rig.kernel.version();
@@ -34,7 +34,7 @@ Measurement Measure(benchutil::Rig& rig, const ebpf::Program& prog,
 }  // namespace
 
 int main() {
-  benchutil::Rig rig;
+  safex::System rig;
   benchutil::Title("Ablation: states_equal pruning");
   std::printf("%-28s | %14s %10s | %14s %10s\n", "program",
               "insns (pruned)", "hits", "insns (no prune)", "verdict");

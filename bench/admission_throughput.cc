@@ -86,7 +86,7 @@ Cell Measure(const std::string& corpus_name,
   cell.cache = cache;
   cell.wall_ms = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    benchutil::Rig rig;
+    safex::System rig;
     service::AdmissionConfig config;
     config.workers = workers;
     config.cache_enabled = cache;

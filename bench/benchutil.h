@@ -1,44 +1,15 @@
-// Shared plumbing for the reproduction benches: a standard experiment rig
-// (kernel + eBPF stack + safex runtime with an enrolled signing key) and
-// small table-printing helpers so every bench emits the same layout the
-// paper's tables/figures use.
+// Shared plumbing for the reproduction benches: small table-printing
+// helpers so every bench emits the same layout the paper's tables/figures
+// use. The experiment rig itself is safex::System.
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "src/core/loader.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
-#include "src/ebpf/interp.h"
-#include "src/ebpf/loader.h"
 
 namespace benchutil {
-
-struct Rig {
-  explicit Rig(simkern::KernelConfig config = {})
-      : kernel(config), bpf(kernel), loader(bpf) {
-    if (!kernel.BootstrapWorkload().ok()) {
-      std::fprintf(stderr, "rig: bootstrap failed\n");
-    }
-    auto runtime = safex::Runtime::Create(kernel, bpf);
-    if (runtime.ok()) {
-      safex_runtime = std::move(runtime).value();
-      signing_key = std::make_unique<crypto::SigningKey>(
-          crypto::SigningKey::FromPassphrase("bench-vendor", "bench"));
-      (void)safex_runtime->keyring().Enroll(*signing_key);
-      safex_runtime->keyring().Seal();
-      ext_loader = std::make_unique<safex::ExtLoader>(*safex_runtime);
-    }
-  }
-
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader loader;
-  std::unique_ptr<safex::Runtime> safex_runtime;
-  std::unique_ptr<crypto::SigningKey> signing_key;
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-};
 
 inline void Title(const std::string& text) {
   std::printf("\n=== %s ===\n", text.c_str());
@@ -56,7 +27,7 @@ inline void Note(const std::string& text) {
 }
 
 // Creates an array map of the given geometry, exiting on failure.
-inline int MustCreateArrayMap(Rig& rig, const std::string& name,
+inline int MustCreateArrayMap(safex::System& rig, const std::string& name,
                               xbase::u32 value_size, xbase::u32 entries) {
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;

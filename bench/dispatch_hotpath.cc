@@ -24,7 +24,7 @@
 
 namespace {
 
-using benchutil::Rig;
+using safex::System;
 using ebpf::ExecEngine;
 using xbase::u64;
 
@@ -90,7 +90,7 @@ struct ExecRig {
     return result.value().r0;
   }
 
-  Rig rig;
+  System rig;
   std::vector<Corpus> corpus;
   simkern::Addr ctx = 0;
 };
@@ -130,16 +130,15 @@ struct HookRig {
     (void)rig.kernel.mem().WriteU64(ctx + 16, pkt + 64);
   }
 
-  // One registry per engine so per-engine numbers share nothing.
+  // One registry per engine so per-engine numbers share nothing; both
+  // report to the system's supervisor.
   safex::HookRegistryConfig ConfigFor(ExecEngine engine) {
-    safex::HookRegistryConfig config;
-    config.supervisor = &supervisor;
+    safex::HookRegistryConfig config = rig.hooks->config();
     config.exec_options.engine = engine;
     return config;
   }
 
-  Rig rig;
-  safex::Supervisor supervisor;
+  System rig{{}, safex::SupervisorConfig{}};
   xbase::u32 prog_id = 0;
   simkern::Addr ctx = 0;
 };

@@ -11,7 +11,7 @@
 
 namespace {
 
-std::string VerdictAt(benchutil::Rig& rig, const ebpf::Program& prog,
+std::string VerdictAt(safex::System& rig, const ebpf::Program& prog,
                       simkern::KernelVersion version,
                       bool privileged = true) {
   ebpf::VerifyOptions opts;
@@ -32,7 +32,7 @@ std::string VerdictAt(benchutil::Rig& rig, const ebpf::Program& prog,
 }  // namespace
 
 int main() {
-  benchutil::Rig rig;
+  safex::System rig;
   const int fd = benchutil::MustCreateArrayMap(rig, "m", 8, 4);
 
   benchutil::Title("Expressiveness: verifier verdicts across versions vs "

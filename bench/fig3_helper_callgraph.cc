@@ -8,7 +8,7 @@
 #include "src/analysis/callgraph.h"
 
 int main() {
-  benchutil::Rig rig;
+  safex::System rig;
   benchutil::Title("Figure 3: call-graph complexity of each eBPF helper");
 
   const analysis::ComplexitySummary summary =

@@ -7,7 +7,7 @@
 #include "src/analysis/growth.h"
 
 int main() {
-  benchutil::Rig rig;
+  safex::System rig;
   benchutil::Title("Figure 4: number of helper functions by version/year");
 
   const auto series = analysis::HelperCountSeries(rig.bpf.helpers());

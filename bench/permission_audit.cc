@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   // Expose the per-type privilege gate to the loader probes instead of
   // the blanket unprivileged-bpf sysctl that sits in front of it.
   config.unprivileged_bpf_disabled = false;
-  benchutil::Rig rig(config);
+  safex::System rig(config);
 
   benchutil::Title(
       "Access-control census: contract vs verifier / dispatch / loader");

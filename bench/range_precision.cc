@@ -26,7 +26,7 @@
 
 namespace {
 
-using benchutil::Rig;
+using safex::System;
 
 struct CorpusRow {
   std::string name;
@@ -35,7 +35,7 @@ struct CorpusRow {
   analysis::RangeCompareResult cmp;
 };
 
-std::vector<CorpusRow> RunCorpus(Rig& rig) {
+std::vector<CorpusRow> RunCorpus(System& rig) {
   std::vector<std::pair<std::string, ebpf::Program>> corpus;
   const int counter_fd = benchutil::MustCreateArrayMap(rig, "cnt", 8, 4);
   const auto add = [&](const char* name,
@@ -80,7 +80,7 @@ std::vector<CorpusRow> RunCorpus(Rig& rig) {
 }
 
 int Run(const char* json_path) {
-  Rig rig;
+  System rig;
   const std::vector<CorpusRow> corpus = RunCorpus(rig);
 
   analysis::RangeFuzzOptions fopts;

@@ -12,7 +12,6 @@
 //    it to the attachment on CPU, and quarantining it.
 #include "bench/benchutil.h"
 #include "src/analysis/workloads.h"
-#include "src/core/hooks.h"
 #include "src/xbase/strfmt.h"
 
 namespace {
@@ -43,18 +42,12 @@ struct Outcome {
 Outcome RunScenario(bool supervised, bool bpf_crasher) {
   simkern::KernelConfig kernel_config;
   kernel_config.unprivileged_bpf_disabled = false;
-  benchutil::Rig rig(kernel_config);
-  rig.safex_runtime->keyring().Seal();
-  safex::Supervisor supervisor;
-  safex::HookRegistryConfig hook_config;
-  if (supervised) {
-    rig.kernel.set_oops_recovery(true);
-    hook_config.supervisor = &supervisor;
-  }
-  safex::HookRegistry hooks(rig.bpf, rig.loader, *rig.ext_loader,
-                            hook_config);
+  safex::System rig(kernel_config,
+                    supervised ? std::optional(safex::SupervisorConfig{})
+                               : std::nullopt);
+  safex::HookRegistry& hooks = *rig.hooks;
 
-  safex::Toolchain toolchain(*rig.signing_key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   auto build_ext = [&toolchain](const char* name,
                                 safex::ExtensionFactory factory) {
     safex::ExtensionManifest manifest;
@@ -96,12 +89,10 @@ Outcome RunScenario(bool supervised, bool bpf_crasher) {
                                      "resil-ctx")
                                 .value();
   Outcome outcome;
+  safex::HookFireReport report;
   for (int fire = 0; fire < kFires; ++fire) {
-    auto report = hooks.Fire(safex::HookPoint::kSyscallEnter, ctx);
-    if (!report.ok()) {
-      continue;
-    }
-    for (const safex::HookVerdict& verdict : report.value().verdicts) {
+    hooks.FireInto(safex::HookPoint::kSyscallEnter, ctx, report);
+    for (const safex::HookVerdict& verdict : report.verdicts) {
       if (verdict.attachment_id == healthy_attachment && verdict.status.ok() &&
           !rig.kernel.crashed()) {
         // Service only counts while the machine it runs on is alive.
@@ -116,7 +107,8 @@ Outcome RunScenario(bool supervised, bool bpf_crasher) {
   outcome.kernel_survived = !rig.kernel.crashed();
   if (supervised) {
     outcome.crasher_health =
-        std::string(ExtHealthName(supervisor.HealthOf(crasher_attachment)));
+        std::string(ExtHealthName(
+            rig.supervisor->HealthOf(crasher_attachment)));
   }
   return outcome;
 }

@@ -18,7 +18,7 @@
 
 namespace {
 
-struct PacketRig : benchutil::Rig {
+struct PacketRig : safex::System {
   PacketRig() {
     map_fd = benchutil::MustCreateArrayMap(*this, "counters", 8, 4);
     xbase::u8 payload[64] = {};
@@ -92,7 +92,7 @@ void BM_SafexPacketCounter(benchmark::State& state) {
   const safex::CapSet caps = {safex::Capability::kPacketAccess,
                               safex::Capability::kMapAccess};
   for (auto _ : state) {
-    auto outcome = rig.safex_runtime->Invoke(ext, caps, opts);
+    auto outcome = rig.runtime->Invoke(ext, caps, opts);
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -100,21 +100,21 @@ BENCHMARK(BM_SafexPacketCounter);
 
 // Ablations: empty invocation with mechanisms individually exercised.
 void BM_SafexInvokeEmpty(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   struct Nop : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx&) override {
       return xbase::u64{0};
     }
   } ext;
   for (auto _ : state) {
-    auto outcome = rig.safex_runtime->Invoke(ext, {}, {});
+    auto outcome = rig.runtime->Invoke(ext, {}, {});
     benchmark::DoNotOptimize(outcome);
   }
 }
 BENCHMARK(BM_SafexInvokeEmpty);
 
 void BM_SafexCleanupHeavy(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   struct AllocHeavy : safex::Extension {
     xbase::s64 n;
     explicit AllocHeavy(xbase::s64 count) : n(count) {}
@@ -128,7 +128,7 @@ void BM_SafexCleanupHeavy(benchmark::State& state) {
   } ext(state.range(0));
   const safex::CapSet caps = {safex::Capability::kDynAlloc};
   for (auto _ : state) {
-    auto outcome = rig.safex_runtime->Invoke(ext, caps, {});
+    auto outcome = rig.runtime->Invoke(ext, caps, {});
     benchmark::DoNotOptimize(outcome);
   }
   state.counters["cleanups_per_invoke"] =
@@ -137,7 +137,7 @@ void BM_SafexCleanupHeavy(benchmark::State& state) {
 BENCHMARK(BM_SafexCleanupHeavy)->Arg(1)->Arg(16)->Arg(63);
 
 void BM_SafexWatchdogFire(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   struct Spin : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx& ctx) override {
       for (;;) {
@@ -148,7 +148,7 @@ void BM_SafexWatchdogFire(benchmark::State& state) {
   safex::InvokeOptions opts;
   opts.watchdog_budget_ns = 10'000;  // fires after ~10k ticks
   for (auto _ : state) {
-    auto outcome = rig.safex_runtime->Invoke(ext, {}, opts);
+    auto outcome = rig.runtime->Invoke(ext, {}, opts);
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -156,7 +156,7 @@ BENCHMARK(BM_SafexWatchdogFire);
 
 // Reference acquire/release through RAII vs the cleanup registry.
 void BM_SafexSockRefScope(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   struct Lookup : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx& ctx) override {
       auto sock = ctx.LookupTcp(
@@ -167,7 +167,7 @@ void BM_SafexSockRefScope(benchmark::State& state) {
   } ext;
   const safex::CapSet caps = {safex::Capability::kSockLookup};
   for (auto _ : state) {
-    auto outcome = rig.safex_runtime->Invoke(ext, caps, {});
+    auto outcome = rig.runtime->Invoke(ext, caps, {});
     benchmark::DoNotOptimize(outcome);
   }
 }
@@ -223,7 +223,7 @@ int RunJson(const char* path) {
   const safex::CapSet caps = {safex::Capability::kPacketAccess,
                               safex::Capability::kMapAccess};
   const double safex_ns = mean_ns([&] {
-    auto outcome = rig.safex_runtime->Invoke(ext, caps, opts);
+    auto outcome = rig.runtime->Invoke(ext, caps, opts);
     benchmark::DoNotOptimize(outcome);
   });
 

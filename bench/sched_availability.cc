@@ -57,21 +57,13 @@ Outcome RunScenario(const Scenario& scenario, bool supervised) {
   simkern::KernelConfig kernel_config;
   kernel_config.version = simkern::kV6_12;
   kernel_config.unprivileged_bpf_disabled = false;
-  benchutil::Rig rig(kernel_config);
-  if (supervised) {
-    rig.kernel.set_oops_recovery(true);
-  }
-  safex::Supervisor supervisor;
-  safex::HookRegistryConfig hook_config;
-  if (supervised) {
-    hook_config.supervisor = &supervisor;
-  }
-  safex::HookRegistry hooks(rig.bpf, rig.loader, *rig.ext_loader,
-                            hook_config);
+  safex::System rig(kernel_config,
+                    supervised ? std::optional(safex::SupervisorConfig{})
+                               : std::nullopt);
   safex::SchedConfig sched_config;
   sched_config.supervised = supervised;
   sched_config.starvation_bound_ns = kBoundNs;
-  safex::SchedCore sched(rig.kernel, hooks, sched_config);
+  safex::SchedCore sched(rig.kernel, *rig.hooks, sched_config);
   if (!sched.Init().ok()) {
     return Outcome{};
   }
@@ -80,7 +72,7 @@ Outcome RunScenario(const Scenario& scenario, bool supervised) {
     rig.bpf.faults().Inject(scenario.fault);
   }
   const auto prog_id = rig.loader.Load(scenario.policy().value()).value();
-  (void)hooks.AttachProgram(safex::HookPoint::kSchedPickNext, prog_id)
+  (void)rig.hooks->AttachProgram(safex::HookPoint::kSchedPickNext, prog_id)
       .value();
 
   // The unsupervised loop has no reclaim pass; seed the queue honestly.
@@ -122,7 +114,7 @@ Outcome RunScenario(const Scenario& scenario, bool supervised) {
   }
   outcome.progressed_pct =
       100.0 * progressed / static_cast<double>(pids.size());
-  outcome.contained = supervisor.failures();
+  outcome.contained = supervised ? rig.supervisor->failures() : 0;
   return outcome;
 }
 

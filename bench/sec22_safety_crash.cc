@@ -34,7 +34,7 @@ int main() {
 
   // ---- eBPF path -------------------------------------------------------
   {
-    benchutil::Rig rig;
+    safex::System rig;
     auto prog = analysis::BuildSysBpfNullCrash();
     auto id = rig.loader.Load(prog.value());
     std::printf("[eBPF ] verifier verdict: %s\n",
@@ -62,8 +62,8 @@ int main() {
 
   // ---- safex path ------------------------------------------------------
   {
-    benchutil::Rig rig;
-    safex::Toolchain toolchain(*rig.signing_key);
+    safex::System rig;
+    safex::Toolchain toolchain(safex::System::VendorKey());
     safex::ExtensionManifest manifest;
     manifest.name = "sys-bpf-probe";
     manifest.version = "1.0";

@@ -46,7 +46,7 @@ int main() {
 
   for (xbase::u32 nesting = 1; nesting <= 3; ++nesting) {
     for (xbase::u32 iters : {64u, 128u}) {
-      benchutil::Rig rig;
+      safex::System rig;
       const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
       auto prog = analysis::BuildNestedLoopStall(fd, nesting, iters);
       auto id = rig.loader.Load(prog.value());
@@ -78,7 +78,7 @@ int main() {
 
   benchutil::Title("Driving it to an RCU stall (cost multiplier 1000)");
   {
-    benchutil::Rig rig;
+    safex::System rig;
     const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
     // 3 levels x 256 iters = 16.7M inner updates at multiplier 1000:
     // crosses the 21 s stall threshold early in the run.
@@ -113,11 +113,11 @@ int main() {
 
   benchutil::Title("The same workload under safex");
   {
-    benchutil::Rig rig;
+    safex::System rig;
     const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
     BusyLoopExt ext(fd);
     safex::InvokeOptions opts;  // default 1 ms watchdog
-    auto outcome = rig.safex_runtime->Invoke(
+    auto outcome = rig.runtime->Invoke(
         ext, {safex::Capability::kMapAccess}, opts);
     std::printf("watchdog verdict: %s after %.3f ms simulated "
                 "(%llu crate calls)\n",

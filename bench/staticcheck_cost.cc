@@ -19,7 +19,7 @@
 
 namespace {
 
-using benchutil::Rig;
+using safex::System;
 
 struct Corpus {
   std::string name;
@@ -28,14 +28,14 @@ struct Corpus {
 
 // Builds one rig + corpus pair per benchmark process; the rig owns the
 // maps the programs reference.
-Rig& SharedRig() {
-  static Rig rig;
+System& SharedRig() {
+  static System rig;
   return rig;
 }
 
 std::vector<Corpus>& SharedCorpus() {
   static std::vector<Corpus> corpus = [] {
-    Rig& rig = SharedRig();
+    System& rig = SharedRig();
     std::vector<Corpus> built;
     const int counter_fd =
         benchutil::MustCreateArrayMap(rig, "cnt", 8, 4);
@@ -56,7 +56,7 @@ std::vector<Corpus>& SharedCorpus() {
 }
 
 void BM_Verify(benchmark::State& state) {
-  Rig& rig = SharedRig();
+  System& rig = SharedRig();
   const Corpus& entry = SharedCorpus()[state.range(0)];
   ebpf::VerifyOptions opts;
   opts.version = rig.kernel.version();
@@ -71,7 +71,7 @@ void BM_Verify(benchmark::State& state) {
 }
 
 void BM_StaticCheck(benchmark::State& state) {
-  Rig& rig = SharedRig();
+  System& rig = SharedRig();
   const Corpus& entry = SharedCorpus()[state.range(0)];
   staticcheck::CheckOptions opts;
   opts.maps = &rig.bpf.maps();
@@ -96,7 +96,7 @@ void RegisterAll() {
 // verifier and staticcheck wall time, instruction count, finding totals.
 int RunJson(const char* path) {
   constexpr int kIters = 30;
-  Rig& rig = SharedRig();
+  System& rig = SharedRig();
   FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "staticcheck_cost: cannot write %s\n", path);

@@ -14,7 +14,7 @@
 
 namespace {
 
-using benchutil::Rig;
+using safex::System;
 
 struct ExploitRow {
   std::string fault_id;
@@ -22,7 +22,7 @@ struct ExploitRow {
   std::string with_defect;
 };
 
-std::string LoadAndRunVerdict(Rig& rig, const ebpf::Program& prog,
+std::string LoadAndRunVerdict(System& rig, const ebpf::Program& prog,
                               bool privileged = true) {
   ebpf::LoadOptions opts;
   opts.privileged = privileged;
@@ -52,15 +52,15 @@ std::string LoadAndRunVerdict(Rig& rig, const ebpf::Program& prog,
 // effects via `post` (refcount audits etc).
 ExploitRow RunExploit(
     std::string_view fault, const std::function<xbase::Result<ebpf::Program>(
-                                Rig&)>& build,
-    const std::function<std::string(Rig&, const std::string&)>& post,
+                                System&)>& build,
+    const std::function<std::string(System&, const std::string&)>& post,
     bool privileged = true) {
   ExploitRow row;
   row.fault_id = std::string(fault);
   for (const bool inject : {false, true}) {
     simkern::KernelConfig config;
     config.unprivileged_bpf_disabled = false;  // let the exploit try
-    Rig rig(config);
+    System rig(config);
     if (inject) {
       rig.bpf.faults().Inject(fault);
       // Map-level defects are toggled on the map object.
@@ -76,7 +76,7 @@ ExploitRow RunExploit(
   return row;
 }
 
-std::string AuditRefs(Rig& rig, const std::string& verdict,
+std::string AuditRefs(System& rig, const std::string& verdict,
                       const simkern::RefcountSnapshot& before) {
   const auto leaks = rig.kernel.objects().DiffSince(before);
   if (!leaks.empty()) {
@@ -127,20 +127,20 @@ int main() {
   // Arbitrary R/W via verifier bounds bug (CVE-2022-23222 class).
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierScalarBounds,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd = benchutil::MustCreateArrayMap(rig, "vic", 8, 4);
         return analysis::BuildArbitraryReadExploit(fd, 4096);
       },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Kernel pointer leak (unprivileged return of a map-value address).
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierPtrLeak,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd = benchutil::MustCreateArrayMap(rig, "vic", 8, 4);
         return analysis::BuildPtrLeakExploit(fd);
       },
-      [](Rig& rig, const std::string& verdict) {
+      [](System& rig, const std::string& verdict) {
         if (verdict.find("r0=0xffff") != std::string::npos) {
           (void)rig;
           return verdict + "  <-- KERNEL ADDRESS LEAKED";
@@ -152,40 +152,40 @@ int main() {
   // OOB via jmp32 bounds-propagation bug (commit 3844d153 class).
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierJmp32Bounds,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd = benchutil::MustCreateArrayMap(rig, "vic", 64, 4);
         return analysis::BuildJmp32BoundsExploit(fd);
       },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Deadlock via missing spin-lock tracking.
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierSpinLock,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd = benchutil::MustCreateArrayMap(rig, "locked", 16, 1);
         return analysis::BuildDoubleSpinLock(fd);
       },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Verifier's own use-after-free (loop inlining).
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierLoopInlineUaf,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd = benchutil::MustCreateArrayMap(rig, "m", 8, 4);
         return analysis::BuildNestedLoopStall(fd, 1, 4);
       },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Reference leak via disabled reference tracking.
   {
     simkern::RefcountSnapshot before;
     rows.push_back(RunExploit(
         ebpf::kFaultVerifierRefTracking,
-        [&before](Rig& rig) {
+        [&before](System& rig) {
           before = rig.kernel.objects().Snapshot();
           return analysis::BuildSkLookupNoRelease();
         },
-        [&before](Rig& rig, const std::string& verdict) {
+        [&before](System& rig, const std::string& verdict) {
           return AuditRefs(rig, verdict, before);
         }));
   }
@@ -195,11 +195,11 @@ int main() {
     simkern::RefcountSnapshot before;
     rows.push_back(RunExploit(
         ebpf::kFaultHelperTaskStackLeak,
-        [&before](Rig& rig) {
+        [&before](System& rig) {
           before = rig.kernel.objects().Snapshot();
           return analysis::BuildGetTaskStackErrorPath();
         },
-        [&before](Rig& rig, const std::string& verdict) {
+        [&before](System& rig, const std::string& verdict) {
           return AuditRefs(rig, verdict, before);
         }));
   }
@@ -209,11 +209,11 @@ int main() {
     simkern::RefcountSnapshot before;
     rows.push_back(RunExploit(
         ebpf::kFaultHelperSkLookupLeak,
-        [&before](Rig& rig) {
+        [&before](System& rig) {
           before = rig.kernel.objects().Snapshot();
           return analysis::BuildSkLookupWithRelease();
         },
-        [&before](Rig& rig, const std::string& verdict) {
+        [&before](System& rig, const std::string& verdict) {
           return AuditRefs(rig, verdict, before);
         }));
   }
@@ -221,7 +221,7 @@ int main() {
   // Helper bug: task_storage NULL owner dereference.
   rows.push_back(RunExploit(
       ebpf::kFaultHelperTaskStorageNull,
-      [](Rig& rig) {
+      [](System& rig) {
         ebpf::MapSpec spec;
         spec.type = ebpf::MapType::kTaskStorage;
         spec.key_size = 4;
@@ -231,12 +231,12 @@ int main() {
         auto fd = rig.bpf.maps().Create(spec);
         return analysis::BuildTaskStorageNullOwner(fd.value());
       },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Helper bug: array map index overflow (corruption witness 0x41414141).
   rows.push_back(RunExploit(
       ebpf::kFaultHelperArrayOverflow,
-      [](Rig& rig) {
+      [](System& rig) {
         const int fd =
             benchutil::MustCreateArrayMap(rig, "big", 8, 8200);
         auto map = rig.bpf.maps().Find(fd);
@@ -245,7 +245,7 @@ int main() {
             rig.bpf.faults().IsActive(ebpf::kFaultHelperArrayOverflow));
         return analysis::BuildArrayOverflowExploit(fd, 8192);
       },
-      [](Rig&, const std::string& verdict) {
+      [](System&, const std::string& verdict) {
         if (verdict.find("0x41414141") != std::string::npos) {
           return verdict + "  <-- ELEMENT 0 CORRUPTED";
         }
@@ -255,15 +255,15 @@ int main() {
   // JIT bug: branch displacement off by one (CVE-2021-29154 class).
   rows.push_back(RunExploit(
       ebpf::kFaultJitBranchOffByOne,
-      [](Rig&) { return analysis::BuildJitHijackVictim(); },
-      [](Rig&, const std::string& verdict) { return verdict; }));
+      [](System&) { return analysis::BuildJitHijackVictim(); },
+      [](System&, const std::string& verdict) { return verdict; }));
 
   // Verifier memory leak: measured on the verifier's own bookkeeping.
   {
     ExploitRow row;
     row.fault_id = std::string(ebpf::kFaultVerifierStateLeak);
     for (const bool inject : {false, true}) {
-      Rig rig;
+      System rig;
       if (inject) {
         rig.bpf.faults().Inject(ebpf::kFaultVerifierStateLeak);
       }

@@ -6,7 +6,6 @@
 // — is checked by the probes themselves being ordinary unbounded C++.
 #include "bench/benchutil.h"
 #include "src/analysis/matrix.h"
-#include "src/core/hooks.h"
 #include "src/xbase/strfmt.h"
 
 namespace {
@@ -33,11 +32,11 @@ struct ProbeResult {
 
 ProbeResult RunProbe(const std::string& property, LambdaExt::Body body,
                      safex::CapSet caps) {
-  benchutil::Rig rig;
+  safex::System rig;
   const int fd = benchutil::MustCreateArrayMap(rig, "probe", 8, 4);
   (void)fd;
   LambdaExt ext(std::move(body));
-  const InvokeOutcome outcome = rig.safex_runtime->Invoke(ext, caps, {});
+  const InvokeOutcome outcome = rig.runtime->Invoke(ext, caps, {});
   ProbeResult result;
   result.property = property;
   result.contained = !rig.kernel.crashed();
@@ -60,14 +59,10 @@ ProbeResult RunProbe(const std::string& property, LambdaExt::Body body,
 // healthy policy, and the row reports whether the breaker quarantined the
 // offender while the healthy attachment kept serving.
 ProbeResult RunContainmentProbe() {
-  benchutil::Rig rig;
-  rig.safex_runtime->keyring().Seal();
-  safex::Supervisor supervisor;
-  safex::HookRegistryConfig hook_config;
-  hook_config.supervisor = &supervisor;
-  safex::HookRegistry hooks(rig.bpf, rig.loader, *rig.ext_loader,
-                            hook_config);
-  safex::Toolchain toolchain(*rig.signing_key);
+  safex::System rig({}, safex::SupervisorConfig{});
+  safex::HookRegistry& hooks = *rig.hooks;
+  const safex::Supervisor& supervisor = *rig.supervisor;
+  safex::Toolchain toolchain(safex::System::VendorKey());
   auto build = [&toolchain](const char* name, LambdaExt::Body body) {
     safex::ExtensionManifest manifest;
     manifest.name = name;
@@ -97,9 +92,10 @@ ProbeResult RunContainmentProbe() {
                                 .value();
   xbase::u32 healthy_served = 0;
   const int fires = 20;
+  safex::HookFireReport report;
   for (int i = 0; i < fires; ++i) {
-    auto report = hooks.Fire(safex::HookPoint::kSyscallEnter, ctx);
-    if (report.ok() && report.value().served > 0) {
+    hooks.FireInto(safex::HookPoint::kSyscallEnter, ctx, report);
+    if (report.served > 0) {
       ++healthy_served;
     }
   }

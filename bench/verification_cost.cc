@@ -26,7 +26,7 @@
 
 namespace {
 
-ebpf::VerifyOptions DefaultVerifyOptions(benchutil::Rig& rig) {
+ebpf::VerifyOptions DefaultVerifyOptions(safex::System& rig) {
   ebpf::VerifyOptions opts;
   opts.version = rig.kernel.version();
   opts.privileged = true;
@@ -35,7 +35,7 @@ ebpf::VerifyOptions DefaultVerifyOptions(benchutil::Rig& rig) {
 }
 
 void BM_VerifyStraightLine(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   auto prog = analysis::BuildStraightLine(
       static_cast<xbase::u32>(state.range(0)));
   const auto opts = DefaultVerifyOptions(rig);
@@ -51,7 +51,7 @@ void BM_VerifyStraightLine(benchmark::State& state) {
 BENCHMARK(BM_VerifyStraightLine)->Arg(64)->Arg(512)->Arg(4096)->Arg(32768);
 
 void BM_VerifyBranchDiamonds(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   auto prog = analysis::BuildBranchDiamonds(
       static_cast<xbase::u32>(state.range(0)));
   const auto opts = DefaultVerifyOptions(rig);
@@ -77,7 +77,7 @@ void BM_VerifyBranchDiamonds(benchmark::State& state) {
 BENCHMARK(BM_VerifyBranchDiamonds)->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
 void BM_VerifyCountedLoop(benchmark::State& state) {
-  benchutil::Rig rig;
+  safex::System rig;
   auto prog = analysis::BuildCountedLoop(
       static_cast<xbase::u32>(state.range(0)));
   const auto opts = DefaultVerifyOptions(rig);
@@ -108,8 +108,8 @@ BENCHMARK(BM_VerifyCountedLoop)
 // The safex comparator: signature validation + load-time fixup. Constant,
 // regardless of what the extension does.
 void BM_SafexSignedLoad(benchmark::State& state) {
-  benchutil::Rig rig;
-  safex::Toolchain toolchain(*rig.signing_key);
+  safex::System rig;
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "bench-ext";
   manifest.version = "1.0";
@@ -140,8 +140,8 @@ BENCHMARK(BM_SafexSignedLoad)->Arg(64)->Arg(4096)->Arg(32768);
 
 // Toolchain-side cost (runs in userspace, off the kernel's critical path).
 void BM_SafexToolchainBuild(benchmark::State& state) {
-  benchutil::Rig rig;
-  safex::Toolchain toolchain(*rig.signing_key);
+  safex::System rig;
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "bench-ext";
   manifest.version = "1.0";
@@ -188,7 +188,7 @@ struct RelCostRow {
 xbase::Result<RelCostRow> MeasureRelCost(
     const std::string& family, xbase::u32 param,
     xbase::Result<ebpf::Program> (*build)(xbase::u32, int)) {
-  benchutil::Rig rig;
+  safex::System rig;
   const int fd = benchutil::MustCreateArrayMap(rig, "relcost", 64, 4);
   XB_ASSIGN_OR_RETURN(ebpf::Program prog, build(param, fd));
 

@@ -11,7 +11,7 @@
 #include <functional>
 #include <map>
 
-#include "src/core/loader.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/xbase/bytes.h"
 
@@ -80,13 +80,8 @@ std::vector<xbase::u8> MakeRequest(char op, const std::string& key,
 }  // namespace
 
 int main() {
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf(kernel);
-  (void)kernel.BootstrapWorkload();
-  auto runtime = safex::Runtime::Create(kernel, bpf).value();
-  const auto key = crypto::SigningKey::FromPassphrase("kv", "pw");
-  (void)runtime->keyring().Enroll(key);
-  runtime->keyring().Seal();
+  safex::System sys;
+  simkern::Kernel& kernel = sys.kernel;
 
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kHash;
@@ -94,9 +89,9 @@ int main() {
   spec.value_size = kValueSize;
   spec.max_entries = 64;
   spec.name = "kv-cache";
-  const int cache_fd = bpf.maps().Create(spec).value();
+  const int cache_fd = sys.bpf.maps().Create(spec).value();
 
-  safex::Toolchain toolchain(key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "kv-cache";
   manifest.version = "1.0";
@@ -108,7 +103,7 @@ int main() {
                  [cache_fd]() { return std::make_unique<KvCache>(cache_fd); },
                  crypto::Sha256::HashString("kv-cache-1.0"))
           .value();
-  safex::ExtLoader loader(*runtime);
+  safex::ExtLoader& loader = *sys.ext_loader;
   const xbase::u32 ext_id = loader.Load(artifact).value();
 
   std::map<std::string, std::string> userspace_store = {

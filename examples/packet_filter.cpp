@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "src/analysis/workloads.h"
-#include "src/core/loader.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/interp.h"
 #include "src/xbase/bytes.h"
@@ -82,13 +82,9 @@ void PrintCounters(simkern::Kernel& kernel, ebpf::Bpf& bpf, int fd,
 }  // namespace
 
 int main() {
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf(kernel);
-  (void)kernel.BootstrapWorkload();
-  auto runtime = safex::Runtime::Create(kernel, bpf).value();
-  const auto key = crypto::SigningKey::FromPassphrase("netvendor", "pw");
-  (void)runtime->keyring().Enroll(key);
-  runtime->keyring().Seal();
+  safex::System sys;
+  simkern::Kernel& kernel = sys.kernel;
+  ebpf::Bpf& bpf = sys.bpf;
 
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
@@ -101,13 +97,13 @@ int main() {
   const int safex_fd = bpf.maps().Create(spec).value();
 
   // Load the eBPF filter.
-  ebpf::Loader loader(bpf);
+  ebpf::Loader& loader = sys.loader;
   auto prog = analysis::BuildPacketCounter(ebpf_fd);
   auto prog_id = loader.Load(prog.value()).value();
   auto loaded = loader.Find(prog_id).value();
 
   // Sign + load the safex filter.
-  safex::Toolchain toolchain(key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "packet-filter";
   manifest.version = "2.1";
@@ -121,7 +117,7 @@ int main() {
                       },
                       crypto::Sha256::HashString("packet-filter-2.1"))
           .value();
-  safex::ExtLoader ext_loader(*runtime);
+  safex::ExtLoader& ext_loader = *sys.ext_loader;
   const xbase::u32 ext_id = ext_loader.Load(artifact).value();
 
   // Drive 64 synthetic packets through both.
@@ -156,7 +152,7 @@ int main() {
   PrintCounters(kernel, bpf, safex_fd, "safex");
   std::printf("pool stats: %llu allocations, %u chunks still in use\n",
               static_cast<unsigned long long>(
-                  runtime->pool_for_cpu(0).stats().alloc_calls),
-              runtime->pool_for_cpu(0).stats().chunks_in_use);
+                  sys.runtime->pool_for_cpu(0).stats().alloc_calls),
+              sys.runtime->pool_for_cpu(0).stats().chunks_in_use);
   return 0;
 }

@@ -8,7 +8,7 @@
 // Run: ./build/examples/syscall_guard
 #include <cstdio>
 
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/asm.h"
 #include "src/xbase/bytes.h"
@@ -64,24 +64,16 @@ class CommPolicyGuard : public safex::Extension {
 }  // namespace
 
 int main() {
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf(kernel);
-  (void)kernel.BootstrapWorkload();
-  auto runtime = safex::Runtime::Create(kernel, bpf).value();
-  const auto key = crypto::SigningKey::FromPassphrase("sec", "pw");
-  (void)runtime->keyring().Enroll(key);
-  runtime->keyring().Seal();
-
-  ebpf::Loader bpf_loader(bpf);
-  safex::ExtLoader ext_loader(*runtime);
-  safex::HookRegistry hooks(bpf, bpf_loader, ext_loader);
+  safex::System sys;
+  simkern::Kernel& kernel = sys.kernel;
+  safex::HookRegistry& hooks = *sys.hooks;
 
   // Attach the eBPF nr-based guard.
-  const auto prog_id = bpf_loader.Load(BuildEbpfGuard()).value();
+  const auto prog_id = sys.loader.Load(BuildEbpfGuard()).value();
   (void)hooks.AttachProgram(safex::HookPoint::kSyscallEnter, prog_id);
 
   // Attach the safex comm-based guard.
-  safex::Toolchain toolchain(key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "comm-policy";
   manifest.version = "1.0";
@@ -93,7 +85,7 @@ int main() {
                  []() { return std::make_unique<CommPolicyGuard>(); },
                  crypto::Sha256::HashString("comm-policy-1.0"))
           .value();
-  const auto ext_id = ext_loader.Load(artifact).value();
+  const auto ext_id = sys.ext_loader->Load(artifact).value();
   (void)hooks.AttachExtension(safex::HookPoint::kSyscallEnter, ext_id);
 
   // One reusable ctx block for syscall events.
@@ -117,6 +109,7 @@ int main() {
   };
 
   std::printf("%-24s %-8s %s\n", "event", "verdict", "who decided");
+  safex::HookFireReport report;
   for (const Event& event : events) {
     (void)kernel.tasks().SetCurrent(event.pid);
     xbase::u8 block[8];
@@ -124,7 +117,7 @@ int main() {
     xbase::StoreLe32(block + kCtxPid, event.pid);
     (void)kernel.mem().Write(ctx, block);
 
-    auto report = hooks.Fire(safex::HookPoint::kSyscallEnter, ctx).value();
+    hooks.FireInto(safex::HookPoint::kSyscallEnter, ctx, report);
     std::string who = "-";
     for (const auto& verdict : report.verdicts) {
       if (verdict.status.ok() && verdict.value != 0) {

@@ -9,7 +9,7 @@
 // Run: ./build/examples/syscall_tracer
 #include <cstdio>
 
-#include "src/core/loader.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/xbase/bytes.h"
 
@@ -65,13 +65,9 @@ class SyscallTracer : public safex::Extension {
 }  // namespace
 
 int main() {
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf(kernel);
-  (void)kernel.BootstrapWorkload();
-  auto runtime = safex::Runtime::Create(kernel, bpf).value();
-  const auto key = crypto::SigningKey::FromPassphrase("tracer", "pw");
-  (void)runtime->keyring().Enroll(key);
-  runtime->keyring().Seal();
+  safex::System sys;
+  simkern::Kernel& kernel = sys.kernel;
+  ebpf::Bpf& bpf = sys.bpf;
 
   ebpf::MapSpec storage_spec;
   storage_spec.type = ebpf::MapType::kTaskStorage;
@@ -89,7 +85,7 @@ int main() {
   ring_spec.name = "trace-events";
   const int ring_fd = bpf.maps().Create(ring_spec).value();
 
-  safex::Toolchain toolchain(key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   safex::ExtensionManifest manifest;
   manifest.name = "syscall-tracer";
   manifest.version = "0.9";
@@ -105,7 +101,7 @@ int main() {
                  },
                  crypto::Sha256::HashString("syscall-tracer-0.9"))
           .value();
-  safex::ExtLoader loader(*runtime);
+  safex::ExtLoader& loader = *sys.ext_loader;
   const xbase::u32 ext_id = loader.Load(artifact).value();
 
   // Simulate syscalls from two tasks.

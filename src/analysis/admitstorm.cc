@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/analysis/workloads.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/service/admission.h"
 #include "src/xbase/rand.h"
@@ -26,46 +27,12 @@ class NopExt : public safex::Extension {
   xbase::Result<u64> Run(safex::Ctx&) override { return u64{0}; }
 };
 
-struct StormRig {
-  StormRig() : kernel(MakeKernelConfig()), bpf(kernel), loader(bpf) {
-    ok = kernel.BootstrapWorkload().ok();
-    auto rt = safex::Runtime::Create(kernel, bpf);
-    ok = ok && rt.ok();
-    if (!ok) {
-      return;
-    }
-    runtime = std::move(rt).value();
-    key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("storm-vendor", "storm"));
-    rogue_key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("storm-rogue", "rogue"));
-    (void)runtime->keyring().Enroll(*key);
-    runtime->keyring().Seal();
-    ext_loader = std::make_unique<safex::ExtLoader>(*runtime);
-  }
-
-  static simkern::KernelConfig MakeKernelConfig() {
-    simkern::KernelConfig config;
-    config.unprivileged_bpf_disabled = false;
-    return config;
-  }
-
-  bool ok = false;
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader loader;
-  std::unique_ptr<safex::Runtime> runtime;
-  std::unique_ptr<crypto::SigningKey> key;
-  std::unique_ptr<crypto::SigningKey> rogue_key;  // never enrolled
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-};
-
 struct CorpusEntry {
   std::string name;
   ebpf::Program prog;
 };
 
-int MustArrayMap(StormRig& rig, const char* name, u32 value_size,
+int MustArrayMap(safex::System& rig, const char* name, u32 value_size,
                  u32 entries) {
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
@@ -83,9 +50,16 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
   AdmitStormReport report;
   report.seed = config.seed;
 
+  // `rng` draws the submission schedule and nothing else, so the schedule
+  // is a pure function of the config. The unload and probe choices depend
+  // on which verdicts came back admitted, which races the fault toggles;
+  // they draw from `churn_rng` so they cannot shift the schedule.
   xbase::Rng rng(config.seed);
-  StormRig rig;
-  if (!rig.ok) {
+  xbase::Rng churn_rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
+  simkern::KernelConfig kernel_config;
+  kernel_config.unprivileged_bpf_disabled = false;
+  safex::System rig(kernel_config);
+  if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
   }
@@ -137,8 +111,10 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
     return report;
   }
 
-  safex::Toolchain toolchain(*rig.key);
-  safex::Toolchain rogue_toolchain(*rig.rogue_key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
+  // Never enrolled: its artifacts must be turned away.
+  safex::Toolchain rogue_toolchain(
+      crypto::SigningKey::FromPassphrase("storm-rogue", "rogue"));
   safex::ExtensionManifest manifest;
   manifest.name = "storm-nop";
   manifest.version = "1";
@@ -273,7 +249,7 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
     // flight, a service load (cache hit or fresh) must agree with a direct
     // single-threaded Prepare — status and verification stats both.
     for (int probe = 0; probe < 2; ++probe) {
-      const CorpusEntry& entry = corpus[rng.NextBelow(corpus.size())];
+      const CorpusEntry& entry = corpus[churn_rng.NextBelow(corpus.size())];
       ebpf::LoadOptions options;  // privileged, no prepass, sync
       auto direct = rig.loader.Prepare(entry.prog, options);
       auto via_service = svc.Wait(svc.Load(entry.prog, options));
@@ -332,7 +308,8 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
           rig.bpf.faults().Clear(fault.id);
         }
       }
-      const CorpusEntry& entry = corpus[rng.NextBelow(probe_safe_count)];
+      const CorpusEntry& entry =
+          corpus[churn_rng.NextBelow(probe_safe_count)];
       auto probe_id = rig.loader.Load(entry.prog);
       if (!probe_id.ok()) {
         fail(xbase::StrFormat("exec probe load of %s refused: %s",
@@ -426,7 +403,7 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
     for (auto* live : {&live_progs, &live_exts}) {
       std::vector<u32> victims;
       for (const u32 id : *live) {
-        if (rng.NextBool()) {
+        if (churn_rng.NextBool()) {
           victims.push_back(id);
         }
       }

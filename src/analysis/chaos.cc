@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "src/analysis/workloads.h"
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/interp.h"
 #include "src/xbase/rand.h"
@@ -99,52 +99,16 @@ struct CorpusProgram {
   ebpf::Program prog;
 };
 
-struct ChaosRig {
-  explicit ChaosRig(const ChaosConfig& config)
-      : kernel(MakeKernelConfig(config.cpus)), bpf(kernel),
-        bpf_loader(bpf) {
-    kernel.set_oops_recovery(true);
-    ok = kernel.BootstrapWorkload().ok();
-    auto rt = safex::Runtime::Create(kernel, bpf);
-    ok = ok && rt.ok();
-    if (!ok) {
-      return;
-    }
-    runtime = std::move(rt).value();
-    key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("chaos-vendor", "chaos"));
-    (void)runtime->keyring().Enroll(*key);
-    runtime->keyring().Seal();
-    ext_loader = std::make_unique<safex::ExtLoader>(*runtime);
-    supervisor = std::make_unique<safex::Supervisor>(config.supervisor);
-    safex::HookRegistryConfig hook_config;
-    hook_config.supervisor = supervisor.get();
-    hook_config.exec_options.engine = config.engine;
-    hooks = std::make_unique<safex::HookRegistry>(bpf, bpf_loader,
-                                                  *ext_loader, hook_config);
+simkern::KernelConfig ChaosKernelConfig(u32 cpus) {
+  simkern::KernelConfig config;
+  config.unprivileged_bpf_disabled = false;
+  if (cpus > 1) {
+    config.num_cpus = cpus;
   }
+  return config;
+}
 
-  static simkern::KernelConfig MakeKernelConfig(xbase::u32 cpus) {
-    simkern::KernelConfig config;
-    config.unprivileged_bpf_disabled = false;
-    if (cpus > 1) {
-      config.num_cpus = cpus;
-    }
-    return config;
-  }
-
-  bool ok = false;
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader bpf_loader;
-  std::unique_ptr<safex::Runtime> runtime;
-  std::unique_ptr<crypto::SigningKey> key;
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-  std::unique_ptr<safex::Supervisor> supervisor;
-  std::unique_ptr<safex::HookRegistry> hooks;
-};
-
-int MustMap(ChaosRig& rig, ebpf::MapType type, const char* name,
+int MustMap(safex::System& rig, ebpf::MapType type, const char* name,
             u32 value_size, u32 entries) {
   ebpf::MapSpec spec;
   spec.type = type;
@@ -175,11 +139,12 @@ ChaosReport RunChaos(const ChaosConfig& config) {
   report.stats.fault_catalog_size = ebpf::FaultRegistry::Catalog().size();
 
   xbase::Rng rng(config.seed);
-  ChaosRig rig(config);
-  if (!rig.ok) {
+  safex::System rig(ChaosKernelConfig(config.cpus), config.supervisor);
+  if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
   }
+  rig.hooks->config().exec_options.engine = config.engine;
   const bool smp = config.cpus > 1;
   if (smp) {
     rig.kernel.StartCpus();
@@ -227,7 +192,7 @@ ChaosReport RunChaos(const ChaosConfig& config) {
   add_prog("task_stack_leak", BuildGetTaskStackErrorPath());
 
   // --- signed extension corpus -------------------------------------------
-  safex::Toolchain toolchain(*rig.key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   std::vector<safex::SignedArtifact> artifacts;
   auto add_ext = [&](const char* name, safex::ExtensionFactory factory) {
     safex::ExtensionManifest manifest;
@@ -309,7 +274,7 @@ ChaosReport RunChaos(const ChaosConfig& config) {
       if (rng.NextBool() || artifacts.empty()) {
         const auto& entry = programs[rng.NextBelow(programs.size())];
         op_desc = "load bpf " + entry.name;
-        auto id = rig.bpf_loader.Load(entry.prog);
+        auto id = rig.loader.Load(entry.prog);
         if (id.ok()) {
           loaded_progs.push_back(id.value());
           ++report.stats.loads_ok;
@@ -349,7 +314,7 @@ ChaosReport RunChaos(const ChaosConfig& config) {
         if (pick_ext) {
           (void)rig.ext_loader->Unload(target);
         } else {
-          (void)rig.bpf_loader.Unload(target);
+          (void)rig.loader.Unload(target);
         }
         pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(index));
         ++report.stats.unloads;
@@ -427,14 +392,13 @@ ChaosReport RunChaos(const ChaosConfig& config) {
           rig.hooks->FireAsyncOn(pool, i % rig.kernel.num_cpus(), hook,
                                  ctx_addr);
           pool.Submit(i % rig.kernel.num_cpus(), [&] {
-            auto fired = rig.hooks->Fire(hook, ctx_addr);
-            if (fired.ok()) {
-              std::lock_guard<std::mutex> lock(agg_mu);
-              ++report.stats.fires;
-              report.stats.attachments_served += fired.value().served;
-              report.stats.attachments_failed += fired.value().failed;
-              report.stats.attachments_skipped += fired.value().skipped;
-            }
+            safex::HookFireReport fired;
+            rig.hooks->FireInto(hook, ctx_addr, fired);
+            std::lock_guard<std::mutex> lock(agg_mu);
+            ++report.stats.fires;
+            report.stats.attachments_served += fired.served;
+            report.stats.attachments_failed += fired.failed;
+            report.stats.attachments_skipped += fired.skipped;
           });
         }
         if (config.toggle_faults && !catalog.empty()) {
@@ -453,13 +417,12 @@ ChaosReport RunChaos(const ChaosConfig& config) {
         pool.Drain();
         report.stats.fires += config.cpus;  // the FireAsyncOn halves
       } else {
-        auto fired = rig.hooks->Fire(hook, ctx_addr);
-        if (fired.ok()) {
-          ++report.stats.fires;
-          report.stats.attachments_served += fired.value().served;
-          report.stats.attachments_failed += fired.value().failed;
-          report.stats.attachments_skipped += fired.value().skipped;
-        }
+        safex::HookFireReport fired;
+        rig.hooks->FireInto(hook, ctx_addr, fired);
+        ++report.stats.fires;
+        report.stats.attachments_served += fired.served;
+        report.stats.attachments_failed += fired.failed;
+        report.stats.attachments_skipped += fired.skipped;
       }
     }
 
@@ -467,10 +430,8 @@ ChaosReport RunChaos(const ChaosConfig& config) {
     const std::string violated = check_invariants(op, op_desc);
     if (!violated.empty()) {
       report.failure = xbase::StrFormat(
-          "op %llu (%s): %s [replay: --seed %llu --ops %llu]",
-          static_cast<unsigned long long>(op), op_desc.c_str(),
-          violated.c_str(), static_cast<unsigned long long>(config.seed),
-          static_cast<unsigned long long>(config.ops));
+          "op %llu (%s): %s", static_cast<unsigned long long>(op),
+          op_desc.c_str(), violated.c_str());
       report.failed_at_op = op;
       break;
     }

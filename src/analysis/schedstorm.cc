@@ -5,6 +5,7 @@
 
 #include "src/analysis/workloads.h"
 #include "src/core/sched.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/xbase/rand.h"
 #include "src/xbase/strfmt.h"
@@ -36,35 +37,18 @@ class PanicPickExt : public safex::Extension {
 
 // ---- the rig --------------------------------------------------------------
 
-struct SchedRig {
+// The supervised stack plus a SchedCore on cpu0.
+struct SchedRig : safex::System {
   SchedRig(const safex::SupervisorConfig& supervisor_config,
-           u64 starvation_bound_ns, bool supervised = true, u32 cpus = 1)
-      : kernel(MakeKernelConfig(cpus)), bpf(kernel), bpf_loader(bpf) {
-    kernel.set_oops_recovery(true);
-    ok = kernel.BootstrapWorkload().ok();
-    auto rt = safex::Runtime::Create(kernel, bpf);
-    ok = ok && rt.ok();
-    if (!ok) {
+           u64 starvation_bound_ns, u32 cpus = 1)
+      : safex::System(MakeKernelConfig(cpus), supervisor_config) {
+    if (!System::ok()) {
       return;
     }
-    runtime = std::move(rt).value();
-    key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("schedstorm-vendor", "storm"));
-    (void)runtime->keyring().Enroll(*key);
-    runtime->keyring().Seal();
-    ext_loader = std::make_unique<safex::ExtLoader>(*runtime);
-    supervisor = std::make_unique<safex::Supervisor>(supervisor_config);
-    safex::HookRegistryConfig hook_config;
-    if (supervised) {
-      hook_config.supervisor = supervisor.get();
-    }
-    hooks = std::make_unique<safex::HookRegistry>(bpf, bpf_loader,
-                                                  *ext_loader, hook_config);
     safex::SchedConfig sched_config;
-    sched_config.supervised = supervised;
     sched_config.starvation_bound_ns = starvation_bound_ns;
     sched = std::make_unique<safex::SchedCore>(kernel, *hooks, sched_config);
-    ok = sched->Init().ok();
+    sched_ok = sched->Init().ok();
   }
 
   static simkern::KernelConfig MakeKernelConfig(u32 cpus) {
@@ -77,12 +61,14 @@ struct SchedRig {
     return config;
   }
 
+  bool ok() const { return System::ok() && sched_ok; }
+
   // Loads and attaches a sched_ext policy; 0 on failure.
   u32 AttachPolicy(xbase::Result<ebpf::Program> prog) {
     if (!prog.ok()) {
       return 0;
     }
-    auto prog_id = bpf_loader.Load(prog.value());
+    auto prog_id = loader.Load(prog.value());
     if (!prog_id.ok()) {
       return 0;
     }
@@ -91,15 +77,7 @@ struct SchedRig {
     return id.ok() ? id.value() : 0;
   }
 
-  bool ok = false;
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader bpf_loader;
-  std::unique_ptr<safex::Runtime> runtime;
-  std::unique_ptr<crypto::SigningKey> key;
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-  std::unique_ptr<safex::Supervisor> supervisor;
-  std::unique_ptr<safex::HookRegistry> hooks;
+  bool sched_ok = false;
   std::unique_ptr<safex::SchedCore> sched;
 };
 
@@ -117,9 +95,8 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
   report.seed = config.seed;
 
   xbase::Rng rng(config.seed);
-  SchedRig rig(config.supervisor, config.starvation_bound_ns,
-               /*supervised=*/true, config.cpus);
-  if (!rig.ok) {
+  SchedRig rig(config.supervisor, config.starvation_bound_ns, config.cpus);
+  if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
   }
@@ -157,7 +134,7 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
     if (!prog.ok()) {
       return;
     }
-    auto id = rig.bpf_loader.Load(prog.value());
+    auto id = rig.loader.Load(prog.value());
     if (id.ok()) {
       corpus.push_back(CorpusEntry{name, false, id.value()});
     }
@@ -169,7 +146,7 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
   add_prog("pick_dead_constant", BuildSchedPickConstant(999999));
   add_prog("yield", BuildSchedYield());
 
-  safex::Toolchain toolchain(*rig.key);
+  safex::Toolchain toolchain(safex::System::VendorKey());
   auto add_ext = [&](const char* name, safex::ExtensionFactory factory) {
     safex::ExtensionManifest manifest;
     manifest.name = name;

@@ -7,6 +7,7 @@
 
 #include "src/analysis/workloads.h"
 #include "src/core/sched.h"
+#include "src/core/system.h"
 #include "src/ebpf/asm.h"
 #include "src/simkern/lsm.h"
 #include "src/xbase/bytes.h"
@@ -32,48 +33,13 @@ constexpr u64 kLsmPct = 10;  // remainder is map churn
 // growth, large enough that the pool's work stealing has something to do.
 constexpr u64 kBatchSize = 128;
 
-struct TrafficRig {
-  explicit TrafficRig(const TrafficConfig& config)
-      : kernel(MakeKernelConfig(config.cpus)), bpf(kernel),
-        bpf_loader(bpf) {
-    kernel.set_oops_recovery(true);
-    ok = kernel.BootstrapWorkload().ok();
-    auto rt = safex::Runtime::Create(kernel, bpf);
-    ok = ok && rt.ok();
-    if (!ok) {
-      return;
-    }
-    runtime = std::move(rt).value();
-    key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("trafficgen-vendor", "traffic"));
-    (void)runtime->keyring().Enroll(*key);
-    runtime->keyring().Seal();
-    ext_loader = std::make_unique<safex::ExtLoader>(*runtime);
-    supervisor = std::make_unique<safex::Supervisor>();
-    safex::HookRegistryConfig hook_config;
-    hook_config.supervisor = supervisor.get();
-    hooks = std::make_unique<safex::HookRegistry>(bpf, bpf_loader,
-                                                  *ext_loader, hook_config);
-  }
-
-  static simkern::KernelConfig MakeKernelConfig(u32 cpus) {
-    simkern::KernelConfig config;
-    config.version = simkern::kV6_12;  // LSM hook family needs >= 6.12
-    config.unprivileged_bpf_disabled = false;
-    config.num_cpus = cpus;
-    return config;
-  }
-
-  bool ok = false;
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader bpf_loader;
-  std::unique_ptr<safex::Runtime> runtime;
-  std::unique_ptr<crypto::SigningKey> key;
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-  std::unique_ptr<safex::Supervisor> supervisor;
-  std::unique_ptr<safex::HookRegistry> hooks;
-};
+simkern::KernelConfig TrafficKernelConfig(u32 cpus) {
+  simkern::KernelConfig config;
+  config.version = simkern::kV6_12;  // LSM hook family needs >= 6.12
+  config.unprivileged_bpf_disabled = false;
+  config.num_cpus = cpus;
+  return config;
+}
 
 // Single-writer per-CPU aggregation: only the thread bound to `cpu`
 // touches slot `cpu` during the run; the main thread reads everything at
@@ -82,6 +48,7 @@ struct alignas(64) CpuAgg {
   u64 fires = 0;
   u64 lsm_denies = 0;
   std::vector<u64> latencies_ns;
+  safex::HookFireReport report;
 };
 
 u64 WallNowNs() {
@@ -118,11 +85,13 @@ LatencyTailsNs MergeTails(std::vector<CpuAgg>& aggs) {
 
 TrafficReport RunTraffic(const TrafficConfig& config) {
   TrafficReport report;
-  TrafficRig rig(config);
-  if (!rig.ok) {
+  safex::System rig(TrafficKernelConfig(config.cpus),
+                    safex::SupervisorConfig{});
+  if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
   }
+  rig.hooks->config().exec_options.engine = config.engine;
   const u32 num_cpus = rig.kernel.num_cpus();
 
   // --- tenants --------------------------------------------------------------
@@ -145,7 +114,7 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     report.failure = "packet tenant setup failed";
     return report;
   }
-  auto pkt_id = rig.bpf_loader.Load(pkt_prog.value());
+  auto pkt_id = rig.loader.Load(pkt_prog.value());
   if (!pkt_id.ok() ||
       !rig.hooks->AttachProgram(safex::HookPoint::kXdpIngress,
                                 pkt_id.value())
@@ -171,7 +140,7 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     report.failure = "lsm tenant setup failed";
     return report;
   }
-  auto lsm_id = rig.bpf_loader.Load(lsm_prog.value());
+  auto lsm_id = rig.loader.Load(lsm_prog.value());
   if (!lsm_id.ok() ||
       !rig.hooks->AttachProgram(safex::HookPoint::kLsmFileOpen,
                                 lsm_id.value())
@@ -208,7 +177,7 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     report.failure = "sched tenant setup failed";
     return report;
   }
-  auto sched_id = rig.bpf_loader.Load(sched_prog.value());
+  auto sched_id = rig.loader.Load(sched_prog.value());
   if (!sched_id.ok() ||
       !rig.hooks->AttachProgram(safex::HookPoint::kSchedPickNext,
                                 sched_id.value())
@@ -279,13 +248,13 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   };
   auto fire_timed = [&rig, &aggs](safex::HookPoint hook,
                                   simkern::Addr ctx_addr, bool count_deny) {
-    const u64 t0 = WallNowNs();
-    auto fired = rig.hooks->Fire(hook, ctx_addr);
-    const u64 t1 = WallNowNs();
     CpuAgg& agg = aggs[rig.kernel.current_cpu()];
+    const u64 t0 = WallNowNs();
+    rig.hooks->FireInto(hook, ctx_addr, agg.report);
+    const u64 t1 = WallNowNs();
     ++agg.fires;
     agg.latencies_ns.push_back(t1 - t0);
-    if (count_deny && fired.ok() && fired.value().verdict != 0) {
+    if (count_deny && agg.report.verdict != 0) {
       ++agg.lsm_denies;
     }
   };

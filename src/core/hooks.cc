@@ -346,13 +346,6 @@ void HookRegistry::ApplyFallback(HookPoint hook,
   }
 }
 
-xbase::Result<HookFireReport> HookRegistry::Fire(HookPoint hook,
-                                                 simkern::Addr ctx_addr) {
-  HookFireReport report;
-  FireInto(hook, ctx_addr, report);
-  return report;
-}
-
 void HookRegistry::FireAsync(simkern::CpuPool& pool, HookPoint hook,
                              simkern::Addr ctx_addr) {
   pool.SubmitAny([this, hook, ctx_addr] {

@@ -3,7 +3,7 @@
 // extensions side by side — so experiments can drive identical event
 // streams through both and compare verdicts, cost and failure modes.
 //
-// Fire isolates attachments from each other: one failing attachment cannot
+// A fire isolates attachments from each other: one failing attachment cannot
 // abort or skip the remaining attachments on its hook, and with a
 // Supervisor configured every abnormal outcome (panic, watchdog, stack
 // overflow, attributed oops, resource leak) is charged to the offending
@@ -126,12 +126,9 @@ class HookRegistry {
   xbase::Status Detach(xbase::u32 attachment_id);
 
   // Fires every attachment in attach order with the given context address
-  // (skb meta for XDP; a per-event ctx block otherwise).
-  xbase::Result<HookFireReport> Fire(HookPoint hook, simkern::Addr ctx_addr);
-
-  // Allocation-free steady-state variant: clears and refills a
-  // caller-owned report (vector capacity survives across fires). The fire
-  // path walks the immutable published snapshot — one atomic load, no
+  // (skb meta for XDP; a per-event ctx block otherwise). Clears and refills
+  // a caller-owned report, so vector capacity survives across fires. The
+  // fire path walks the immutable published snapshot — one atomic load, no
   // per-fire index vector, no per-attachment copies.
   void FireInto(HookPoint hook, simkern::Addr ctx_addr,
                 HookFireReport& report);
@@ -186,7 +183,7 @@ class HookRegistry {
 
   // RCU-style publication: attach/detach (rare, control plane) rebuild an
   // immutable per-hook attachment table and publish it with one atomic
-  // store; Fire (hot path) takes one atomic shared_ptr load and walks a
+  // store; FireInto (hot path) takes one atomic shared_ptr load and walks a
   // table no concurrent detach can mutate under it.
   struct Snapshot {
     std::array<std::vector<Attachment>, kHookPointCount> by_hook;

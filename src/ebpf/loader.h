@@ -58,15 +58,10 @@ struct LoadOptions {
   // Let the JIT lower away runtime bounds checks (and fuse micro-op pairs)
   // for memory accesses the admission analyses proved in bounds. Fail-closed:
   // the lowering only elides where a claim exists and is proven; with this
-  // off (or under -DUNTENABLE_NO_ELIDE) every access keeps its check.
-  // NOTE: service::AdmissionService's verdict cache is not keyed on this
-  // flag — it is a build-global policy, not per-load (see ci.yml's
-  // no-elide leg, which flips the default for the whole build).
-#ifdef UNTENABLE_NO_ELIDE
-  bool elide_checks = false;
-#else
+  // off every access keeps its check. service::AdmissionService ignores the
+  // flag: its verdict cache keeps no analysis claims, so programs it admits
+  // are lowered at install with every check in place — never elided.
   bool elide_checks = true;
-#endif
 };
 
 // The outcome of the fallible admission stages, ready to register.

@@ -159,6 +159,14 @@ void AdmissionService::ProcessProgram(Request& request) {
   prepared.verify = std::move(verdict.verify);
   prepared.jit = verdict.jit;
   const xbase::u64 install_start = NowNs();
+  // The cached verdict carries no decoded image (it would multiply the
+  // cache's memory), so lower it here, once per install: at the version the
+  // verdict was keyed on and against the live fault registry, so the
+  // dispatch gate re-checks every helper call site exactly as on the
+  // Loader::Load path. No claims: this path never elides bounds checks.
+  prepared.decoded =
+      ebpf::DecodeProgram(prepared.image, &bpf_.helpers(), &bpf_.kfuncs(),
+                          /*stats=*/nullptr, &version, &faults);
   auto id = loader_.Install(std::move(prepared));
   metrics_.RecordLatency(Stage::kInstall, NowNs() - install_start);
   Resolve(request, std::move(id));

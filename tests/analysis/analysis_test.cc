@@ -3,10 +3,16 @@
 // Figure 3 distribution, in shape for the growth curves).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "src/analysis/bugdb.h"
 #include "src/analysis/callgraph.h"
 #include "src/analysis/growth.h"
 #include "src/analysis/matrix.h"
+#include "src/analysis/stormmain.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/bpf.h"
 #include "src/ebpf/verifier.h"
@@ -194,6 +200,122 @@ TEST(VerifierFeatureTest, TablePropertiesHold) {
   EXPECT_EQ(ebpf::InsnBudgetAtVersion(simkern::kV3_18), 65'536u);
   EXPECT_EQ(ebpf::InsnBudgetAtVersion(simkern::kV4_14), 131'072u);
   EXPECT_EQ(ebpf::InsnBudgetAtVersion(simkern::kV5_2), 1'000'000u);
+}
+
+// ---- storm driver: every tool's replay line parses back to its config ----
+
+// Formats the replay line of `config` — which must set every flag to a
+// non-default value — parses it back through the driver, and requires
+// every flag's field to come out equal.
+template <typename Config>
+void ExpectReplayRoundTrip(std::string_view tool,
+                           const storm::FlagTable<Config>& flags,
+                           const Config& config) {
+  const std::string line = storm::ReplayLine(tool, flags, config);
+  std::vector<std::string_view> words;
+  for (std::size_t start = 0; start < line.size();) {
+    const std::size_t end = std::min(line.find(' ', start), line.size());
+    words.push_back(std::string_view(line).substr(start, end - start));
+    start = end + 1;
+  }
+  ASSERT_EQ(words.front(), tool);
+  Config parsed;
+  ASSERT_TRUE(storm::Parse(flags, std::span(words).subspan(1), parsed))
+      << line;
+  for (const storm::Flag<Config>& flag : flags) {
+    EXPECT_NE(storm::Values(flag, config), storm::Values(flag, Config{}))
+        << "--" << flag.name << " left at its default";
+    EXPECT_EQ(storm::Values(flag, parsed), storm::Values(flag, config))
+        << "--" << flag.name << " lost in: " << line;
+  }
+}
+
+TEST(StormDriverTest, EveryToolsReplayLineRoundTrips) {
+  ChaosConfig chaos;
+  chaos.seed = 7;
+  chaos.ops = 123;
+  chaos.cpus = 3;
+  chaos.toggle_faults = false;
+  chaos.engine = ebpf::ExecEngine::kLegacy;
+  ExpectReplayRoundTrip("chaos", storm::ChaosFlags(), chaos);
+
+  SchedStormConfig sched;
+  sched.seed = 7;
+  sched.ops = 123;
+  sched.cpus = 3;
+  sched.toggle_faults = false;
+  ExpectReplayRoundTrip("schedstorm", storm::SchedStormFlags(), sched);
+
+  AdmitStormConfig admit;
+  admit.seed = 7;
+  admit.rounds = 5;
+  admit.ops_per_round = 17;
+  admit.workers = 2;
+  admit.queue_capacity = 9;
+  admit.cache_enabled = false;
+  admit.toggle_faults = false;
+  admit.engine = ebpf::ExecEngine::kLegacy;
+  ExpectReplayRoundTrip("admitstorm", storm::AdmitStormFlags(), admit);
+
+  PermStormConfig perm;
+  perm.seed = 7;
+  perm.ops = 123;
+  perm.toggle_faults = false;
+  ExpectReplayRoundTrip("permstorm", storm::PermStormFlags(), perm);
+
+  TrafficConfig traffic;
+  traffic.seed = 7;
+  traffic.events = 321;
+  traffic.cpus = 2;
+  ExpectReplayRoundTrip("trafficgen", storm::TrafficFlags(), traffic);
+
+  RangeFuzzOptions fuzz;
+  fuzz.seed = 7;
+  fuzz.programs = 11;
+  fuzz.execs = 5;
+  fuzz.body_len = 9;
+  fuzz.verifier_faults = {"verifier.alu32_bounds_trunc",
+                          "verifier.tnum_mul_precision"};
+  fuzz.replay_program_seed = 99;
+  ExpectReplayRoundTrip("rangefuzz", storm::RangeFuzzFlags(), fuzz);
+}
+
+TEST(StormDriverTest, ParseRejectsWhatNoTableEntryAccepts) {
+  const auto flags = storm::ChaosFlags();
+  ChaosConfig config;
+  const auto parse = [&](std::vector<std::string_view> words) {
+    return storm::Parse(flags, std::span(words), config);
+  };
+  EXPECT_FALSE(parse({"--cpus", "0"})) << "cpus has a minimum of 1";
+  EXPECT_FALSE(parse({"--seed"})) << "missing value";
+  EXPECT_FALSE(parse({"--seed", "12x"})) << "malformed value";
+  EXPECT_FALSE(parse({"--engine", "jit"}));
+  EXPECT_FALSE(parse({"--bogus"}));
+  EXPECT_TRUE(parse({"--seed", "0x10", "--no-faults", "--faults"}));
+  EXPECT_EQ(config.seed, 16u);
+  EXPECT_TRUE(config.toggle_faults);
+  // admitstorm has only the negative spelling of its switches.
+  AdmitStormConfig admit;
+  std::vector<std::string_view> words = {"--cache"};
+  EXPECT_FALSE(storm::Parse(storm::AdmitStormFlags(), std::span(words), admit));
+}
+
+TEST(AdmitStormTest, ScheduleIsAPureFunctionOfTheConfig) {
+  // The submission schedule must not depend on which verdicts raced the
+  // fault toggles: two runs of one config submit the same stream.
+  AdmitStormConfig config;
+  config.seed = 1;
+  config.rounds = 6;
+  config.ops_per_round = 64;
+  config.workers = 2;
+  const AdmitStormReport first = RunAdmitStorm(config);
+  const AdmitStormReport second = RunAdmitStorm(config);
+  ASSERT_TRUE(first.ok) << first.failure;
+  ASSERT_TRUE(second.ok) << second.failure;
+  EXPECT_EQ(first.stats.submissions, second.stats.submissions);
+  EXPECT_EQ(first.stats.bpf_submissions, second.stats.bpf_submissions);
+  EXPECT_EQ(first.stats.ext_submissions, second.stats.ext_submissions);
+  EXPECT_EQ(first.stats.fault_toggles, second.stats.fault_toggles);
 }
 
 }  // namespace

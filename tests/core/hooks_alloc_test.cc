@@ -10,9 +10,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 
 #include "src/analysis/workloads.h"
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/ebpf/asm.h"
 
 namespace {
@@ -54,24 +55,21 @@ namespace {
 
 class HooksAllocTest : public ::testing::Test {
  protected:
-  HooksAllocTest() : bpf_(kernel_), bpf_loader_(bpf_) {
-    EXPECT_TRUE(kernel_.BootstrapWorkload().ok());
-    runtime_ = Runtime::Create(kernel_, bpf_).value();
-    ext_loader_ = std::make_unique<ExtLoader>(*runtime_);
-    ctx_ = kernel_.mem()
-               .Map(64, simkern::MemPerm::kReadWrite,
-                    simkern::RegionKind::kKernelData, "hookctx")
+  void Build(std::optional<SupervisorConfig> supervisor = std::nullopt) {
+    sys_ = std::make_unique<System>(simkern::KernelConfig{}, supervisor);
+    ASSERT_TRUE(sys_->ok());
+    simkern::SimMemory& mem = sys_->kernel.mem();
+    ctx_ = mem.Map(64, simkern::MemPerm::kReadWrite,
+                   simkern::RegionKind::kKernelData, "hookctx")
                .value();
     // A 64-byte frame behind the xdp_md-style ctx (data / data_end at
     // offsets 8 / 16), protocol byte zeroed: the counter takes its
     // map-increment PASS path instead of the runt-frame drop.
-    const simkern::Addr pkt =
-        kernel_.mem()
-            .Map(64, simkern::MemPerm::kReadWrite,
-                 simkern::RegionKind::kKernelData, "pkt")
-            .value();
-    EXPECT_TRUE(kernel_.mem().WriteU64(ctx_ + 8, pkt).ok());
-    EXPECT_TRUE(kernel_.mem().WriteU64(ctx_ + 16, pkt + 64).ok());
+    const simkern::Addr pkt = mem.Map(64, simkern::MemPerm::kReadWrite,
+                                      simkern::RegionKind::kKernelData, "pkt")
+                                  .value();
+    EXPECT_TRUE(mem.WriteU64(ctx_ + 8, pkt).ok());
+    EXPECT_TRUE(mem.WriteU64(ctx_ + 16, pkt + 64).ok());
   }
 
   // An XDP-ish counter: array-map lookup (the engine's inline fast path)
@@ -84,11 +82,13 @@ class HooksAllocTest : public ::testing::Test {
     spec.value_size = 8;
     spec.max_entries = 4;
     spec.name = "counter";
-    const int fd = bpf_.maps().Create(spec).value();
-    return bpf_loader_.Load(analysis::BuildPacketCounter(fd).value()).value();
+    const int fd = sys_->bpf.maps().Create(spec).value();
+    return sys_->loader.Load(analysis::BuildPacketCounter(fd).value())
+        .value();
   }
 
-  void RunSteadyStateCheck(HookRegistry& hooks) {
+  void RunSteadyStateCheck() {
+    HookRegistry& hooks = *sys_->hooks;
     ASSERT_TRUE(
         hooks.AttachProgram(HookPoint::kXdpIngress, LoadCounterProg()).ok());
 
@@ -113,37 +113,30 @@ class HooksAllocTest : public ::testing::Test {
         << "steady-state FireInto must not touch the heap";
   }
 
-  simkern::Kernel kernel_;
-  ebpf::Bpf bpf_;
-  ebpf::Loader bpf_loader_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<ExtLoader> ext_loader_;
+  std::unique_ptr<System> sys_;
   simkern::Addr ctx_ = 0;
 };
 
 TEST_F(HooksAllocTest, SteadyStateFireIsAllocationFreeUnsupervised) {
-  HookRegistry hooks(bpf_, bpf_loader_, *ext_loader_);
-  RunSteadyStateCheck(hooks);
+  Build();
+  RunSteadyStateCheck();
 }
 
 TEST_F(HooksAllocTest, SteadyStateFireIsAllocationFreeSupervised) {
-  Supervisor supervisor;
-  HookRegistryConfig config;
-  config.supervisor = &supervisor;
-  HookRegistry hooks(bpf_, bpf_loader_, *ext_loader_, config);
-  RunSteadyStateCheck(hooks);
+  Build(SupervisorConfig{});
+  RunSteadyStateCheck();
   // The supervisor saw every fire and counted them as successes.
-  EXPECT_EQ(supervisor.failures(), 0u);
-  EXPECT_EQ(supervisor.tracked(), 1u);
+  EXPECT_EQ(sys_->supervisor->failures(), 0u);
+  EXPECT_EQ(sys_->supervisor->tracked(), 1u);
 }
 
 TEST_F(HooksAllocTest, EngineSelectionFlowsThroughConfig) {
   // config.exec_options reaches Execute: the legacy engine runs the same
   // attachment to the same verdict (no zero-alloc claim for it — the
   // legacy interpreter's own call stack is heap-backed by design).
-  HookRegistryConfig config;
-  config.exec_options.engine = ebpf::ExecEngine::kLegacy;
-  HookRegistry hooks(bpf_, bpf_loader_, *ext_loader_, config);
+  Build();
+  HookRegistry& hooks = *sys_->hooks;
+  hooks.config().exec_options.engine = ebpf::ExecEngine::kLegacy;
   ASSERT_TRUE(
       hooks.AttachProgram(HookPoint::kXdpIngress, LoadCounterProg()).ok());
   HookFireReport report;

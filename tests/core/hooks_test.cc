@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/asm.h"
 
@@ -22,18 +22,18 @@ class ConstExt : public Extension {
 
 class HooksTest : public ::testing::Test {
  protected:
-  HooksTest() : bpf_(kernel_), bpf_loader_(bpf_) {
-    EXPECT_TRUE(kernel_.BootstrapWorkload().ok());
-    runtime_ = Runtime::Create(kernel_, bpf_).value();
-    key_ = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("hooks", "pw"));
-    (void)runtime_->keyring().Enroll(*key_);
-    ext_loader_ = std::make_unique<ExtLoader>(*runtime_);
-    hooks_ = std::make_unique<HookRegistry>(bpf_, bpf_loader_, *ext_loader_);
+  HooksTest() {
+    EXPECT_TRUE(sys_.ok());
     ctx_ = kernel_.mem()
                .Map(64, simkern::MemPerm::kReadWrite,
                     simkern::RegionKind::kKernelData, "hookctx")
                .value();
+  }
+
+  HookFireReport Fire(HookPoint hook, simkern::Addr ctx) {
+    HookFireReport report;
+    hooks_->FireInto(hook, ctx, report);
+    return report;
   }
 
   xbase::u32 LoadConstProg(xbase::u64 verdict) {
@@ -44,7 +44,7 @@ class HooksTest : public ::testing::Test {
   }
 
   xbase::u32 LoadConstExt(xbase::u64 verdict) {
-    Toolchain toolchain(*key_);
+    Toolchain toolchain(System::VendorKey());
     ExtensionManifest manifest;
     manifest.name = "const-ext";
     manifest.version = std::to_string(verdict);
@@ -55,13 +55,12 @@ class HooksTest : public ::testing::Test {
     return ext_loader_->Load(artifact.value()).value();
   }
 
-  simkern::Kernel kernel_;
-  ebpf::Bpf bpf_;
-  ebpf::Loader bpf_loader_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<crypto::SigningKey> key_;
-  std::unique_ptr<ExtLoader> ext_loader_;
-  std::unique_ptr<HookRegistry> hooks_;
+  System sys_;
+  simkern::Kernel& kernel_ = sys_.kernel;
+  ebpf::Loader& bpf_loader_ = sys_.loader;
+  Runtime* runtime_ = sys_.runtime.get();
+  ExtLoader* ext_loader_ = sys_.ext_loader.get();
+  HookRegistry* hooks_ = sys_.hooks.get();
   simkern::Addr ctx_ = 0;
 };
 
@@ -73,21 +72,19 @@ TEST_F(HooksTest, AttachRequiresLoadedTargets) {
 TEST_F(HooksTest, FireRunsAttachmentsInOrder) {
   (void)hooks_->AttachProgram(HookPoint::kSyscallEnter, LoadConstProg(0));
   (void)hooks_->AttachExtension(HookPoint::kSyscallEnter, LoadConstExt(0));
-  auto report = hooks_->Fire(HookPoint::kSyscallEnter, ctx_);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.value().verdicts.size(), 2u);
-  EXPECT_FALSE(report.value().verdicts[0].from_safex);
-  EXPECT_TRUE(report.value().verdicts[1].from_safex);
-  EXPECT_FALSE(report.value().denied);
+  auto report = Fire(HookPoint::kSyscallEnter, ctx_);
+  ASSERT_EQ(report.verdicts.size(), 2u);
+  EXPECT_FALSE(report.verdicts[0].from_safex);
+  EXPECT_TRUE(report.verdicts[1].from_safex);
+  EXPECT_FALSE(report.denied);
 }
 
 TEST_F(HooksTest, SyscallDenyAggregation) {
   (void)hooks_->AttachProgram(HookPoint::kSyscallEnter, LoadConstProg(0));
   (void)hooks_->AttachExtension(HookPoint::kSyscallEnter, LoadConstExt(13));
-  auto report = hooks_->Fire(HookPoint::kSyscallEnter, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().denied);
-  EXPECT_EQ(report.value().verdict, 13u);
+  auto report = Fire(HookPoint::kSyscallEnter, ctx_);
+  EXPECT_TRUE(report.denied);
+  EXPECT_EQ(report.verdict, 13u);
 }
 
 TEST_F(HooksTest, XdpDropWins) {
@@ -95,9 +92,8 @@ TEST_F(HooksTest, XdpDropWins) {
   (void)hooks_->AttachExtension(HookPoint::kXdpIngress, LoadConstExt(1));
   xbase::u8 payload[32] = {};
   auto skb = kernel_.net().CreateSkBuff(kernel_.mem(), payload).value();
-  auto report = hooks_->Fire(HookPoint::kXdpIngress, skb.meta_addr);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().verdict, 1u) << "any DROP wins";
+  auto report = Fire(HookPoint::kXdpIngress, skb.meta_addr);
+  EXPECT_EQ(report.verdict, 1u) << "any DROP wins";
 }
 
 TEST_F(HooksTest, DetachStopsDispatch) {
@@ -108,13 +104,13 @@ TEST_F(HooksTest, DetachStopsDispatch) {
   ASSERT_TRUE(hooks_->Detach(id.value()).ok());
   EXPECT_EQ(hooks_->AttachedCount(HookPoint::kSyscallEnter), 0u);
   EXPECT_FALSE(hooks_->Detach(id.value()).ok());
-  auto report = hooks_->Fire(HookPoint::kSyscallEnter, ctx_);
-  EXPECT_TRUE(report.value().verdicts.empty());
+  auto report = Fire(HookPoint::kSyscallEnter, ctx_);
+  EXPECT_TRUE(report.verdicts.empty());
 }
 
 TEST_F(HooksTest, FailedAttachmentFailsOpenWithStatus) {
   // An extension that panics contributes no verdict but its status shows.
-  Toolchain toolchain(*key_);
+  Toolchain toolchain(System::VendorKey());
   ExtensionManifest manifest;
   manifest.name = "panicker";
   manifest.version = "1";
@@ -131,11 +127,10 @@ TEST_F(HooksTest, FailedAttachmentFailsOpenWithStatus) {
   const auto ext_id = ext_loader_->Load(artifact.value()).value();
   (void)hooks_->AttachExtension(HookPoint::kSyscallEnter, ext_id);
 
-  auto report = hooks_->Fire(HookPoint::kSyscallEnter, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.value().denied) << "a dead policy cannot deny";
-  ASSERT_EQ(report.value().verdicts.size(), 1u);
-  EXPECT_FALSE(report.value().verdicts[0].status.ok());
+  auto report = Fire(HookPoint::kSyscallEnter, ctx_);
+  EXPECT_FALSE(report.denied) << "a dead policy cannot deny";
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  EXPECT_FALSE(report.verdicts[0].status.ok());
   EXPECT_FALSE(kernel_.crashed());
 }
 
@@ -150,7 +145,7 @@ TEST_F(HooksTest, ForeignExceptionCannotAbortRemainingAttachments) {
       throw std::runtime_error("rogue exception");
     }
   };
-  Toolchain toolchain(*key_);
+  Toolchain toolchain(System::VendorKey());
   ExtensionManifest manifest;
   manifest.name = "thrower";
   manifest.version = "1";
@@ -161,14 +156,13 @@ TEST_F(HooksTest, ForeignExceptionCannotAbortRemainingAttachments) {
   (void)hooks_->AttachExtension(HookPoint::kSyscallEnter, thrower_id);
   (void)hooks_->AttachExtension(HookPoint::kSyscallEnter, LoadConstExt(13));
 
-  auto report = hooks_->Fire(HookPoint::kSyscallEnter, ctx_);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.value().verdicts.size(), 2u)
+  auto report = Fire(HookPoint::kSyscallEnter, ctx_);
+  ASSERT_EQ(report.verdicts.size(), 2u)
       << "the attachment after the thrower must still fire";
-  EXPECT_FALSE(report.value().verdicts[0].status.ok());
-  EXPECT_TRUE(report.value().verdicts[1].status.ok());
-  EXPECT_TRUE(report.value().denied) << "the healthy policy still denies";
-  EXPECT_EQ(report.value().verdict, 13u);
+  EXPECT_FALSE(report.verdicts[0].status.ok());
+  EXPECT_TRUE(report.verdicts[1].status.ok());
+  EXPECT_TRUE(report.denied) << "the healthy policy still denies";
+  EXPECT_EQ(report.verdict, 13u);
   EXPECT_EQ(runtime_->foreign_exceptions(), 1u);
   EXPECT_EQ(kernel_.rcu().depth(), 0)
       << "the contained exception must not leak the RCU read lock";

@@ -6,7 +6,7 @@
 // of the tracing hooks' fail-open default.
 #include <gtest/gtest.h>
 
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/asm.h"
 #include "src/ebpf/loader.h"
@@ -20,26 +20,26 @@ using simkern::LsmCtxLayout;
 class LsmTest : public ::testing::Test {
  protected:
   LsmTest() {
+    EXPECT_TRUE(sys_.ok());
+    ctx_ = kernel_->mem()
+               .Map(LsmCtxLayout::kSize, simkern::MemPerm::kReadWrite,
+                    simkern::RegionKind::kKernelData, "lsmctx")
+               .value();
+  }
+
+  static simkern::KernelConfig MakeKernelConfig() {
     simkern::KernelConfig config;
     config.version = simkern::kV6_12;
     // Expose the per-type privilege gate instead of the blanket
     // unprivileged-bpf sysctl that would fire first.
     config.unprivileged_bpf_disabled = false;
-    kernel_ = std::make_unique<simkern::Kernel>(config);
-    EXPECT_TRUE(kernel_->BootstrapWorkload().ok());
-    bpf_ = std::make_unique<ebpf::Bpf>(*kernel_);
-    bpf_loader_ = std::make_unique<ebpf::Loader>(*bpf_);
-    runtime_ = Runtime::Create(*kernel_, *bpf_).value();
-    key_ = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("lsm", "pw"));
-    (void)runtime_->keyring().Enroll(*key_);
-    ext_loader_ = std::make_unique<ExtLoader>(*runtime_);
-    hooks_ = std::make_unique<HookRegistry>(*bpf_, *bpf_loader_,
-                                            *ext_loader_);
-    ctx_ = kernel_->mem()
-               .Map(LsmCtxLayout::kSize, simkern::MemPerm::kReadWrite,
-                    simkern::RegionKind::kKernelData, "lsmctx")
-               .value();
+    return config;
+  }
+
+  HookFireReport Fire(HookPoint hook, simkern::Addr ctx) {
+    HookFireReport report;
+    hooks_->FireInto(hook, ctx, report);
+    return report;
   }
 
   // Populates the lsm_file_open decision context the helpers read.
@@ -70,13 +70,11 @@ class LsmTest : public ::testing::Test {
     return bpf_loader_->Load(b.Build().value()).value();
   }
 
-  std::unique_ptr<simkern::Kernel> kernel_;
-  std::unique_ptr<ebpf::Bpf> bpf_;
-  std::unique_ptr<ebpf::Loader> bpf_loader_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<crypto::SigningKey> key_;
-  std::unique_ptr<ExtLoader> ext_loader_;
-  std::unique_ptr<HookRegistry> hooks_;
+  System sys_{MakeKernelConfig()};
+  simkern::Kernel* kernel_ = &sys_.kernel;
+  ebpf::Loader* bpf_loader_ = &sys_.loader;
+  ExtLoader* ext_loader_ = sys_.ext_loader.get();
+  HookRegistry* hooks_ = sys_.hooks.get();
   simkern::Addr ctx_ = 0;
 };
 
@@ -147,18 +145,16 @@ TEST_F(LsmTest, ContextHelpersReadTheDecisionContext) {
   FillCtx(/*pid=*/41, /*uid=*/1000, /*inode=*/977, /*flags=*/3, "/etc/x");
   (void)hooks_->AttachProgram(HookPoint::kLsmFileOpen,
                               LoadHelperEcho(ebpf::kHelperLsmInodeId));
-  auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.value().verdicts.size(), 1u);
-  EXPECT_EQ(report.value().verdicts[0].value, 977u);
+  auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  EXPECT_EQ(report.verdicts[0].value, 977u);
 
   // Swap in the flags reader: same context block, different field.
-  ASSERT_TRUE(hooks_->Detach(report.value().verdicts[0].attachment_id).ok());
+  ASSERT_TRUE(hooks_->Detach(report.verdicts[0].attachment_id).ok());
   (void)hooks_->AttachProgram(HookPoint::kLsmFileOpen,
                               LoadHelperEcho(ebpf::kHelperLsmOpenFlags));
-  report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().verdicts[0].value, 3u);
+  report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  EXPECT_EQ(report.verdicts[0].value, 3u);
 }
 
 TEST_F(LsmTest, UidPolicyAllowsAndDeniesByCredential) {
@@ -175,15 +171,13 @@ TEST_F(LsmTest, UidPolicyAllowsAndDeniesByCredential) {
                               bpf_loader_->Load(b.Build().value()).value());
 
   FillCtx(41, /*uid=*/1000, 977, 0, "/ok");
-  auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.value().denied);
+  auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  EXPECT_FALSE(report.denied);
 
   FillCtx(41, /*uid=*/0, 977, 0, "/ok");
-  report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().denied);
-  EXPECT_EQ(report.value().verdict, 1u);
+  report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  EXPECT_TRUE(report.denied);
+  EXPECT_EQ(report.verdict, 1u);
 }
 
 TEST_F(LsmTest, ReadPathCopiesBoundedPathBytes) {
@@ -197,11 +191,10 @@ TEST_F(LsmTest, ReadPathCopiesBoundedPathBytes) {
   (void)hooks_->AttachProgram(HookPoint::kLsmFileOpen,
                               bpf_loader_->Load(b.Build().value()).value());
   FillCtx(41, 1000, 977, 0, "hello");
-  auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.value().verdicts.size(), 1u);
-  EXPECT_TRUE(report.value().verdicts[0].status.ok());
-  EXPECT_EQ(report.value().verdicts[0].value, 5u) << "5 valid path bytes";
+  auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  EXPECT_TRUE(report.verdicts[0].status.ok());
+  EXPECT_EQ(report.verdicts[0].value, 5u) << "5 valid path bytes";
 }
 
 TEST_F(LsmTest, AuditAndRatelimitComposeIntoAThrottledSink) {
@@ -226,14 +219,12 @@ TEST_F(LsmTest, AuditAndRatelimitComposeIntoAThrottledSink) {
   FillCtx(41, 1000, 977, 0, "/var/log");
 
   for (int fire = 0; fire < 16; ++fire) {
-    auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-    ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report.value().denied) << "token " << fire << " available";
+    auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+    EXPECT_FALSE(report.denied) << "token " << fire << " available";
   }
-  auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().denied) << "bucket drained";
-  EXPECT_EQ(report.value().verdict, 1u);
+  auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  EXPECT_TRUE(report.denied) << "bucket drained";
+  EXPECT_EQ(report.verdict, 1u);
 }
 
 // ---- fail-closed fallback --------------------------------------------------
@@ -249,7 +240,7 @@ TEST_F(LsmTest, DeadPolicyFailsClosedWithEperm) {
       return xbase::u64{0};
     }
   };
-  Toolchain toolchain(*key_);
+  Toolchain toolchain(System::VendorKey());
   ExtensionManifest manifest;
   manifest.name = "dying-policy";
   manifest.version = "1";
@@ -260,12 +251,11 @@ TEST_F(LsmTest, DeadPolicyFailsClosedWithEperm) {
   (void)hooks_->AttachExtension(HookPoint::kLsmFileOpen, ext_id);
 
   FillCtx(41, 1000, 977, 0, "/etc/shadow");
-  auto report = hooks_->Fire(HookPoint::kLsmFileOpen, ctx_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().denied) << "fail closed, never open";
-  EXPECT_EQ(report.value().verdict, 1u) << "EPERM";
-  ASSERT_EQ(report.value().verdicts.size(), 1u);
-  EXPECT_FALSE(report.value().verdicts[0].status.ok());
+  auto report = Fire(HookPoint::kLsmFileOpen, ctx_);
+  EXPECT_TRUE(report.denied) << "fail closed, never open";
+  EXPECT_EQ(report.verdict, 1u) << "EPERM";
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  EXPECT_FALSE(report.verdicts[0].status.ok());
   EXPECT_FALSE(kernel_->crashed());
 }
 

@@ -5,7 +5,7 @@
 
 #include <new>
 
-#include "src/core/loader.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/xbase/bytes.h"
 
@@ -27,22 +27,12 @@ class LambdaExt : public Extension {
 
 class SafexTest : public ::testing::Test {
  protected:
-  SafexTest() : bpf_(kernel_) {
-    EXPECT_TRUE(kernel_.BootstrapWorkload().ok());
-    auto runtime = Runtime::Create(kernel_, bpf_);
-    EXPECT_TRUE(runtime.ok());
-    runtime_ = std::move(runtime).value();
-    signing_key_ = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("vendor-key", "hunter2"));
-    EXPECT_TRUE(runtime_->keyring().Enroll(*signing_key_).ok());
-    runtime_->keyring().Seal();
-    loader_ = std::make_unique<ExtLoader>(*runtime_);
-  }
+  SafexTest() { EXPECT_TRUE(sys_.ok()); }
 
   SignedArtifact MustBuild(ExtensionManifest manifest, LambdaExt::Body body,
                            const std::string& code_text = "code-v1",
                            ToolchainPolicy policy = {}) {
-    Toolchain toolchain(*signing_key_, policy);
+    Toolchain toolchain(System::VendorKey(), policy);
     auto artifact = toolchain.Build(
         std::move(manifest),
         [body]() { return std::make_unique<LambdaExt>(body); },
@@ -74,11 +64,11 @@ class SafexTest : public ::testing::Test {
     map_fd_ = fd.value();
   }
 
-  simkern::Kernel kernel_;
-  ebpf::Bpf bpf_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<crypto::SigningKey> signing_key_;
-  std::unique_ptr<ExtLoader> loader_;
+  System sys_;
+  simkern::Kernel& kernel_ = sys_.kernel;
+  ebpf::Bpf& bpf_ = sys_.bpf;
+  Runtime* runtime_ = sys_.runtime.get();
+  ExtLoader* loader_ = sys_.ext_loader.get();
   int map_fd_ = -1;
 };
 
@@ -142,7 +132,7 @@ TEST_F(SafexTest, UnknownSigningKeyIsRejected) {
 TEST_F(SafexTest, ToolchainRefusesUnsafeByDefault) {
   ExtensionManifest manifest = BasicManifest({Capability::kUnsafeRaw});
   manifest.uses_unsafe = true;
-  Toolchain toolchain(*signing_key_);
+  Toolchain toolchain(System::VendorKey());
   auto artifact = toolchain.Build(
       std::move(manifest),
       []() {
@@ -170,7 +160,7 @@ TEST_F(SafexTest, KernelPolicyRefusesSignedUnsafeExtension) {
 TEST_F(SafexTest, ToolchainRefusesUnknownImport) {
   ExtensionManifest manifest = BasicManifest();
   manifest.imports.push_back("kcrate.does_not_exist");
-  Toolchain toolchain(*signing_key_);
+  Toolchain toolchain(System::VendorKey());
   auto artifact = toolchain.Build(
       std::move(manifest),
       []() {
@@ -184,7 +174,7 @@ TEST_F(SafexTest, ToolchainRefusesUnknownImport) {
 TEST_F(SafexTest, ToolchainRefusesImportWithoutCapability) {
   ExtensionManifest manifest = BasicManifest();  // no caps
   manifest.imports.push_back("kcrate.map_lookup");
-  Toolchain toolchain(*signing_key_);
+  Toolchain toolchain(System::VendorKey());
   auto artifact = toolchain.Build(
       std::move(manifest),
       []() {

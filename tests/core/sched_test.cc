@@ -9,6 +9,7 @@
 
 #include "src/analysis/workloads.h"
 #include "src/core/sched.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/loader.h"
 
@@ -164,23 +165,14 @@ class SchedCoreTest : public ::testing::Test {
     simkern::KernelConfig kconfig;
     kconfig.version = simkern::kV6_12;
     kconfig.unprivileged_bpf_disabled = false;
-    kernel_ = std::make_unique<simkern::Kernel>(kconfig);
-    kernel_->set_oops_recovery(true);
-    EXPECT_TRUE(kernel_->BootstrapWorkload().ok());
-    bpf_ = std::make_unique<ebpf::Bpf>(*kernel_);
-    bpf_loader_ = std::make_unique<ebpf::Loader>(*bpf_);
-    runtime_ = Runtime::Create(*kernel_, *bpf_).value();
-    key_ = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("sched", "pw"));
-    (void)runtime_->keyring().Enroll(*key_);
-    ext_loader_ = std::make_unique<ExtLoader>(*runtime_);
-    supervisor_ = std::make_unique<Supervisor>(SchedSupConfig());
-    HookRegistryConfig hconfig;
-    if (supervised) {
-      hconfig.supervisor = supervisor_.get();
-    }
-    hooks_ = std::make_unique<HookRegistry>(*bpf_, *bpf_loader_,
-                                            *ext_loader_, hconfig);
+    sys_ = std::make_unique<System>(
+        kconfig, supervised ? std::optional(SchedSupConfig()) : std::nullopt);
+    ASSERT_TRUE(sys_->ok());
+    kernel_ = &sys_->kernel;
+    bpf_ = &sys_->bpf;
+    bpf_loader_ = &sys_->loader;
+    supervisor_ = sys_->supervisor.get();
+    hooks_ = sys_->hooks.get();
     SchedConfig sconfig;
     sconfig.supervised = supervised;
     sconfig.starvation_bound_ns = 10 * kMs;  // quick starvation detection
@@ -198,14 +190,12 @@ class SchedCoreTest : public ::testing::Test {
     return attach_id.value();
   }
 
-  std::unique_ptr<simkern::Kernel> kernel_;
-  std::unique_ptr<ebpf::Bpf> bpf_;
-  std::unique_ptr<ebpf::Loader> bpf_loader_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<crypto::SigningKey> key_;
-  std::unique_ptr<ExtLoader> ext_loader_;
-  std::unique_ptr<Supervisor> supervisor_;
-  std::unique_ptr<HookRegistry> hooks_;
+  std::unique_ptr<System> sys_;
+  simkern::Kernel* kernel_ = nullptr;
+  ebpf::Bpf* bpf_ = nullptr;
+  ebpf::Loader* bpf_loader_ = nullptr;
+  Supervisor* supervisor_ = nullptr;  // null when unsupervised
+  HookRegistry* hooks_ = nullptr;
   std::unique_ptr<SchedCore> sched_;
 };
 

@@ -4,7 +4,7 @@
 // and a leak audit across a thousand quarantine/re-admit cycles.
 #include <gtest/gtest.h>
 
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 
 namespace safex {
@@ -160,36 +160,24 @@ class TogglePanicExt : public Extension {
 
 class SupervisedHooksTest : public ::testing::Test {
  protected:
-  SupervisedHooksTest() : bpf_(kernel_), bpf_loader_(bpf_) {
-    EXPECT_TRUE(kernel_.BootstrapWorkload().ok());
-    kernel_.set_oops_recovery(true);
-    runtime_ = Runtime::Create(kernel_, bpf_).value();
-    key_ = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("sup", "pw"));
-    (void)runtime_->keyring().Enroll(*key_);
-    ext_loader_ = std::make_unique<ExtLoader>(*runtime_);
-    supervisor_ = std::make_unique<Supervisor>(TestConfig());
-    HookRegistryConfig config;
-    config.supervisor = supervisor_.get();
-    hooks_ = std::make_unique<HookRegistry>(bpf_, bpf_loader_, *ext_loader_,
-                                            config);
-    ctx_ = kernel_.mem()
+  SupervisedHooksTest() { Build(TestConfig()); }
+
+  // (Re)builds the supervised system; whatever was loaded before is gone.
+  void Build(const SupervisorConfig& config) {
+    sys_ = std::make_unique<System>(simkern::KernelConfig{}, config);
+    ASSERT_TRUE(sys_->ok());
+    kernel_ = &sys_->kernel;
+    ext_loader_ = sys_->ext_loader.get();
+    supervisor_ = sys_->supervisor.get();
+    hooks_ = sys_->hooks.get();
+    ctx_ = kernel_->mem()
                .Map(64, simkern::MemPerm::kReadWrite,
                     simkern::RegionKind::kKernelData, "supctx")
                .value();
   }
 
-  // Swaps in a supervisor with a different config (records are dropped).
-  void Reconfigure(const SupervisorConfig& config) {
-    supervisor_ = std::make_unique<Supervisor>(config);
-    HookRegistryConfig hook_config;
-    hook_config.supervisor = supervisor_.get();
-    hooks_ = std::make_unique<HookRegistry>(bpf_, bpf_loader_, *ext_loader_,
-                                            hook_config);
-  }
-
   xbase::u32 LoadToggleExt(const bool* panic) {
-    Toolchain toolchain(*key_);
+    Toolchain toolchain(System::VendorKey());
     ExtensionManifest manifest;
     manifest.name = "toggle";
     manifest.version = "1";
@@ -201,18 +189,19 @@ class SupervisedHooksTest : public ::testing::Test {
   }
 
   // Fires the syscall hook once and returns its report.
-  HookFireReport FireOnce() {
-    return hooks_->Fire(HookPoint::kSyscallEnter, ctx_).value();
+  HookFireReport FireOnce() { return Fire(HookPoint::kSyscallEnter); }
+
+  HookFireReport Fire(HookPoint hook) {
+    HookFireReport report;
+    hooks_->FireInto(hook, ctx_, report);
+    return report;
   }
 
-  simkern::Kernel kernel_;
-  ebpf::Bpf bpf_;
-  ebpf::Loader bpf_loader_;
-  std::unique_ptr<Runtime> runtime_;
-  std::unique_ptr<crypto::SigningKey> key_;
-  std::unique_ptr<ExtLoader> ext_loader_;
-  std::unique_ptr<Supervisor> supervisor_;
-  std::unique_ptr<HookRegistry> hooks_;
+  std::unique_ptr<System> sys_;
+  simkern::Kernel* kernel_ = nullptr;
+  ExtLoader* ext_loader_ = nullptr;
+  Supervisor* supervisor_ = nullptr;
+  HookRegistry* hooks_ = nullptr;
   simkern::Addr ctx_ = 0;
   bool panic_flag_ = false;
 };
@@ -253,7 +242,7 @@ TEST_F(SupervisedHooksTest, DetachWhileQuarantinedDropsTheRecord) {
   EXPECT_TRUE(hooks_->Detach(attachment).ok());
   EXPECT_EQ(supervisor_->Find(attachment), nullptr);
   EXPECT_TRUE(
-      supervisor_->CheckConsistent(kernel_.clock().now_ns()).ok());
+      supervisor_->CheckConsistent(kernel_->clock().now_ns()).ok());
 }
 
 TEST_F(SupervisedHooksTest, InvokeAfterEvictionIsAlwaysSkipped) {
@@ -267,11 +256,11 @@ TEST_F(SupervisedHooksTest, InvokeAfterEvictionIsAlwaysSkipped) {
     for (int i = 0; i < 3; ++i) {
       (void)FireOnce();
     }
-    kernel_.clock().Advance(500 * kMs);
+    kernel_->clock().Advance(500 * kMs);
   }
   panic_flag_ = false;  // even a now-healthy body stays out
   for (int i = 0; i < 5; ++i) {
-    kernel_.clock().Advance(10'000 * kMs);
+    kernel_->clock().Advance(10'000 * kMs);
     const HookFireReport report = FireOnce();
     EXPECT_EQ(report.skipped, 1u);
     EXPECT_EQ(report.served, 0u);
@@ -290,7 +279,7 @@ TEST_F(SupervisedHooksTest, ReadmissionAfterBackoffExpiry) {
   EXPECT_EQ(FireOnce().skipped, 1u);
   // Serve the 10ms backoff; the extension behaves now.
   panic_flag_ = false;
-  kernel_.clock().Advance(11 * kMs);
+  kernel_->clock().Advance(11 * kMs);
   EXPECT_EQ(FireOnce().served, 1u);  // probation trial 1
   EXPECT_EQ(supervisor_->HealthOf(id.value()), ExtHealth::kProbation);
   EXPECT_EQ(FireOnce().served, 1u);  // probation trial 2 closes the breaker
@@ -303,12 +292,12 @@ TEST_F(SupervisedHooksTest, LeakAuditAcrossThousandQuarantineCycles) {
   // cycle quarantine -> probation -> healthy a thousand times.
   SupervisorConfig config = TestConfig();
   config.max_trips = 2000;
-  Reconfigure(config);
+  Build(config);
   panic_flag_ = true;
   const xbase::u32 ext = LoadToggleExt(&panic_flag_);
   auto id = hooks_->AttachExtension(HookPoint::kSyscallEnter, ext);
   ASSERT_TRUE(id.ok());
-  const simkern::RefcountSnapshot baseline = kernel_.objects().Snapshot();
+  const simkern::RefcountSnapshot baseline = kernel_->objects().Snapshot();
   for (int cycle = 0; cycle < 1000; ++cycle) {
     // Trip the breaker...
     panic_flag_ = true;
@@ -318,7 +307,7 @@ TEST_F(SupervisedHooksTest, LeakAuditAcrossThousandQuarantineCycles) {
     // ...serve the backoff (exponential, capped at max_backoff_ns),
     // behave, earn re-admission.
     panic_flag_ = false;
-    kernel_.clock().Advance(20'000 * kMs);
+    kernel_->clock().Advance(20'000 * kMs);
     (void)FireOnce();
     (void)FireOnce();
     ASSERT_EQ(supervisor_->HealthOf(id.value()), ExtHealth::kHealthy)
@@ -329,11 +318,11 @@ TEST_F(SupervisedHooksTest, LeakAuditAcrossThousandQuarantineCycles) {
     ASSERT_LE(record->window.size(), 3u);
   }
   EXPECT_EQ(supervisor_->readmissions(), 1000u);
-  EXPECT_TRUE(kernel_.objects().DiffSince(baseline).empty())
+  EXPECT_TRUE(kernel_->objects().DiffSince(baseline).empty())
       << "quarantine cycling must not leak kernel object references";
-  EXPECT_TRUE(kernel_.locks().HeldLocks().empty());
-  EXPECT_EQ(kernel_.rcu().depth(), 0);
-  EXPECT_TRUE(supervisor_->CheckConsistent(kernel_.clock().now_ns()).ok());
+  EXPECT_TRUE(kernel_->locks().HeldLocks().empty());
+  EXPECT_EQ(kernel_->rcu().depth(), 0);
+  EXPECT_TRUE(supervisor_->CheckConsistent(kernel_->clock().now_ns()).ok());
   EXPECT_EQ(supervisor_->tracked(), 1u)
       << "one attachment must map to exactly one health record";
 }
@@ -353,10 +342,10 @@ TEST_F(SupervisedHooksTest, FallbackVerdictsArePerHookFamily) {
   fallback[static_cast<xbase::usize>(HookPoint::kSyscallEnter)] =
       HookFallback{FallbackAction::kFailOpen, 0};
 
-  HookFireReport xdp = hooks_->Fire(HookPoint::kXdpIngress, ctx_).value();
+  HookFireReport xdp = Fire(HookPoint::kXdpIngress);
   EXPECT_EQ(xdp.failed, 1u);
   EXPECT_EQ(xdp.verdict, 1u) << "fail-closed packet family: XDP_DROP";
-  HookFireReport sys = hooks_->Fire(HookPoint::kSyscallEnter, ctx_).value();
+  HookFireReport sys = Fire(HookPoint::kSyscallEnter);
   EXPECT_EQ(sys.failed, 1u);
   EXPECT_FALSE(sys.denied) << "fail-open syscall family: allow";
 
@@ -365,9 +354,9 @@ TEST_F(SupervisedHooksTest, FallbackVerdictsArePerHookFamily) {
       HookFallback{FallbackAction::kFailOpen, 0};
   fallback[static_cast<xbase::usize>(HookPoint::kSyscallEnter)] =
       HookFallback{FallbackAction::kFailClosed, 13};
-  xdp = hooks_->Fire(HookPoint::kXdpIngress, ctx_).value();
+  xdp = Fire(HookPoint::kXdpIngress);
   EXPECT_EQ(xdp.verdict, 2u) << "fail-open packet family: XDP_PASS";
-  sys = hooks_->Fire(HookPoint::kSyscallEnter, ctx_).value();
+  sys = Fire(HookPoint::kSyscallEnter);
   EXPECT_TRUE(sys.denied) << "fail-closed syscall family: deny";
   EXPECT_EQ(sys.verdict, 13u) << "with the configured errno";
 }

@@ -184,7 +184,7 @@ TEST(ElideTest, StraightLineLowersIntoSuperblocks) {
   const Program prog = analysis::BuildStraightLine(200).value();
 
   LoadOptions on;
-  on.elide_checks = true;  // explicit: holds under -DUNTENABLE_NO_ELIDE too
+  on.elide_checks = true;
   auto id = loader.Load(prog, on);
   ASSERT_TRUE(id.ok());
   const LoadedProgram* loaded = loader.Find(id.value()).value();
@@ -243,7 +243,7 @@ TEST(ElideTest, InjectedRangeFaultConvertsIntoElidedCheckWitness) {
     }
     const Program prog = analysis::BuildJgtOffByOneExploit(fd).value();
     LoadOptions on;
-    on.elide_checks = true;  // explicit: holds under -DUNTENABLE_NO_ELIDE
+    on.elide_checks = true;
     auto id = loader.Load(prog, on);
     if (!phase.inject) {
       EXPECT_FALSE(id.ok()) << "clean verifier must reject the exploit";

@@ -25,7 +25,8 @@ class FaultTest : public ::testing::Test {
  protected:
   RunOutcome RunWith(std::string_view fault, const Program& prog,
                      bool inject, bool privileged = true,
-                     std::function<void(Bpf&)> prepare = nullptr) {
+                     std::function<void(Bpf&)> prepare = nullptr,
+                     bool elide_checks = true) {
     simkern::KernelConfig config;
     config.unprivileged_bpf_disabled = false;
     simkern::Kernel kernel(config);
@@ -43,6 +44,7 @@ class FaultTest : public ::testing::Test {
     RunOutcome outcome;
     LoadOptions opts;
     opts.privileged = privileged;
+    opts.elide_checks = elide_checks;
     auto id = loader.Load(prog, opts);
     outcome.load_ok = id.ok();
     outcome.load_status = id.ok() ? xbase::Status::Ok() : id.status();
@@ -103,16 +105,16 @@ TEST_F(FaultTest, ScalarBoundsDefectAdmitsArbitraryRead) {
   // With analysis-driven check elision, the buggy verifier's wrongly-proven
   // bounds claim strips the runtime check: the out-of-bounds read no longer
   // oopses — it completes *silently* as a wild access. The wild counter is
-  // the only witness. (Before elision this asserted kernel_crashed; the
-  // -DUNTENABLE_NO_ELIDE build keeps the checks and still does.)
-#ifdef UNTENABLE_NO_ELIDE
-  EXPECT_TRUE(buggy.kernel_crashed);
-  EXPECT_EQ(buggy.wild_reads + buggy.wild_writes, 0u);
-#else
+  // the only witness.
   EXPECT_FALSE(buggy.kernel_crashed);
   EXPECT_GT(buggy.wild_reads + buggy.wild_writes, 0u)
       << "elided OOB access should register as wild, not oops";
-#endif
+  // The checked lowering keeps the runtime check, so the same read oopses.
+  const RunOutcome checked = RunWith(kFaultVerifierScalarBounds, prog, true,
+                                     true, prepare, /*elide_checks=*/false);
+  EXPECT_TRUE(checked.load_ok);
+  EXPECT_TRUE(checked.kernel_crashed);
+  EXPECT_EQ(checked.wild_reads + checked.wild_writes, 0u);
 }
 
 TEST_F(FaultTest, PtrLeakDefectLeaksKernelAddress) {

@@ -14,7 +14,7 @@
 
 #include <set>
 
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/ebpf/asm.h"
 #include "src/ebpf/bpf.h"
 #include "src/ebpf/fault.h"
@@ -31,26 +31,22 @@ ebpf::Program ConstProg(s32 verdict) {
 
 class LoaderGuardTest : public ::testing::Test {
  protected:
-  LoaderGuardTest() : bpf_(kernel_), loader_(bpf_) {
-    EXPECT_TRUE(kernel_.BootstrapWorkload().ok());
-  }
+  LoaderGuardTest() { EXPECT_TRUE(sys_.ok()); }
 
-  simkern::Kernel kernel_;
-  Bpf bpf_;
-  Loader loader_;
+  safex::System sys_;
+  simkern::Kernel& kernel_ = sys_.kernel;
+  Bpf& bpf_ = sys_.bpf;
+  Loader& loader_ = sys_.loader;
+  safex::HookRegistry& hooks_ = *sys_.hooks;
 };
 
 // The use-after-unload regression: before the fix, Unload erased the
 // program while a hook attachment still referenced its id, so the next
-// Fire dispatched into a dead entry.
+// fire dispatched into a dead entry.
 TEST_F(LoaderGuardTest, UnloadRefusesWhileAttached) {
-  auto runtime = safex::Runtime::Create(kernel_, bpf_).value();
-  safex::ExtLoader ext_loader(*runtime);
-  safex::HookRegistry hooks(bpf_, loader_, ext_loader);
-
   const u32 id = loader_.Load(ConstProg(7)).value();
   const u32 attachment =
-      hooks.AttachProgram(safex::HookPoint::kSyscallEnter, id).value();
+      hooks_.AttachProgram(safex::HookPoint::kSyscallEnter, id).value();
 
   // Attached: unload must refuse, and the program must stay loaded.
   const xbase::Status refused = loader_.Unload(id);
@@ -64,31 +60,27 @@ TEST_F(LoaderGuardTest, UnloadRefusesWhileAttached) {
                  .Map(64, simkern::MemPerm::kReadWrite,
                       simkern::RegionKind::kKernelData, "guard-ctx")
                  .value();
-  auto report = hooks.Fire(safex::HookPoint::kSyscallEnter, ctx);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().served, 1u);
+  safex::HookFireReport report;
+  hooks_.FireInto(safex::HookPoint::kSyscallEnter, ctx, report);
+  EXPECT_EQ(report.served, 1u);
 
   // Detached: unload proceeds and the id becomes unreachable.
-  EXPECT_TRUE(hooks.Detach(attachment).ok());
+  EXPECT_TRUE(hooks_.Detach(attachment).ok());
   EXPECT_TRUE(loader_.Unload(id).ok());
   EXPECT_FALSE(loader_.Find(id).ok());
 }
 
 TEST_F(LoaderGuardTest, DoubleAttachCountsBothPins) {
-  auto runtime = safex::Runtime::Create(kernel_, bpf_).value();
-  safex::ExtLoader ext_loader(*runtime);
-  safex::HookRegistry hooks(bpf_, loader_, ext_loader);
-
   const u32 id = loader_.Load(ConstProg(1)).value();
   const u32 a1 =
-      hooks.AttachProgram(safex::HookPoint::kSyscallEnter, id).value();
+      hooks_.AttachProgram(safex::HookPoint::kSyscallEnter, id).value();
   const u32 a2 =
-      hooks.AttachProgram(safex::HookPoint::kXdpIngress, id).value();
+      hooks_.AttachProgram(safex::HookPoint::kXdpIngress, id).value();
 
   EXPECT_FALSE(loader_.Unload(id).ok());
-  EXPECT_TRUE(hooks.Detach(a1).ok());
+  EXPECT_TRUE(hooks_.Detach(a1).ok());
   EXPECT_FALSE(loader_.Unload(id).ok());  // one attachment remains
-  EXPECT_TRUE(hooks.Detach(a2).ok());
+  EXPECT_TRUE(hooks_.Detach(a2).ok());
   EXPECT_TRUE(loader_.Unload(id).ok());
 }
 

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/workloads.h"
-#include "src/core/hooks.h"
+#include "src/core/system.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/interp.h"
 #include "src/xbase/bytes.h"
@@ -15,26 +15,8 @@ namespace {
 using xbase::u64;
 using xbase::u8;
 
-struct Sec22Rig {
-  Sec22Rig() : bpf(kernel), loader(bpf) {
-    EXPECT_TRUE(kernel.BootstrapWorkload().ok());
-    runtime = safex::Runtime::Create(kernel, bpf).value();
-    key = std::make_unique<crypto::SigningKey>(
-        crypto::SigningKey::FromPassphrase("it", "pw"));
-    (void)runtime->keyring().Enroll(*key);
-    ext_loader = std::make_unique<safex::ExtLoader>(*runtime);
-  }
-
-  simkern::Kernel kernel;
-  ebpf::Bpf bpf;
-  ebpf::Loader loader;
-  std::unique_ptr<safex::Runtime> runtime;
-  std::unique_ptr<crypto::SigningKey> key;
-  std::unique_ptr<safex::ExtLoader> ext_loader;
-};
-
 TEST(Sec22Test, VerifiedProgramCrashesKernelThroughSysBpf) {
-  Sec22Rig rig;
+  safex::System rig;
   auto prog = analysis::BuildSysBpfNullCrash();
   auto id = rig.loader.Load(prog.value());
   ASSERT_TRUE(id.ok()) << "the verifier must accept it: "
@@ -52,7 +34,7 @@ TEST(Sec22Test, VerifiedProgramCrashesKernelThroughSysBpf) {
 }
 
 TEST(Sec22Test, SafexWrapperCannotCrashAndStillWorks) {
-  Sec22Rig rig;
+  safex::System rig;
   class Probe : public safex::Extension {
    public:
     xbase::Result<u64> Run(safex::Ctx& ctx) override {
@@ -74,7 +56,7 @@ TEST(Sec22Test, SafexWrapperCannotCrashAndStillWorks) {
 }
 
 TEST(Sec22Test, NestedLoopRuntimeScalesLinearlyWithIters) {
-  Sec22Rig rig;
+  safex::System rig;
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
   spec.key_size = 4;
@@ -106,7 +88,7 @@ TEST(Sec22Test, NestedLoopRuntimeScalesLinearlyWithIters) {
 }
 
 TEST(Sec22Test, RcuStallReproducesUnderEbpf) {
-  Sec22Rig rig;
+  safex::System rig;
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
   spec.key_size = 4;
@@ -131,7 +113,7 @@ TEST(Sec22Test, RcuStallReproducesUnderEbpf) {
 }
 
 TEST(Sec22Test, SafexWatchdogPreventsTheStall) {
-  Sec22Rig rig;
+  safex::System rig;
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
   spec.key_size = 4;
@@ -166,7 +148,7 @@ TEST(Sec22Test, SafexWatchdogPreventsTheStall) {
 // verdicts and identical map contents in both frameworks for a shared
 // packet stream.
 TEST(Sec22Test, FrameworkParityOnPacketWorkload) {
-  Sec22Rig rig;
+  safex::System rig;
   ebpf::MapSpec spec;
   spec.type = ebpf::MapType::kArray;
   spec.key_size = 4;

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "src/ebpf/asm.h"
+#include "src/ebpf/fault.h"
+#include "src/ebpf/interp.h"
 #include "src/service/admission.h"
 
 namespace service {
@@ -244,6 +246,41 @@ TEST_F(AdmissionTest, ShutdownResolvesLateSubmissions) {
   const auto late = svc.Wait(svc.Load(prog));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), xbase::Code::kFailedPrecondition);
+}
+
+// Regression: the service used to install its verdict without a decoded
+// image, so every Execute lazily re-decoded the program with no gate
+// version and no fault registry — the dispatch gate never ran, and a
+// helper the verifier wrongly admitted executed. Decoding at install
+// restores the gate: both engines refuse, as on the Loader::Load path.
+TEST_F(AdmissionTest, ServiceAdmittedProgramKeepsTheDispatchGate) {
+  bpf_.faults().Inject(ebpf::kFaultVerifierFamilyGateSkip);
+  ProgramBuilder b("yield-caller", ebpf::ProgType::kSocketFilter);
+  b.Ins(ebpf::CallHelper(ebpf::kHelperSchedYield)).Ins(ebpf::Exit());
+  ebpf::LoadOptions options;
+  options.version_override = simkern::kV6_12;
+  AdmissionService svc(SmallConfig(1), bpf_, loader_);
+  auto id = svc.Wait(svc.Load(b.Build().value(), options));
+  ASSERT_TRUE(id.ok()) << "the injected defect must admit the program";
+  const ebpf::LoadedProgram& loaded = *loader_.Find(id.value()).value();
+  EXPECT_EQ(loaded.jit.call_sites_gate_denied, 1u);
+
+  const simkern::Addr ctx =
+      kernel_.mem()
+          .Map(64, simkern::MemPerm::kReadWrite,
+               simkern::RegionKind::kKernelData, "gate-ctx")
+          .value();
+  for (ebpf::ExecEngine engine :
+       {ebpf::ExecEngine::kThreaded, ebpf::ExecEngine::kLegacy}) {
+    ebpf::ExecOptions exec;
+    exec.engine = engine;
+    auto result = ebpf::Execute(bpf_, loaded, ctx, exec, &loader_);
+    ASSERT_FALSE(result.ok()) << "the helper ran";
+    EXPECT_NE(result.status().message().find(
+                  "denied by access contract at dispatch"),
+              std::string::npos)
+        << result.status().message();
+  }
 }
 
 }  // namespace

@@ -19,11 +19,9 @@
 // 1/42/1337 under ThreadSanitizer. Exit status: 0 every invariant held,
 // 1 an invariant broke, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "src/analysis/admitstorm.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -58,83 +56,29 @@ void PrintStats(const analysis::AdmitStormStats& stats) {
               static_cast<unsigned long long>(stats.queue_depth_peak));
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: admitstorm [--seed N] [--rounds R] [--ops M] "
-               "[--workers W] [--queue Q] [--no-cache] [--no-faults] "
-               "[--engine threaded|legacy] [--quiet]\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::AdmitStormConfig config;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      config.rounds = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--ops" && i + 1 < argc) {
-      config.ops_per_round = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      config.workers = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--queue" && i + 1 < argc) {
-      config.queue_capacity = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--no-cache") {
-      config.cache_enabled = false;
-    } else if (arg == "--no-faults") {
-      config.toggle_faults = false;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      const std::string engine = argv[++i];
-      if (engine == "threaded") {
-        config.engine = ebpf::ExecEngine::kThreaded;
-      } else if (engine == "legacy") {
-        config.engine = ebpf::ExecEngine::kLegacy;
-      } else {
-        return Usage();
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  std::printf("admitstorm: seed=%llu rounds=%llu ops=%llu workers=%zu "
-              "queue=%zu cache=%s faults=%s engine=%s\n",
-              static_cast<unsigned long long>(config.seed),
-              static_cast<unsigned long long>(config.rounds),
-              static_cast<unsigned long long>(config.ops_per_round),
-              config.workers, config.queue_capacity,
-              config.cache_enabled ? "on" : "off",
-              config.toggle_faults ? "on" : "off",
-              config.engine == ebpf::ExecEngine::kLegacy ? "legacy"
-                                                         : "threaded");
+analysis::storm::Outcome Run(const analysis::AdmitStormConfig& config,
+                             bool quiet) {
   const analysis::AdmitStormReport report = analysis::RunAdmitStorm(config);
   if (!quiet) {
     PrintStats(report.stats);
   }
   if (!report.ok) {
-    std::printf("admitstorm: FAIL — %s (after round %llu)\n",
-                report.failure.c_str(),
-                static_cast<unsigned long long>(report.failed_at_round));
-    std::printf(
-        "admitstorm: replay with: admitstorm --seed %llu --rounds %llu "
-        "--ops %llu --workers %zu --queue %zu%s%s\n",
-        static_cast<unsigned long long>(report.seed),
-        static_cast<unsigned long long>(config.rounds),
-        static_cast<unsigned long long>(config.ops_per_round),
-        config.workers, config.queue_capacity,
-        config.cache_enabled ? "" : " --no-cache",
-        config.toggle_faults ? "" : " --no-faults");
-    return 1;
+    return {1, xbase::StrFormat(
+                   "%s (after round %llu)", report.failure.c_str(),
+                   static_cast<unsigned long long>(report.failed_at_round))};
   }
-  std::printf("admitstorm: OK — every pipeline invariant held after each "
-              "of %llu drains (tickets resolved, ids unique, metrics "
-              "conserved, verdicts consistent)\n",
-              static_cast<unsigned long long>(report.stats.rounds_executed));
-  return 0;
+  return {0, xbase::StrFormat(
+                 "every pipeline invariant held after each of %llu drains "
+                 "(tickets resolved, ids unique, metrics conserved, verdicts "
+                 "consistent)",
+                 static_cast<unsigned long long>(
+                     report.stats.rounds_executed))};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::AdmitStormConfig>(
+      {"admitstorm", analysis::storm::AdmitStormFlags(), Run, {}, {}}, argc,
+      argv);
 }

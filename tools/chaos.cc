@@ -13,16 +13,14 @@
 //                              threaded (default) or legacy
 //   chaos --quiet              print only the verdict line
 //
-// Every run is a pure function of --seed/--ops/--faults, so any failure
-// printed by a test or CI leg replays bit-identically from its seed.
-// Exit status: 0 all invariants held every step, 1 an invariant broke,
-// 2 usage error.
+// Every run is a pure function of its flags, so any failure printed by a
+// test or CI leg replays from the replay line it prints (single-CPU runs
+// bit-identically; see --cpus). Exit status: 0 all invariants held every
+// step, 1 an invariant broke, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "src/analysis/chaos.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -58,71 +56,25 @@ void PrintStats(const analysis::ChaosStats& stats) {
               static_cast<double>(stats.final_sim_time_ns) / 1e6);
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: chaos [--seed N] [--ops M] [--cpus N] [--no-faults] "
-               "[--engine threaded|legacy] [--quiet]\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::ChaosConfig config;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--ops" && i + 1 < argc) {
-      config.ops = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--cpus" && i + 1 < argc) {
-      config.cpus =
-          static_cast<xbase::u32>(std::strtoul(argv[++i], nullptr, 0));
-      if (config.cpus < 1) {
-        return Usage();
-      }
-    } else if (arg == "--no-faults") {
-      config.toggle_faults = false;
-    } else if (arg == "--faults") {
-      config.toggle_faults = true;
-    } else if (arg == "--engine" && i + 1 < argc) {
-      const std::string engine = argv[++i];
-      if (engine == "threaded") {
-        config.engine = ebpf::ExecEngine::kThreaded;
-      } else if (engine == "legacy") {
-        config.engine = ebpf::ExecEngine::kLegacy;
-      } else {
-        return Usage();
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  std::printf("chaos: seed=%llu ops=%llu cpus=%u faults=%s engine=%s\n",
-              static_cast<unsigned long long>(config.seed),
-              static_cast<unsigned long long>(config.ops), config.cpus,
-              config.toggle_faults ? "on" : "off",
-              config.engine == ebpf::ExecEngine::kLegacy ? "legacy"
-                                                         : "threaded");
+analysis::storm::Outcome Run(const analysis::ChaosConfig& config,
+                             bool quiet) {
   const analysis::ChaosReport report = analysis::RunChaos(config);
   if (!quiet) {
     PrintStats(report.stats);
   }
   if (!report.ok) {
-    std::printf("chaos: FAIL — %s\n", report.failure.c_str());
-    std::printf("chaos: replay with: chaos --seed %llu --ops %llu%s\n",
-                static_cast<unsigned long long>(report.seed),
-                static_cast<unsigned long long>(config.ops),
-                config.toggle_faults ? "" : " --no-faults");
-    return 1;
+    return {1, report.failure};
   }
-  std::printf("chaos: OK — every invariant held after each of %llu ops "
-              "(kernel alive, refcounts/locks/RCU balanced, supervisor "
-              "consistent)\n",
-              static_cast<unsigned long long>(report.stats.ops_executed));
-  return 0;
+  return {0, xbase::StrFormat(
+                 "every invariant held after each of %llu ops (kernel "
+                 "alive, refcounts/locks/RCU balanced, supervisor "
+                 "consistent)",
+                 static_cast<unsigned long long>(report.stats.ops_executed))};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::ChaosConfig>(
+      {"chaos", analysis::storm::ChaosFlags(), Run, {}, {}}, argc, argv);
 }

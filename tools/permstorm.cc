@@ -10,16 +10,15 @@
 //                             instead of a storm (plus clean baselines)
 //   permstorm --quiet         print only the verdict line
 //
-// Every storm is a pure function of --seed/--ops/--faults, so any failure
-// printed by a test or CI leg replays bit-identically from its seed.
+// Every storm is a pure function of its flags, so any failure printed by a
+// test or CI leg replays bit-identically from the replay line it prints.
 // Exit status: 0 all probes matched the model, 1 something diverged, 2
 // usage.
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "src/analysis/permaudit.h"
-#include "src/analysis/permstorm.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -46,6 +45,7 @@ void PrintStats(const analysis::PermStormStats& stats) {
 }
 
 int RunFaultChecks() {
+  std::printf("permstorm: missing-permission-check detection matrix\n");
   const std::vector<analysis::PermFaultCheck> checks =
       analysis::RunPermFaultChecks();
   bool all_passed = true;
@@ -67,63 +67,26 @@ int RunFaultChecks() {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: permstorm [--seed N] [--ops M] [--no-faults] "
-               "[--check-faults] [--quiet]\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::PermStormConfig config;
-  bool quiet = false;
-  bool check_faults = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--ops" && i + 1 < argc) {
-      config.ops = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--no-faults") {
-      config.toggle_faults = false;
-    } else if (arg == "--faults") {
-      config.toggle_faults = true;
-    } else if (arg == "--check-faults") {
-      check_faults = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  if (check_faults) {
-    std::printf("permstorm: missing-permission-check detection matrix\n");
-    return RunFaultChecks();
-  }
-
-  std::printf("permstorm: seed=%llu ops=%llu faults=%s\n",
-              static_cast<unsigned long long>(config.seed),
-              static_cast<unsigned long long>(config.ops),
-              config.toggle_faults ? "on" : "off");
+analysis::storm::Outcome Run(const analysis::PermStormConfig& config,
+                             bool quiet) {
   const analysis::PermStormReport report = analysis::RunPermStorm(config);
   if (!quiet) {
     PrintStats(report.stats);
   }
   if (!report.ok) {
-    std::printf("permstorm: FAIL — %s\n", report.failure.c_str());
-    std::printf("permstorm: replay with: permstorm --seed %llu --ops "
-                "%llu%s\n",
-                static_cast<unsigned long long>(report.seed),
-                static_cast<unsigned long long>(config.ops),
-                config.toggle_faults ? "" : " --no-faults");
-    return 1;
+    return {1, report.failure};
   }
-  std::printf("permstorm: OK — every probed admission cell matched the "
-              "fault-adjusted contract after each of %llu ops (zero false "
-              "positives)\n",
-              static_cast<unsigned long long>(report.stats.ops_executed));
-  return 0;
+  return {0, xbase::StrFormat(
+                 "every probed admission cell matched the fault-adjusted "
+                 "contract after each of %llu ops (zero false positives)",
+                 static_cast<unsigned long long>(report.stats.ops_executed))};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::PermStormConfig>(
+      {"permstorm", analysis::storm::PermStormFlags(), Run, RunFaultChecks,
+       {}},
+      argc, argv);
 }

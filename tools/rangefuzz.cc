@@ -12,15 +12,14 @@
 //                                            faults must be detected)
 //   rangefuzz --list-faults                  injectable range fault ids
 //
-// Exit status: 0 clean / all faults detected, 1 unsoundness or divergence
-// found (or a fault missed), 2 usage or internal failure.
+// A campaign prints a `rangefuzz: k=v ...` header first, and on a finding
+// a replay line for the whole campaign. Exit status: 0 clean / all faults
+// detected, 1 unsoundness or divergence found (or a fault missed), 2 usage
+// or internal failure.
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
 
-#include "src/analysis/rangefuzz.h"
-#include "src/ebpf/fault.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -34,100 +33,67 @@ const char* const kRangeFaults[] = {
     "verifier.pkt_range_stale_helper",
 };
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: rangefuzz [--seed N] [--progs N] [--execs N] [--body N]\n"
-      "                 [--fault ID]... [--replay SEED] [--quiet]\n"
-      "       rangefuzz --check-faults\n"
-      "       rangefuzz --list-faults\n");
-  return 2;
+int ListFaults() {
+  for (const char* id : kRangeFaults) {
+    std::printf("%s\n", id);
+  }
+  return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::RangeFuzzOptions opts;
-  bool check_faults = false;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(arg, "--check-faults") == 0) {
-      check_faults = true;
-    } else if (std::strcmp(arg, "--list-faults") == 0) {
-      for (const char* id : kRangeFaults) {
-        std::printf("%s\n", id);
-      }
-      return 0;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(arg, "--seed") == 0 && has_value) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(arg, "--progs") == 0 && has_value) {
-      opts.programs = static_cast<xbase::u32>(
-          std::strtoul(argv[++i], nullptr, 0));
-    } else if (std::strcmp(arg, "--execs") == 0 && has_value) {
-      opts.execs = static_cast<xbase::u32>(
-          std::strtoul(argv[++i], nullptr, 0));
-    } else if (std::strcmp(arg, "--body") == 0 && has_value) {
-      opts.body_len = static_cast<xbase::u32>(
-          std::strtoul(argv[++i], nullptr, 0));
-    } else if (std::strcmp(arg, "--replay") == 0 && has_value) {
-      opts.replay_program_seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (std::strcmp(arg, "--fault") == 0 && has_value) {
-      opts.verifier_faults.emplace_back(argv[++i]);
-    } else {
-      return Usage();
-    }
-  }
-
-  if (check_faults) {
-    auto rows = analysis::CheckRangeFaults();
-    if (!rows.ok()) {
-      std::fprintf(stderr, "rangefuzz: %s\n",
-                   rows.status().ToString().c_str());
-      return 2;
-    }
-    std::fputs(analysis::FormatRangeFaultTable(rows.value()).c_str(),
-               stdout);
-    auto rel_rows = analysis::CheckRelationalFaults();
-    if (!rel_rows.ok()) {
-      std::fprintf(stderr, "rangefuzz: %s\n",
-                   rel_rows.status().ToString().c_str());
-      return 2;
-    }
-    std::fputs("\n", stdout);
-    std::fputs(
-        analysis::FormatRelationalFaultTable(rel_rows.value()).c_str(),
-        stdout);
-    for (const auto& row : rows.value()) {
-      if (!row.detected()) {
-        return 1;
-      }
-    }
-    for (const auto& row : rel_rows.value()) {
-      if (!row.detected()) {
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  auto report = analysis::RunRangeFuzz(opts);
-  if (!report.ok()) {
-    std::fprintf(stderr, "rangefuzz: %s\n",
-                 report.status().ToString().c_str());
+int CheckFaults() {
+  auto rows = analysis::CheckRangeFaults();
+  if (!rows.ok()) {
+    std::fprintf(stderr, "rangefuzz: %s\n", rows.status().ToString().c_str());
     return 2;
   }
-  if (!quiet || !report.value().findings.empty()) {
+  std::fputs(analysis::FormatRangeFaultTable(rows.value()).c_str(), stdout);
+  auto rel_rows = analysis::CheckRelationalFaults();
+  if (!rel_rows.ok()) {
+    std::fprintf(stderr, "rangefuzz: %s\n",
+                 rel_rows.status().ToString().c_str());
+    return 2;
+  }
+  std::fputs("\n", stdout);
+  std::fputs(analysis::FormatRelationalFaultTable(rel_rows.value()).c_str(),
+             stdout);
+  for (const auto& row : rows.value()) {
+    if (!row.detected()) {
+      return 1;
+    }
+  }
+  for (const auto& row : rel_rows.value()) {
+    if (!row.detected()) {
+      return 1;
+    }
+  }
+  return 0;
+}
+
+analysis::storm::Outcome Run(const analysis::RangeFuzzOptions& opts,
+                             bool quiet) {
+  auto report = analysis::RunRangeFuzz(opts);
+  if (!report.ok()) {
+    return {2, report.status().ToString()};
+  }
+  const std::size_t findings = report.value().findings.size();
+  if (!quiet || findings != 0) {
     std::fputs(analysis::FormatRangeFuzzReport(report.value()).c_str(),
                stdout);
   }
   // With an injected fault, divergence alone is a successful detection;
   // without one, any finding is a bug in one of the analyses.
-  if (opts.verifier_faults.empty()) {
-    return report.value().findings.empty() ? 0 : 1;
+  if (opts.verifier_faults.empty() && findings != 0) {
+    return {1, xbase::StrFormat("%zu unsoundness or divergence finding(s)",
+                                findings)};
   }
-  return 0;
+  return {};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::RangeFuzzOptions>(
+      {"rangefuzz", analysis::storm::RangeFuzzFlags(), Run, CheckFaults,
+       ListFaults},
+      argc, argv);
 }

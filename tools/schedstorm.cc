@@ -13,14 +13,13 @@
 //                              instead of a storm (plus clean baselines)
 //   schedstorm --quiet         print only the verdict line
 //
-// Every storm is a pure function of --seed/--ops/--faults, so any failure
-// printed by a test or CI leg replays bit-identically from its seed.
+// Every storm is a pure function of its flags, so any failure printed by a
+// test or CI leg replays from the replay line it prints.
 // Exit status: 0 all invariants/checks held, 1 something broke, 2 usage.
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
-#include "src/analysis/schedstorm.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -64,6 +63,7 @@ void PrintStats(const analysis::SchedStormStats& stats) {
 }
 
 int RunFaultChecks() {
+  std::printf("schedstorm: fault detection/containment matrix\n");
   const std::vector<analysis::SchedFaultCheck> checks =
       analysis::RunSchedFaultChecks();
   bool all_passed = true;
@@ -85,69 +85,27 @@ int RunFaultChecks() {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: schedstorm [--seed N] [--ops M] [--cpus N] "
-               "[--no-faults] [--check-faults] [--quiet]\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::SchedStormConfig config;
-  bool quiet = false;
-  bool check_faults = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--ops" && i + 1 < argc) {
-      config.ops = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--cpus" && i + 1 < argc) {
-      config.cpus =
-          static_cast<xbase::u32>(std::strtoul(argv[++i], nullptr, 0));
-      if (config.cpus < 1) {
-        return Usage();
-      }
-    } else if (arg == "--no-faults") {
-      config.toggle_faults = false;
-    } else if (arg == "--faults") {
-      config.toggle_faults = true;
-    } else if (arg == "--check-faults") {
-      check_faults = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  if (check_faults) {
-    std::printf("schedstorm: fault detection/containment matrix\n");
-    return RunFaultChecks();
-  }
-
-  std::printf("schedstorm: seed=%llu ops=%llu cpus=%u faults=%s\n",
-              static_cast<unsigned long long>(config.seed),
-              static_cast<unsigned long long>(config.ops), config.cpus,
-              config.toggle_faults ? "on" : "off");
+analysis::storm::Outcome Run(const analysis::SchedStormConfig& config,
+                             bool quiet) {
   const analysis::SchedStormReport report = analysis::RunSchedStorm(config);
   if (!quiet) {
     PrintStats(report.stats);
   }
   if (!report.ok) {
-    std::printf("schedstorm: FAIL — %s\n", report.failure.c_str());
-    std::printf("schedstorm: replay with: schedstorm --seed %llu --ops "
-                "%llu%s\n",
-                static_cast<unsigned long long>(report.seed),
-                static_cast<unsigned long long>(config.ops),
-                config.toggle_faults ? "" : " --no-faults");
-    return 1;
+    return {1, report.failure};
   }
-  std::printf("schedstorm: OK — every invariant held after each of %llu "
-              "ops (kernel alive, runqueue sane, every runnable task kept "
-              "progressing)\n",
-              static_cast<unsigned long long>(report.stats.ops_executed));
-  return 0;
+  return {0, xbase::StrFormat(
+                 "every invariant held after each of %llu ops (kernel "
+                 "alive, runqueue sane, every runnable task kept "
+                 "progressing)",
+                 static_cast<unsigned long long>(report.stats.ops_executed))};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::SchedStormConfig>(
+      {"schedstorm", analysis::storm::SchedStormFlags(), Run, RunFaultChecks,
+       {}},
+      argc, argv);
 }

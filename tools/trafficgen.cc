@@ -15,10 +15,9 @@
 // counter sum matching the packet fire count exactly), 1 one broke,
 // 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
-#include "src/analysis/trafficgen.h"
+#include "src/analysis/stormmain.h"
+#include "src/xbase/strfmt.h"
 
 namespace {
 
@@ -59,55 +58,26 @@ void PrintStats(const analysis::TrafficReport& report) {
   }
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: trafficgen [--seed N] [--events M] [--cpus N] "
-               "[--quiet]\n");
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  analysis::TrafficConfig config;
-  bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--events" && i + 1 < argc) {
-      config.events = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--cpus" && i + 1 < argc) {
-      config.cpus =
-          static_cast<xbase::u32>(std::strtoul(argv[++i], nullptr, 0));
-      if (config.cpus < 1) {
-        return Usage();
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
-  }
-
-  std::printf("trafficgen: seed=%llu events=%llu cpus=%u\n",
-              static_cast<unsigned long long>(config.seed),
-              static_cast<unsigned long long>(config.events), config.cpus);
+analysis::storm::Outcome Run(const analysis::TrafficConfig& config,
+                             bool quiet) {
   const analysis::TrafficReport report = analysis::RunTraffic(config);
   if (!quiet) {
     PrintStats(report);
   }
   if (!report.ok) {
-    std::printf("trafficgen: FAIL — %s\n", report.failure.c_str());
-    std::printf("trafficgen: replay with: trafficgen --seed %llu --events "
-                "%llu --cpus %u\n",
-                static_cast<unsigned long long>(config.seed),
-                static_cast<unsigned long long>(config.events), config.cpus);
-    return 1;
+    return {1, report.failure};
   }
-  std::printf("trafficgen: OK — %llu events across %u CPUs, per-CPU "
-              "counter sum matches %llu packet fires exactly\n",
-              static_cast<unsigned long long>(config.events), config.cpus,
-              static_cast<unsigned long long>(report.packet_count_sum));
-  return 0;
+  return {0, xbase::StrFormat(
+                 "%llu events across %u CPUs, per-CPU counter sum matches "
+                 "%llu packet fires exactly",
+                 static_cast<unsigned long long>(config.events), config.cpus,
+                 static_cast<unsigned long long>(report.packet_count_sum))};
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return analysis::storm::Main<analysis::TrafficConfig>(
+      {"trafficgen", analysis::storm::TrafficFlags(), Run, {}, {}}, argc,
+      argv);
 }
