@@ -1,5 +1,6 @@
 #include "src/analysis/chaos.h"
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -47,7 +48,8 @@ class FlakyExt : public safex::Extension {
  public:
   explicit FlakyExt(u32 period) : period_(period) {}
   xbase::Result<u64> Run(Ctx& ctx) override {
-    if (++calls_ % period_ == 0) {
+    // One instance is fired from every simulated CPU in --cpus mode.
+    if ((calls_.fetch_add(1, std::memory_order_relaxed) + 1) % period_ == 0) {
       ctx.Panic("chaos: periodic fault");
     }
     return u64{0};
@@ -55,7 +57,7 @@ class FlakyExt : public safex::Extension {
 
  private:
   u32 period_;
-  u64 calls_ = 0;
+  std::atomic<u64> calls_{0};
 };
 
 // Burns simulated time until the watchdog kills it.
@@ -378,9 +380,9 @@ ChaosReport RunChaos(const ChaosConfig& config) {
     } else {
       // Fire a hook.
       const safex::HookPoint hook = kHooks[rng.NextBelow(3)];
-      const simkern::Addr ctx_addr =
-          hook == safex::HookPoint::kXdpIngress ? skb.value().meta_addr
-                                                : ctx_block.value();
+      const simkern::Addr ctx_addr = safex::FamilyOf(hook).skb_ctx
+                                         ? skb.value().meta_addr
+                                         : ctx_block.value();
       op_desc = std::string("fire ") + std::string(HookPointName(hook));
       if (smp && rig.kernel.cpus() != nullptr) {
         // Cross-CPU burst: one fire per CPU runs concurrently on the pool

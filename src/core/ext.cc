@@ -35,7 +35,7 @@ simkern::LockId Runtime::LockIdFor(int map_fd, u32 value_off) {
 
 InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
                               const InvokeOptions& options) {
-  ++invocations_;
+  invocations_.fetch_add(1, std::memory_order_relaxed);
   InvokeOutcome outcome;
   const u64 start_ns = kernel_.clock().now_ns();
 
@@ -56,9 +56,9 @@ InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
     outcome.panicked = true;
     outcome.panic_reason = ctx.termination_reason();
     outcome.status = xbase::Terminated(ctx.termination_reason());
-    ++panics_;
+    panics_.fetch_add(1, std::memory_order_relaxed);
     if (outcome.panic_reason.rfind("watchdog", 0) == 0) {
-      ++watchdog_fires_;
+      watchdog_fires_.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (const std::exception& e) {
     // A foreign exception escaping the extension body is a buggy extension,
@@ -68,14 +68,14 @@ InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
     outcome.panicked = true;
     outcome.panic_reason = std::string("foreign exception: ") + e.what();
     outcome.status = xbase::Terminated(outcome.panic_reason);
-    ++panics_;
-    ++foreign_exceptions_;
+    panics_.fetch_add(1, std::memory_order_relaxed);
+    foreign_exceptions_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     outcome.panicked = true;
     outcome.panic_reason = "foreign exception: non-standard type";
     outcome.status = xbase::Terminated(outcome.panic_reason);
-    ++panics_;
-    ++foreign_exceptions_;
+    panics_.fetch_add(1, std::memory_order_relaxed);
+    foreign_exceptions_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Safe termination: release whatever is still recorded, normal exit or

@@ -5,6 +5,7 @@
 // state afterwards.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -73,7 +74,8 @@ class Runtime {
   InvokeOutcome Invoke(Extension& ext, const CapSet& caps,
                        const InvokeOptions& options = {});
 
-  // Counters across all invocations.
+  // Counters across all invocations. Atomic because one runtime serves
+  // every simulated CPU; relaxed increments, since they order nothing.
   u64 invocations() const { return invocations_; }
   u64 watchdog_fires() const { return watchdog_fires_; }
   u64 panics() const { return panics_; }
@@ -90,10 +92,10 @@ class Runtime {
   std::unique_ptr<PerCpuPools> pools_;
   crypto::Keyring keyring_;
   std::map<u64, simkern::LockId> lock_ids_;
-  u64 invocations_ = 0;
-  u64 watchdog_fires_ = 0;
-  u64 panics_ = 0;
-  u64 foreign_exceptions_ = 0;
+  std::atomic<u64> invocations_{0};
+  std::atomic<u64> watchdog_fires_{0};
+  std::atomic<u64> panics_{0};
+  std::atomic<u64> foreign_exceptions_{0};
 };
 
 }  // namespace safex

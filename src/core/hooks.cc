@@ -6,22 +6,6 @@
 
 namespace safex {
 
-std::string_view HookPointName(HookPoint hook) {
-  switch (hook) {
-    case HookPoint::kXdpIngress:
-      return "xdp_ingress";
-    case HookPoint::kSyscallEnter:
-      return "syscall_enter";
-    case HookPoint::kSchedSwitch:
-      return "sched_switch";
-    case HookPoint::kSchedPickNext:
-      return "sched_pick_next";
-    case HookPoint::kLsmFileOpen:
-      return "lsm_file_open";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Maps an invocation outcome to the failure class the supervisor charges.
@@ -38,85 +22,84 @@ FailureKind ClassifyTermination(const std::string& reason) {
   return FailureKind::kPanic;
 }
 
+// Decision-maker hooks are part of the privilege model: only the owning
+// program type may decide (sched_ext on the pick hook, lsm on the access
+// hook), and an owning type has no business on any other hook — the owner
+// column is enforced both ways.
+xbase::Status CheckOwner(HookPoint hook, xbase::u32 prog_id,
+                         ebpf::ProgType type) {
+  for (const HookFamily& family : kHookFamilies) {
+    if (!family.owner || (family.hook == hook) == (type == *family.owner)) {
+      continue;
+    }
+    return xbase::FailedPrecondition(
+        family.hook == hook
+            ? xbase::StrFormat("prog %u is not %s-typed; cannot attach to %s",
+                               prog_id,
+                               ebpf::ProgTypeName(*family.owner).data(),
+                               family.name.data())
+            : xbase::StrFormat("%s prog %u can only attach to %s",
+                               ebpf::ProgTypeName(type).data(), prog_id,
+                               family.name.data()));
+  }
+  return xbase::Status::Ok();
+}
+
 }  // namespace
 
 xbase::Result<xbase::u32> HookRegistry::AttachProgram(HookPoint hook,
                                                       xbase::u32 prog_id) {
-  std::lock_guard<std::mutex> lock(attach_mu_);
-  for (const Attachment& attachment : attachments_) {
-    if (attachment.hook == hook && !attachment.is_safex &&
-        attachment.target_id == prog_id) {
-      return xbase::AlreadyExists(xbase::StrFormat(
-          "bpf prog %u already attached to %s", prog_id,
-          HookPointName(hook).data()));
-    }
-  }
-  // Decision-maker hooks are part of the privilege model: only the
-  // matching program type may decide (sched_ext on the pick hook, lsm on
-  // the access hook), and a decision-maker program has no business on
-  // packet/syscall/tracing hooks — the pairing is enforced both ways.
-  {
-    auto loaded = bpf_loader_.Find(prog_id);
-    if (loaded.ok()) {
-      const ebpf::ProgType type = loaded.value()->source.type;
-      const bool is_sched = type == ebpf::ProgType::kSchedExt;
-      const bool is_lsm = type == ebpf::ProgType::kLsm;
-      if (hook == HookPoint::kSchedPickNext && !is_sched) {
-        return xbase::FailedPrecondition(xbase::StrFormat(
-            "prog %u is not sched_ext-typed; cannot attach to %s", prog_id,
-            HookPointName(hook).data()));
-      }
-      if (hook != HookPoint::kSchedPickNext && is_sched) {
-        return xbase::FailedPrecondition(xbase::StrFormat(
-            "sched_ext prog %u can only attach to sched_pick_next",
-            prog_id));
-      }
-      if (hook == HookPoint::kLsmFileOpen && !is_lsm) {
-        return xbase::FailedPrecondition(xbase::StrFormat(
-            "prog %u is not lsm-typed; cannot attach to %s", prog_id,
-            HookPointName(hook).data()));
-      }
-      if (hook != HookPoint::kLsmFileOpen && is_lsm) {
-        return xbase::FailedPrecondition(xbase::StrFormat(
-            "lsm prog %u can only attach to lsm_file_open", prog_id));
-      }
-    }
-  }
-  // Pin the program for the attachment's lifetime: Unload refuses while the
-  // pin is held, so a fire can never chase an unloaded id. (Pin also
-  // subsumes the existence check.)
-  XB_RETURN_IF_ERROR(bpf_loader_.Pin(prog_id));
-  const xbase::u32 id = next_id_++;
-  attachments_.push_back(Attachment{
-      id, hook, false, prog_id,
-      xbase::StrFormat("bpf:%u(%s)", prog_id, HookPointName(hook).data())});
-  PublishSnapshot();
-  bpf_.kernel().Printk(xbase::StrFormat("hook %s: bpf prog %u attached",
-                                        HookPointName(hook).data(),
-                                        prog_id));
-  return id;
+  return Attach(hook, false, prog_id);
 }
 
 xbase::Result<xbase::u32> HookRegistry::AttachExtension(HookPoint hook,
                                                         xbase::u32 ext_id) {
+  return Attach(hook, true, ext_id);
+}
+
+xbase::Result<xbase::u32> HookRegistry::Attach(HookPoint hook, bool is_safex,
+                                               xbase::u32 target_id) {
+  const std::string_view name = FamilyOf(hook).name;
+  const char* kind = is_safex ? "safex ext" : "bpf prog";
   std::lock_guard<std::mutex> lock(attach_mu_);
   for (const Attachment& attachment : attachments_) {
-    if (attachment.hook == hook && attachment.is_safex &&
-        attachment.target_id == ext_id) {
+    if (attachment.hook == hook && attachment.is_safex == is_safex &&
+        attachment.target_id == target_id) {
       return xbase::AlreadyExists(xbase::StrFormat(
-          "safex ext %u already attached to %s", ext_id,
-          HookPointName(hook).data()));
+          "%s %u already attached to %s", kind, target_id, name.data()));
     }
   }
-  XB_RETURN_IF_ERROR(ext_loader_.Pin(ext_id));
-  const xbase::u32 id = next_id_++;
+  if (!is_safex) {
+    if (auto loaded = bpf_loader_.Find(target_id); loaded.ok()) {
+      XB_RETURN_IF_ERROR(
+          CheckOwner(hook, target_id, loaded.value()->source.type));
+    }
+  }
+  // Ids are never 0 (HookFireReport::decider's "nobody") and never alias a
+  // live attachment's supervisor record, even after the counter wraps.
+  const std::optional<xbase::u32> id =
+      ids_.Allocate(attachments_.size(), [this](xbase::u32 candidate) {
+        return std::any_of(attachments_.begin(), attachments_.end(),
+                           [candidate](const Attachment& attachment) {
+                             return attachment.id == candidate;
+                           });
+      });
+  if (!id) {
+    return xbase::ResourceExhausted("attachment id space exhausted");
+  }
+  // Pin the target for the attachment's lifetime: Unload refuses while the
+  // pin is held, so a fire can never chase an unloaded id. (Pin also
+  // subsumes the existence check.)
+  XB_RETURN_IF_ERROR(is_safex ? ext_loader_.Pin(target_id)
+                              : bpf_loader_.Pin(target_id));
   attachments_.push_back(Attachment{
-      id, hook, true, ext_id,
-      xbase::StrFormat("ext:%u(%s)", ext_id, HookPointName(hook).data())});
+      *id, hook, is_safex, target_id,
+      xbase::StrFormat("%s:%u(%s)", is_safex ? "ext" : "bpf", target_id,
+                       name.data())});
   PublishSnapshot();
-  bpf_.kernel().Printk(xbase::StrFormat("hook %s: safex ext %u attached",
-                                        HookPointName(hook).data(), ext_id));
-  return id;
+  bpf_.kernel().Printk(xbase::StrFormat("hook %s: %s %u attached",
+                                        name.data(), kind, target_id));
+  return *id;
 }
 
 xbase::Status HookRegistry::Detach(xbase::u32 attachment_id) {
@@ -198,8 +181,7 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
   try {
     if (attachment.is_safex) {
       InvokeOptions options;
-      options.skb_meta =
-          attachment.hook == HookPoint::kXdpIngress ? ctx_addr : 0;
+      options.skb_meta = FamilyOf(attachment.hook).skb_ctx ? ctx_addr : 0;
       auto outcome = ext_loader_.Invoke(attachment.target_id, options);
       if (outcome.ok()) {
         verdict.value = outcome.value().ret;
@@ -326,26 +308,6 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
   return verdict;
 }
 
-void HookRegistry::ApplyFallback(HookPoint hook,
-                                 HookFireReport& report) const {
-  const HookFallback& fallback =
-      config_.fallback[static_cast<xbase::usize>(hook)];
-  if (fallback.action != FallbackAction::kFailClosed) {
-    // kFailOpen leaves the neutral aggregate in place. kDefaultPolicy is
-    // the scheduler core's job: it sees the report and runs the built-in
-    // round-robin policy — nothing to substitute here.
-    return;
-  }
-  if (hook == HookPoint::kXdpIngress) {
-    report.verdict = fallback.value != 0 ? fallback.value : 1;  // XDP_DROP
-  } else if ((hook == HookPoint::kSyscallEnter ||
-              hook == HookPoint::kLsmFileOpen) &&
-             !report.denied) {
-    report.denied = true;
-    report.verdict = fallback.value != 0 ? fallback.value : 1;  // EPERM
-  }
-}
-
 void HookRegistry::FireAsync(simkern::CpuPool& pool, HookPoint hook,
                              simkern::Addr ctx_addr) {
   pool.SubmitAny([this, hook, ctx_addr] {
@@ -366,9 +328,10 @@ void HookRegistry::FireAsyncOn(simkern::CpuPool& pool, xbase::u32 cpu,
 
 void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
                             HookFireReport& report) {
+  const HookFamily& family = FamilyOf(hook);
   ++scratch_[bpf_.kernel().current_cpu()].fires;
   report.verdicts.clear();  // keeps capacity for the steady state
-  report.verdict = hook == HookPoint::kXdpIngress ? 2 /* XDP_PASS */ : 0;
+  report.verdict = family.neutral;
   report.denied = false;
   report.decider = 0;
   report.served = 0;
@@ -384,31 +347,39 @@ void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
        snapshot->by_hook[static_cast<xbase::usize>(hook)]) {
     HookVerdict verdict = RunAttachment(attachment, ctx_addr);
 
-    // Aggregate per hook semantics. A failed attachment contributes the
-    // configured fallback (default: fail open for tracing and XDP,
-    // deny-less for syscalls — the report carries the status).
-    if (verdict.skipped) {
-      ++report.skipped;
-      ApplyFallback(hook, report);
-    } else if (verdict.status.ok()) {
+    // Aggregate per the family's combine rule. A failed or skipped (never
+    // OK) attachment contributes the family's fallback instead: nothing
+    // when it fails open — the neutral aggregate stands, and the scheduler
+    // core, seeing no decider, picks by its default policy — or a deny.
+    if (verdict.status.ok()) {
       ++report.served;
-      if (hook == HookPoint::kXdpIngress && verdict.value == 1) {
-        report.verdict = 1;  // any DROP wins
-      }
-      if ((hook == HookPoint::kSyscallEnter ||
-           hook == HookPoint::kLsmFileOpen) &&
-          verdict.value != 0 && !report.denied) {
-        report.denied = true;
-        report.verdict = verdict.value;
-      }
-      if (hook == HookPoint::kSchedPickNext && report.decider == 0) {
-        // First served attachment decides the pick.
-        report.verdict = verdict.value;
-        report.decider = verdict.attachment_id;
+      switch (family.combine) {
+        case VerdictCombine::kAnyDropWins:
+          if (verdict.value == 1) {
+            report.verdict = 1;  // XDP_DROP
+          }
+          break;
+        case VerdictCombine::kFirstNonzeroDenies:
+          if (verdict.value != 0 && !report.denied) {
+            report.denied = true;
+            report.verdict = verdict.value;
+          }
+          break;
+        case VerdictCombine::kFirstServedDecides:
+          if (report.decider == 0) {
+            report.verdict = verdict.value;
+            report.decider = verdict.attachment_id;
+          }
+          break;
+        case VerdictCombine::kIgnored:
+          break;
       }
     } else {
-      ++report.failed;
-      ApplyFallback(hook, report);
+      ++(verdict.skipped ? report.skipped : report.failed);
+      if (family.fail_closed_errno != 0 && !report.denied) {
+        report.denied = true;
+        report.verdict = family.fail_closed_errno;
+      }
     }
     report.verdicts.push_back(std::move(verdict));
   }
@@ -416,13 +387,10 @@ void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
 
 xbase::usize HookRegistry::AttachedCount(HookPoint hook) const {
   std::lock_guard<std::mutex> lock(attach_mu_);
-  xbase::usize count = 0;
-  for (const Attachment& attachment : attachments_) {
-    if (attachment.hook == hook) {
-      ++count;
-    }
-  }
-  return count;
+  return std::count_if(attachments_.begin(), attachments_.end(),
+                       [hook](const Attachment& attachment) {
+                         return attachment.hook == hook;
+                       });
 }
 
 }  // namespace safex

@@ -7,15 +7,17 @@
 // abort or skip the remaining attachments on its hook, and with a
 // Supervisor configured every abnormal outcome (panic, watchdog, stack
 // overflow, attributed oops, resource leak) is charged to the offending
-// attachment, quarantined attachments are skipped, and a configurable
-// fallback verdict stands in for what they would have said.
+// attachment, quarantined attachments are skipped, and the hook family's
+// fixed fallback policy stands in for what they would have said.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "src/ebpf/interp.h"
 #include "src/ebpf/loader.h"
 #include "src/simkern/smp.h"
+#include "src/xbase/ids.h"
 
 namespace safex {
 
@@ -36,7 +39,64 @@ enum class HookPoint : xbase::u8 {
 };
 inline constexpr xbase::usize kHookPointCount = 5;
 
-std::string_view HookPointName(HookPoint hook);
+// How a family folds its served attachments' verdicts into the aggregate.
+enum class VerdictCombine : xbase::u8 {
+  kAnyDropWins,         // any XDP_DROP(1) drops
+  kFirstNonzeroDenies,  // the first nonzero verdict denies with that errno
+  kFirstServedDecides,  // the first served attachment's verdict stands
+  kIgnored,             // verdicts are recorded, never aggregated
+};
+
+// Everything that differs between hook families: one row per HookPoint, so
+// a new family is an enumerator plus a row.
+struct HookFamily {
+  HookPoint hook;
+  std::string_view name;
+  xbase::u64 neutral;  // the aggregate before any attachment speaks
+  VerdictCombine combine;
+  // A failed or skipped attachment denies with this errno (fail closed);
+  // 0 fails open — for the pick hook, the scheduler core's round-robin
+  // default policy then picks.
+  xbase::u64 fail_closed_errno;
+  // The only program type allowed here and, conversely, the only hook
+  // that type may attach to; nullopt admits every type no row owns.
+  std::optional<ebpf::ProgType> owner;
+  bool skb_ctx;  // the fire context is skb meta
+};
+
+inline constexpr std::array<HookFamily, kHookPointCount> kHookFamilies = {{
+    {HookPoint::kXdpIngress, "xdp_ingress", /*XDP_PASS*/ 2,
+     VerdictCombine::kAnyDropWins, 0, std::nullopt, true},
+    {HookPoint::kSyscallEnter, "syscall_enter", 0,
+     VerdictCombine::kFirstNonzeroDenies, 0, std::nullopt, false},
+    {HookPoint::kSchedSwitch, "sched_switch", 0, VerdictCombine::kIgnored,
+     0, std::nullopt, false},
+    {HookPoint::kSchedPickNext, "sched_pick_next", 0,
+     VerdictCombine::kFirstServedDecides, 0, ebpf::ProgType::kSchedExt,
+     false},
+    {HookPoint::kLsmFileOpen, "lsm_file_open", 0,
+     VerdictCombine::kFirstNonzeroDenies, /*EPERM*/ 1, ebpf::ProgType::kLsm,
+     false},
+}};
+
+constexpr bool HookFamiliesInEnumOrder() {
+  for (xbase::usize i = 0; i < kHookPointCount; ++i) {
+    if (static_cast<xbase::usize>(kHookFamilies[i].hook) != i) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(HookFamiliesInEnumOrder(),
+              "kHookFamilies needs one row per HookPoint, in enum order");
+
+constexpr const HookFamily& FamilyOf(HookPoint hook) {
+  return kHookFamilies[static_cast<xbase::usize>(hook)];
+}
+
+constexpr std::string_view HookPointName(HookPoint hook) {
+  return FamilyOf(hook).name;
+}
 
 struct HookVerdict {
   bool from_safex = false;
@@ -65,44 +125,10 @@ struct HookFireReport {
   xbase::u32 skipped = 0;  // refused by quarantine/eviction
 };
 
-// What stands in for a failed or skipped attachment's verdict. Fallback is
-// per hook *family*: a packet hook failing open must not force the
-// scheduler family to fail open too (and vice versa) — the right degraded
-// behaviour is a per-family policy decision.
-enum class FallbackAction : xbase::u8 {
-  kFailOpen,       // neutral verdict: pass the packet / allow the syscall
-  kFailClosed,     // protective verdict: drop / deny with `value`
-  kDefaultPolicy,  // defer to the subsystem's built-in policy (scheduler:
-                   // the round-robin default scheduler takes over)
-};
-
-struct HookFallback {
-  FallbackAction action = FallbackAction::kFailOpen;
-  // Fail-closed verdict payload: XDP code (default 1 = DROP) or deny
-  // errno (default 1 = EPERM) when zero.
-  xbase::u64 value = 0;
-};
-
-constexpr std::array<HookFallback, kHookPointCount> DefaultFallbacks() {
-  std::array<HookFallback, kHookPointCount> fallback{};
-  // Packet, syscall and tracing hooks fail open by default; the scheduler
-  // family fails over to the built-in default policy — "fail open" is
-  // meaningless when the extension *is* the decision-maker.
-  fallback[static_cast<xbase::usize>(HookPoint::kSchedPickNext)] =
-      HookFallback{FallbackAction::kDefaultPolicy, 0};
-  // An access-control hook that fails open is not an access-control hook:
-  // a crashed or quarantined lsm policy must deny (EPERM), never allow.
-  fallback[static_cast<xbase::usize>(HookPoint::kLsmFileOpen)] =
-      HookFallback{FallbackAction::kFailClosed, 0};
-  return fallback;
-}
-
 struct HookRegistryConfig {
   // Health/containment layer; null runs the unsupervised baseline (one bad
   // attachment can poison its hook or the kernel, as before).
   Supervisor* supervisor = nullptr;
-  // Per-hook-family fallback policy, indexed by HookPoint.
-  std::array<HookFallback, kHookPointCount> fallback = DefaultFallbacks();
   // Execution options handed to every eBPF attachment run (engine
   // selection, executing CPU, tracing). Defaults to the threaded engine.
   ebpf::ExecOptions exec_options;
@@ -189,6 +215,9 @@ class HookRegistry {
     std::array<std::vector<Attachment>, kHookPointCount> by_hook;
   };
 
+  // The one attach path behind AttachProgram/AttachExtension.
+  xbase::Result<xbase::u32> Attach(HookPoint hook, bool is_safex,
+                                   xbase::u32 target_id);
   void PublishSnapshot();
 
   // Runs one attachment, fully contained: never throws, never returns
@@ -196,7 +225,6 @@ class HookRegistry {
   // locks, RCU depth) the attachment leaked before reporting the failure.
   HookVerdict RunAttachment(const Attachment& attachment,
                             simkern::Addr ctx_addr);
-  void ApplyFallback(HookPoint hook, HookFireReport& report) const;
 
   // Per-CPU fire state: repair scratch (leak detection is
   // count/journal-gated, so the vectors stay empty — and allocation-free —
@@ -215,13 +243,13 @@ class HookRegistry {
   ebpf::Loader& bpf_loader_;
   ExtLoader& ext_loader_;
   HookRegistryConfig config_;
-  // attach_mu_ guards the control plane (attachments_, next_id_); the fire
+  // attach_mu_ guards the control plane (attachments_, ids_); the fire
   // path never takes it — it reads the published snapshot.
   mutable std::mutex attach_mu_;
   std::vector<Attachment> attachments_;
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_{
       std::make_shared<const Snapshot>()};
-  xbase::u32 next_id_ = 1;
+  xbase::IdAllocator ids_;
   std::array<FireScratch, simkern::kMaxCpus> scratch_;
 };
 

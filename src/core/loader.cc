@@ -1,7 +1,6 @@
 #include "src/core/loader.h"
 
 #include <chrono>
-#include <limits>
 
 #include "src/xbase/strfmt.h"
 
@@ -66,21 +65,14 @@ xbase::Result<xbase::u32> ExtLoader::Install(PreparedExtension prepared) {
   xbase::u32 id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (extensions_.size() >= std::numeric_limits<xbase::u32>::max() - 1) {
+    const std::optional<xbase::u32> fresh =
+        ids_.Allocate(extensions_.size(), [this](xbase::u32 id) {
+          return extensions_.contains(id);
+        });
+    if (!fresh) {
       return xbase::ResourceExhausted("extension id space exhausted");
     }
-    xbase::u32 candidate = next_id_;
-    for (;;) {
-      if (candidate == 0) {
-        candidate = 1;
-      }
-      if (!extensions_.contains(candidate)) {
-        break;
-      }
-      ++candidate;
-    }
-    id = candidate;
-    next_id_ = candidate + 1;
+    id = *fresh;
     loaded.id = id;
     extensions_.emplace(id, std::move(loaded));
   }

@@ -13,9 +13,11 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "src/core/artifact.h"
 #include "src/core/ext.h"
+#include "src/xbase/ids.h"
 
 namespace safex {
 
@@ -70,9 +72,9 @@ class ExtLoader {
 
  private:
   Runtime& runtime_;
-  mutable std::mutex mu_;  // guards extensions_ and next_id_
+  mutable std::mutex mu_;  // guards extensions_ and ids_
   std::map<xbase::u32, LoadedExtension> extensions_;
-  xbase::u32 next_id_ = 1;
+  xbase::IdAllocator ids_;
 };
 
 }  // namespace safex

@@ -151,11 +151,6 @@ SchedTickOutcome SchedCore::Tick() {
     watchdog_.Disarm();
   }
 
-  const FallbackAction fallback_action =
-      hooks_.config()
-          .fallback[static_cast<xbase::usize>(HookPoint::kSchedPickNext)]
-          .action;
-
   if (!have_ext) {
     // No extension: the built-in round-robin policy is *the* policy.
     auto head = rq.PickDefault();
@@ -163,52 +158,32 @@ SchedTickOutcome SchedCore::Tick() {
       Dispatch(head.value(), outcome);
       ++stats_.default_picks;
     }
-  } else if (config_.supervised) {
-    // In the deadline-miss case pick_ok is false even if the pid checks
-    // out: a policy that blows its budget loses the decision on principle
-    // (a 10ms "pick" is a stall whatever pid it eventually names).
-    if (pick_ok && !outcome.deadline_missed) {
-      Dispatch(pick, outcome);
-      outcome.from_extension = true;
-      ++stats_.ext_picks;
-    } else if (fallback_action != FallbackAction::kFailClosed) {
-      // kDefaultPolicy (and, for completeness, kFailOpen): the built-in
-      // round-robin stands in, so the tick still dispatches. A voluntary
-      // yield takes the same path but is not counted as a rescue.
-      auto head = rq.PickDefault();
-      if (head.ok()) {
-        Dispatch(head.value(), outcome);
-        if (!outcome.yielded) {
-          outcome.fell_back = true;
-          ++stats_.fallback_picks;
-        }
+  } else if (pick_ok) {
+    // A deadline miss leaves pick_ok false even if the pid checks out: a
+    // policy that blows its budget loses the decision on principle (a 10ms
+    // "pick" is a stall whatever pid it eventually names).
+    Dispatch(pick, outcome);
+    outcome.from_extension = true;
+    ++stats_.ext_picks;
+  } else if (config_.supervised || outcome.yielded) {
+    // The family's fixed fallback: the built-in round-robin stands in, so
+    // the tick still dispatches. A voluntary yield, honoured even without
+    // supervision, takes the same path but is not counted as a rescue.
+    auto head = rq.PickDefault();
+    if (head.ok()) {
+      Dispatch(head.value(), outcome);
+      if (!outcome.yielded) {
+        outcome.fell_back = true;
+        ++stats_.fallback_picks;
       }
-    } else {
-      // Fail-closed scheduling = an idle tick. Defensible only on systems
-      // where running the wrong task is worse than running none.
-      outcome.fell_back = true;
-      ++stats_.idle_ticks;
-      kernel_.clock().Advance(config_.timeslice_ns);
     }
   } else {
     // Unsupervised: the extension's word is law. A verdict naming a dead
     // or vanished pid dispatches nothing — the CPU burns the slice and
     // every runnable task just waits (the paper's availability gap).
-    if (pick_ok) {
-      Dispatch(pick, outcome);
-      outcome.from_extension = true;
-      ++stats_.ext_picks;
-    } else if (outcome.yielded) {
-      // A cooperative yield is honoured even without supervision.
-      auto head = rq.PickDefault();
-      if (head.ok()) {
-        Dispatch(head.value(), outcome);
-      }
-    } else {
-      outcome.stalled = true;
-      ++stats_.stalls;
-      kernel_.clock().Advance(config_.timeslice_ns);
-    }
+    outcome.stalled = true;
+    ++stats_.stalls;
+    kernel_.clock().Advance(config_.timeslice_ns);
   }
 
   // Starvation scan over the *real* queue. Supervised mode charges the

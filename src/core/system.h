@@ -8,8 +8,8 @@
 // supervisor config makes the system supervised, which also turns the
 // kernel's oops recovery on (containment without recovery would let the
 // first attributed oops take the machine down); no supervisor config runs
-// the unsupervised baseline. Engine and fallback selection stay where they
-// always lived, on hooks->config().
+// the unsupervised baseline. Engine selection stays where it always lived,
+// on hooks->config().
 #pragma once
 
 #include <memory>

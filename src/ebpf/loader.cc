@@ -1,7 +1,6 @@
 #include "src/ebpf/loader.h"
 
 #include <chrono>
-#include <limits>
 #include <string>
 
 #include "src/xbase/strfmt.h"
@@ -145,26 +144,12 @@ xbase::Result<u32> Loader::Install(PreparedLoad prepared) {
   u32 id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // The id space is 32-bit minus the reserved 0. Guard against genuine
-    // exhaustion, then scan past still-loaded ids: after 2^32 loads the
-    // counter wraps and must not hand out an id that is still in use (the
-    // old code blindly assigned next_id_++, so a wrapped counter could
-    // alias a live program and corrupt the table).
-    if (progs_.size() >= std::numeric_limits<u32>::max() - 1) {
+    const std::optional<u32> fresh = ids_.Allocate(
+        progs_.size(), [this](u32 id) { return progs_.contains(id); });
+    if (!fresh) {
       return xbase::ResourceExhausted("program id space exhausted");
     }
-    u32 candidate = next_id_;
-    for (;;) {
-      if (candidate == 0) {
-        candidate = 1;  // id 0 is never valid (matches the kernel's idr)
-      }
-      if (!progs_.contains(candidate)) {
-        break;
-      }
-      ++candidate;
-    }
-    id = candidate;
-    next_id_ = candidate + 1;
+    id = *fresh;
     loaded.id = id;
     progs_.emplace(id, std::move(loaded));
   }
@@ -239,7 +224,7 @@ xbase::usize Loader::size() const {
 
 void Loader::SetNextIdForTest(u32 next_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  next_id_ = next_id;
+  ids_.set_next(next_id);
 }
 
 }  // namespace ebpf

@@ -25,6 +25,7 @@
 #include "src/ebpf/jit.h"
 #include "src/ebpf/verifier.h"
 #include "src/staticcheck/check.h"
+#include "src/xbase/ids.h"
 
 namespace ebpf {
 
@@ -131,13 +132,13 @@ class Loader {
 
  private:
   Bpf& bpf_;
-  // Guards progs_ and next_id_. Install/Unload/Pin/Unpin from admission
+  // Guards progs_ and ids_. Install/Unload/Pin/Unpin from admission
   // workers interleave with Find from the caller thread; std::map nodes are
   // stable, so a Find'ed pointer stays valid until that id is unloaded
   // (which Pin prevents while attached).
   mutable std::mutex mu_;
   std::map<u32, LoadedProgram> progs_;
-  u32 next_id_ = 1;
+  xbase::IdAllocator ids_;
 };
 
 }  // namespace ebpf

@@ -1737,31 +1737,34 @@ void Verifier::RefineScalar(RegState& reg, u8 jmp_op, u64 imm,
         reg.umin = std::max(reg.umin, imm + 1);
       }
       break;
+    // Strict signed bounds shift by one; at INT64_MIN/INT64_MAX the shift
+    // would overflow, and the edge it guards is infeasible anyway (nothing
+    // is below INT64_MIN or above INT64_MAX), so the bound stays as it is.
     case BPF_JSGT:
-      if (branch_taken) {
-        reg.smin = std::max(reg.smin, simm + 1);
-      } else {
+      if (!branch_taken) {
         reg.smax = std::min(reg.smax, simm);
+      } else if (simm != kS64Max) {
+        reg.smin = std::max(reg.smin, simm + 1);
       }
       break;
     case BPF_JSGE:
       if (branch_taken) {
         reg.smin = std::max(reg.smin, simm);
-      } else {
+      } else if (simm != kS64Min) {
         reg.smax = std::min(reg.smax, simm - 1);
       }
       break;
     case BPF_JSLT:
-      if (branch_taken) {
-        reg.smax = std::min(reg.smax, simm - 1);
-      } else {
+      if (!branch_taken) {
         reg.smin = std::max(reg.smin, simm);
+      } else if (simm != kS64Min) {
+        reg.smax = std::min(reg.smax, simm - 1);
       }
       break;
     case BPF_JSLE:
       if (branch_taken) {
         reg.smax = std::min(reg.smax, simm);
-      } else {
+      } else if (simm != kS64Max) {
         reg.smin = std::max(reg.smin, simm + 1);
       }
       break;

@@ -4,7 +4,7 @@
 // return value is the verdict — 0 allows the open, a positive errno denies
 // it. Unlike the packet and tracing families there is no neutral verdict:
 // a failed or quarantined lsm attachment must deny (fail closed), which is
-// why HookPoint::kLsmFileOpen defaults to FallbackAction::kFailClosed.
+// why the lsm_file_open row of safex::kHookFamilies fails closed with EPERM.
 #pragma once
 
 #include "src/xbase/types.h"

@@ -82,6 +82,8 @@ void Zone::AssignShift(int v, s64 lo, s64 hi) {
 void Zone::AssignConst(int v, s64 c) {
   if (bot) return;
   Forget(v);
+  // INT64_MIN has no negation; SeedRange's bound keeps -c representable.
+  if (c < -kZoneSafe || c > kZoneSafe) return;
   AddUpper(v, kZoneZero, c);
   AddUpper(kZoneZero, v, -c);
 }

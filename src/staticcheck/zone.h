@@ -92,7 +92,8 @@ struct Zone {
   // wrap: every bound on v shifts by the delta interval.
   void AssignShift(int v, s64 lo, s64 hi);
 
-  // v := the known constant c (|c| < kZoneCap enforced by clamping).
+  // v := the known constant c; like SeedRange, a constant beyond
+  // +-kZoneSafe only forgets v.
   void AssignConst(int v, s64 c);
 
   // Seeds range-domain facts smin <= v <= smax; ignored unless both

@@ -2,6 +2,7 @@
 // mixed eBPF/safex dispatch over one event stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/core/system.h"
@@ -176,6 +177,38 @@ TEST_F(HooksTest, DuplicateAttachmentRejected) {
   EXPECT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), xbase::Code::kAlreadyExists);
   EXPECT_TRUE(hooks_->AttachProgram(HookPoint::kXdpIngress, prog).ok());
+}
+
+TEST_F(HooksTest, AttachProgramFollowsTheOwnerColumn) {
+  // Every program type on every hook: an owned hook takes only its owner,
+  // and an owning type attaches nowhere else.
+  for (const ebpf::ProgType type : ebpf::kAllProgTypes) {
+    ebpf::ProgramBuilder b("typed", type);
+    b.Ins(ebpf::Mov64Imm(ebpf::R0, 0)).Ins(ebpf::Exit());
+    auto prog = bpf_loader_.Load(b.Build().value());
+    ASSERT_TRUE(prog.ok()) << ebpf::ProgTypeName(type) << ": "
+                           << prog.status().ToString();
+    const bool type_owns_a_hook =
+        std::any_of(kHookFamilies.begin(), kHookFamilies.end(),
+                    [type](const HookFamily& family) {
+                      return family.owner == type;
+                    });
+    for (const HookFamily& family : kHookFamilies) {
+      const bool expected =
+          family.owner ? *family.owner == type : !type_owns_a_hook;
+      auto attached = hooks_->AttachProgram(family.hook, prog.value());
+      EXPECT_EQ(attached.ok(), expected)
+          << ebpf::ProgTypeName(type) << " on " << family.name << ": "
+          << attached.status().ToString();
+      if (!expected && !attached.ok()) {
+        EXPECT_EQ(attached.status().code(), xbase::Code::kFailedPrecondition);
+      }
+    }
+  }
+  // The two decision-maker rows, spelled out.
+  EXPECT_EQ(FamilyOf(HookPoint::kSchedPickNext).owner,
+            ebpf::ProgType::kSchedExt);
+  EXPECT_EQ(FamilyOf(HookPoint::kLsmFileOpen).owner, ebpf::ProgType::kLsm);
 }
 
 }  // namespace

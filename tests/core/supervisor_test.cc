@@ -327,38 +327,38 @@ TEST_F(SupervisedHooksTest, LeakAuditAcrossThousandQuarantineCycles) {
       << "one attachment must map to exactly one health record";
 }
 
-TEST_F(SupervisedHooksTest, FallbackVerdictsArePerHookFamily) {
-  // One failing extension on the packet hook and one on the syscall hook;
-  // the families must degrade independently — XDP failing closed must not
-  // force syscalls closed too, and vice versa.
+TEST_F(SupervisedHooksTest, FallbackPoliciesAreFixedPerHookFamily) {
+  // One failing extension on every hook. Each family degrades by its own
+  // fixed row in kHookFamilies — packet, syscall and tracing hooks fail
+  // open, the access-control hook fails closed with EPERM, the pick hook
+  // leaves no decider so the scheduler core's round-robin takes over —
+  // and the same fallback covers the failed runs and, once quarantined,
+  // the skipped ones.
   panic_flag_ = true;
-  (void)hooks_->AttachExtension(HookPoint::kXdpIngress,
-                                LoadToggleExt(&panic_flag_));
-  (void)hooks_->AttachExtension(HookPoint::kSyscallEnter,
-                                LoadToggleExt(&panic_flag_));
-  auto& fallback = hooks_->config().fallback;
-  fallback[static_cast<xbase::usize>(HookPoint::kXdpIngress)] =
-      HookFallback{FallbackAction::kFailClosed, 0};
-  fallback[static_cast<xbase::usize>(HookPoint::kSyscallEnter)] =
-      HookFallback{FallbackAction::kFailOpen, 0};
-
-  HookFireReport xdp = Fire(HookPoint::kXdpIngress);
-  EXPECT_EQ(xdp.failed, 1u);
-  EXPECT_EQ(xdp.verdict, 1u) << "fail-closed packet family: XDP_DROP";
-  HookFireReport sys = Fire(HookPoint::kSyscallEnter);
-  EXPECT_EQ(sys.failed, 1u);
-  EXPECT_FALSE(sys.denied) << "fail-open syscall family: allow";
-
-  // Swap the polarity per family; the other family must not move.
-  fallback[static_cast<xbase::usize>(HookPoint::kXdpIngress)] =
-      HookFallback{FallbackAction::kFailOpen, 0};
-  fallback[static_cast<xbase::usize>(HookPoint::kSyscallEnter)] =
-      HookFallback{FallbackAction::kFailClosed, 13};
-  xdp = Fire(HookPoint::kXdpIngress);
-  EXPECT_EQ(xdp.verdict, 2u) << "fail-open packet family: XDP_PASS";
-  sys = Fire(HookPoint::kSyscallEnter);
-  EXPECT_TRUE(sys.denied) << "fail-closed syscall family: deny";
-  EXPECT_EQ(sys.verdict, 13u) << "with the configured errno";
+  for (const HookFamily& family : kHookFamilies) {
+    ASSERT_TRUE(
+        hooks_->AttachExtension(family.hook, LoadToggleExt(&panic_flag_))
+            .ok());
+  }
+  for (int fire = 0; fire < 4; ++fire) {
+    const bool quarantined = fire == 3;
+    HookFireReport xdp = Fire(HookPoint::kXdpIngress);
+    EXPECT_EQ(xdp.skipped, quarantined ? 1u : 0u);
+    EXPECT_EQ(xdp.verdict, 2u) << "packet family fails open: XDP_PASS";
+    HookFireReport sys = Fire(HookPoint::kSyscallEnter);
+    EXPECT_EQ(sys.failed, quarantined ? 0u : 1u);
+    EXPECT_FALSE(sys.denied) << "syscall family fails open: allow";
+    HookFireReport trace = Fire(HookPoint::kSchedSwitch);
+    EXPECT_EQ(trace.verdict, 0u) << "tracing family fails open";
+    EXPECT_FALSE(trace.denied);
+    HookFireReport pick = Fire(HookPoint::kSchedPickNext);
+    EXPECT_EQ(pick.decider, 0u) << "no decider: the default policy picks";
+    EXPECT_EQ(pick.verdict, 0u);
+    HookFireReport lsm = Fire(HookPoint::kLsmFileOpen);
+    EXPECT_EQ(lsm.skipped, quarantined ? 1u : 0u);
+    EXPECT_TRUE(lsm.denied) << "access-control family fails closed";
+    EXPECT_EQ(lsm.verdict, 1u) << "with EPERM";
+  }
 }
 
 TEST(SupervisorUnit, DeadlineMissLadderClosesViaProbation) {

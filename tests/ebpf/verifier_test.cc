@@ -335,6 +335,28 @@ TEST_F(VerifierTest, BranchRefinementAllComparators) {
   }
 }
 
+TEST_F(VerifierTest, SignedBranchesOnExtremeConstants) {
+  // A constant comparand at INT64_MIN/INT64_MAX makes one edge of each
+  // strict signed compare infeasible; refining it must not compute
+  // INT64_MIN - 1 or INT64_MAX + 1.
+  for (const u64 bound : {u64{1} << 63, (u64{1} << 63) - 1}) {
+    for (const u8 op : {BPF_JSGT, BPF_JSGE, BPF_JSLT, BPF_JSLE}) {
+      ProgramBuilder b("extreme_signed", ProgType::kXdp);
+      b.Ins(LdxMem(BPF_W, R6, R1, 0))
+          .Ins(LdImm64(R7, bound))
+          .JmpRegTo(op, R6, R7, "taken")
+          .Ins(Mov64Imm(R0, 1))
+          .Ins(Exit())
+          .Bind("taken")
+          .Ins(Mov64Imm(R0, 2))
+          .Ins(Exit());
+      auto result = VerifyProg(Must(b.Build()));
+      EXPECT_TRUE(result.ok()) << "op " << int{op} << " vs " << bound << ": "
+                               << result.status().ToString();
+    }
+  }
+}
+
 TEST_F(VerifierTest, ImpossibleBranchesArePruned) {
   // if (5 > 7) is never taken; the dead branch contains illegal code that
   // must not be verified.

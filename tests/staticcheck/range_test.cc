@@ -230,6 +230,22 @@ TEST(PrepassRegressionTest, PrepassAcceptsTrivialProgram) {
   EXPECT_TRUE(cell.loader.Load(prog.value(), opts).ok());
 }
 
+TEST(PrepassRegressionTest, PrepassAcceptsInt64MinConstant) {
+  // The zone domain must not negate INT64_MIN when it tracks the constant.
+  Cell cell;
+  ebpf::ProgramBuilder b("range_test_int64_min", ebpf::ProgType::kKprobe);
+  b.Ins(ebpf::LdImm64(ebpf::R1, u64{1} << 63))
+      .Ins(ebpf::Mov64Reg(ebpf::R2, ebpf::R1))
+      .Ins(ebpf::Mov64Imm(ebpf::R0, 0))
+      .Ins(ebpf::Exit());
+  auto prog = b.Build();
+  ASSERT_TRUE(prog.ok());
+  ebpf::LoadOptions opts;
+  opts.staticcheck_prepass = true;
+  auto loaded = cell.loader.Load(prog.value(), opts);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+}
+
 // ---- rangefuzz harness ------------------------------------------------------
 
 TEST(RangeFuzzTest, ShortCleanCampaignFindsNothing) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "src/ebpf/insn.h"
@@ -364,6 +365,24 @@ TEST(ZonePropertyTest, DefaultIsTop) {
   z.Close();
   EXPECT_FALSE(z.bot);
   EXPECT_TRUE(z.IsTop());
+}
+
+TEST(ZonePropertyTest, AssignConstBeyondSafeRangeOnlyForgets) {
+  // Like SeedRange, a constant outside +-kZoneSafe records nothing:
+  // INT64_MIN has no negation, so pinning v >= c would overflow.
+  for (const s64 c : {std::numeric_limits<s64>::min(),
+                      std::numeric_limits<s64>::max(), kZoneSafe + 1}) {
+    Zone z;
+    z.AddUpper(0, 1, 3);
+    z.AssignConst(0, c);
+    z.Close();
+    EXPECT_FALSE(z.bot);
+    EXPECT_TRUE(z.IsTop()) << "c = " << c;
+  }
+  Zone pinned;
+  pinned.AssignConst(0, -kZoneSafe);
+  EXPECT_EQ(pinned.Upper(0), -kZoneSafe);
+  EXPECT_EQ(pinned.Lower(0), -kZoneSafe);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit tests for the foundation library: Status/Result plumbing, the
-// deterministic PRNG, byte encoding and formatting.
+// deterministic PRNG, byte encoding, formatting and id allocation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "src/xbase/bytes.h"
+#include "src/xbase/ids.h"
 #include "src/xbase/log.h"
 #include "src/xbase/rand.h"
 #include "src/xbase/status.h"
@@ -159,6 +161,37 @@ TEST(LogTest, LevelFiltering) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   XB_DEBUG << "should be dropped silently";
   SetLogLevel(LogLevel::kWarn);
+}
+
+TEST(IdAllocatorTest, SkipsZeroAndLiveIdsAcrossTheWrap) {
+  IdAllocator ids;
+  std::set<u32> live;
+  const auto allocate = [&]() {
+    // 0 is never a valid id, so it stands in for "none" here.
+    const u32 id = ids.Allocate(live.size(), [&](u32 candidate) {
+                        return live.contains(candidate);
+                      }).value_or(0);
+    EXPECT_NE(id, 0u);
+    EXPECT_TRUE(live.insert(id).second) << "id " << id << " handed out twice";
+    return id;
+  };
+  EXPECT_EQ(allocate(), 1u);
+  EXPECT_EQ(allocate(), 2u);
+  ids.set_next(0xFFFFFFFE);
+  EXPECT_EQ(allocate(), 0xFFFFFFFEu);
+  EXPECT_EQ(allocate(), 0xFFFFFFFFu);
+  // Wrapped: 0 is reserved and 1, 2 are still live.
+  EXPECT_EQ(allocate(), 3u);
+  live.erase(1);
+  ids.set_next(0);
+  EXPECT_EQ(allocate(), 1u) << "a freed id is reusable after the wrap";
+}
+
+TEST(IdAllocatorTest, ReportsAFullSpace) {
+  IdAllocator ids;
+  EXPECT_FALSE(ids.Allocate(std::numeric_limits<u32>::max() - 1,
+                            [](u32) { return false; })
+                   .has_value());
 }
 
 }  // namespace
