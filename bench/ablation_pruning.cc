@@ -2,7 +2,7 @@
 // calls this out.) With pruning disabled, every join point re-explores —
 // the cost curve is the upper bound the kernel would pay without the
 // pruning machinery the paper counts inside the verifier's growing LoC.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/verifier.h"
 
@@ -35,10 +35,10 @@ Measurement Measure(safex::System& rig, const ebpf::Program& prog,
 
 int main() {
   safex::System rig;
-  benchutil::Title("Ablation: states_equal pruning");
+  harness::Title("Ablation: states_equal pruning");
   std::printf("%-28s | %14s %10s | %14s %10s\n", "program",
               "insns (pruned)", "hits", "insns (no prune)", "verdict");
-  benchutil::Rule(92);
+  harness::Rule(92);
 
   struct Case {
     std::string name;
@@ -85,10 +85,10 @@ int main() {
                 static_cast<unsigned long long>(without.insns),
                 without.accepted ? "accept" : "REJECT(budget)");
   }
-  benchutil::Rule(92);
-  benchutil::Note("pruning turns exponential re-exploration into linear "
-                  "work; it is also ~where the kernel verifier's memory "
-                  "and bug surface live (Table 1's verifier memory leaks "
-                  "are in exactly this bookkeeping)");
+  harness::Rule(92);
+  harness::Note("pruning turns exponential re-exploration into linear "
+                "work; it is also ~where the kernel verifier's memory "
+                "and bug surface live (Table 1's verifier memory leaks "
+                "are in exactly this bookkeeping)");
   return 0;
 }

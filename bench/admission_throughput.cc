@@ -11,17 +11,14 @@
 // cost profile of the old synchronous Loader::Load path, where every
 // duplicate re-paid verification (the paper's B-VER tax, N times over).
 //
-// Default: human-readable table. `--json PATH` writes the
-// BENCH_admission.json CI artifact instead.
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+// Every cell is one case: 3 trials of one batch after one warm-up batch,
+// each on a fresh rig + service; wall time is the case's min. `--json PATH`
+// also writes the BENCH_admission.json artifact.
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/service/admission.h"
 
@@ -32,20 +29,7 @@ using xbase::usize;
 
 constexpr usize kMixedPrograms = 96;
 constexpr usize kDuplicatePrograms = 192;
-constexpr int kReps = 3;  // fresh rig + service per rep; best-of wall time
-
-struct Cell {
-  std::string corpus;
-  usize workers = 0;
-  bool cache = true;
-  double wall_ms = 0.0;
-  double programs_per_sec = 0.0;
-  u64 admitted = 0;
-  u64 cache_hits = 0;
-  u64 coalesced_waits = 0;
-  u64 verify_runs = 0;
-  u64 queue_depth_peak = 0;
-};
+constexpr int kTrials = 3;
 
 // Distinct verifier-heavy programs: counted loops with distinct trip
 // counts, so verification cost is real (the verifier walks every
@@ -77,100 +61,66 @@ std::vector<ebpf::Program> BuildDuplicateCorpus() {
   return corpus;
 }
 
-Cell Measure(const std::string& corpus_name,
-             const std::vector<ebpf::Program>& corpus, usize workers,
-             bool cache) {
-  Cell cell;
-  cell.corpus = corpus_name;
-  cell.workers = workers;
-  cell.cache = cache;
-  cell.wall_ms = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    safex::System rig;
-    service::AdmissionConfig config;
-    config.workers = workers;
-    config.cache_enabled = cache;
-    service::AdmissionService svc(config, rig.bpf, rig.loader);
+// One rig + service per batch, built before the clock starts.
+struct Rep {
+  explicit Rep(const service::AdmissionConfig& config)
+      : svc(config, rig.bpf, rig.loader) {}
+  safex::System rig;
+  service::AdmissionService svc;
+  u64 admitted = 0;
+};
 
-    const auto start = std::chrono::steady_clock::now();
-    const auto results = svc.LoadBatch(corpus);
-    const auto end = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-
-    u64 admitted = 0;
-    for (const auto& result : results) {
-      admitted += result.ok() ? 1 : 0;
-    }
-    if (admitted != corpus.size()) {
-      std::fprintf(stderr,
-                   "admission_throughput: %s/%zuw: only %llu of %zu "
-                   "admitted\n",
-                   corpus_name.c_str(), workers,
-                   static_cast<unsigned long long>(admitted), corpus.size());
-      std::exit(1);
-    }
-    if (wall_ms < cell.wall_ms) {
-      cell.wall_ms = wall_ms;
-      const service::AdmissionMetrics m = svc.Metrics();
-      cell.admitted = admitted;
-      cell.cache_hits = m.cache.hits;
-      cell.coalesced_waits = m.cache.coalesced_waits;
-      cell.verify_runs = m.verify_runs;
-      cell.queue_depth_peak = m.queue_depth_peak;
-    }
-    svc.Shutdown();
+// Times LoadBatch over `corpus`; returns programs/sec at the min wall time.
+double Measure(harness::Bench& bench, const char* corpus_name,
+               const std::vector<ebpf::Program>& corpus, usize workers,
+               bool cache) {
+  service::AdmissionConfig config;
+  config.workers = workers;
+  config.cache_enabled = cache;
+  std::vector<std::unique_ptr<Rep>> reps;  // one per call, warm-up included
+  for (int i = 0; i <= kTrials; ++i) {
+    reps.push_back(std::make_unique<Rep>(config));
   }
-  cell.programs_per_sec =
-      static_cast<double>(corpus.size()) / (cell.wall_ms / 1000.0);
-  return cell;
-}
-
-void PrintTable(const std::vector<Cell>& cells) {
-  benchutil::Title("ADMIT — admission pipeline throughput");
-  std::printf("  host CPUs: %u (worker scaling is bounded by this)\n",
-              std::thread::hardware_concurrency());
-  std::printf("  %-10s %7s %6s %10s %12s %8s %8s %9s\n", "corpus",
-              "workers", "cache", "wall ms", "progs/sec", "hits",
-              "verify", "peak q");
-  benchutil::Rule();
-  for (const Cell& cell : cells) {
-    std::printf("  %-10s %7zu %6s %10.2f %12.0f %8llu %8llu %9llu\n",
-                cell.corpus.c_str(), cell.workers,
-                cell.cache ? "on" : "off", cell.wall_ms,
-                cell.programs_per_sec,
-                static_cast<unsigned long long>(cell.cache_hits),
-                static_cast<unsigned long long>(cell.verify_runs),
-                static_cast<unsigned long long>(cell.queue_depth_peak));
-  }
-}
-
-const Cell& FindCell(const std::vector<Cell>& cells, const char* corpus,
-                     usize workers, bool cache) {
-  for (const Cell& cell : cells) {
-    if (cell.corpus == corpus && cell.workers == workers &&
-        cell.cache == cache) {
-      return cell;
-    }
-  }
-  std::fprintf(stderr, "admission_throughput: missing cell %s/%zu\n", corpus,
-               workers);
-  std::exit(1);
+  usize next = 0;
+  const harness::Stats stats = bench.Time(
+      xbase::StrFormat("%s/%zuw/cache-%s", corpus_name, workers,
+                       cache ? "on" : "off"),
+      kTrials, 1,
+      [&] {
+        Rep& rep = *reps[next++];
+        for (const auto& result : rep.svc.LoadBatch(corpus)) {
+          rep.admitted += result.ok() ? 1 : 0;
+        }
+      },
+      [&](harness::Fields& counters, u64) {
+        for (const auto& rep : reps) {
+          if (rep->admitted != corpus.size()) {
+            return xbase::Internal(xbase::StrFormat(
+                "only %llu of %zu admitted",
+                static_cast<unsigned long long>(rep->admitted),
+                corpus.size()));
+          }
+        }
+        const service::AdmissionMetrics m = reps.back()->svc.Metrics();
+        counters.emplace_back("cache_hits", m.cache.hits);
+        counters.emplace_back("coalesced_waits", m.cache.coalesced_waits);
+        counters.emplace_back("verify_runs", m.verify_runs);
+        counters.emplace_back("queue_depth_peak", m.queue_depth_peak);
+        return xbase::Status::Ok();
+      });
+  const double programs_per_sec =
+      static_cast<double>(corpus.size()) / (stats.min_ns / 1e9);
+  bench.Row({{"corpus", corpus_name},
+             {"workers", workers},
+             {"cache", cache},
+             {"programs_per_sec", programs_per_sec}});
+  return programs_per_sec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: admission_throughput [--json PATH]\n");
-      return 2;
-    }
-  }
-
+  harness::Bench bench("admission_throughput", argc, argv);
   const std::vector<ebpf::Program> mixed = BuildMixedCorpus();
   const std::vector<ebpf::Program> duplicate = BuildDuplicateCorpus();
   if (mixed.size() != kMixedPrograms ||
@@ -179,75 +129,34 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<Cell> cells;
+  harness::Title("ADMIT — admission pipeline throughput");
+  std::printf("  %zu distinct mixed programs, %zu duplicates of one; worker "
+              "scaling is bounded by the host's CPUs\n",
+              mixed.size(), duplicate.size());
+  double mixed_pps[9] = {};  // by worker count
+  double duplicate_pps[9] = {};
   for (const usize workers : {1, 2, 4, 8}) {
-    cells.push_back(Measure("mixed", mixed, workers, /*cache=*/true));
+    mixed_pps[workers] = Measure(bench, "mixed", mixed, workers, true);
   }
   for (const usize workers : {1, 2, 4, 8}) {
-    cells.push_back(Measure("duplicate", duplicate, workers, /*cache=*/true));
+    duplicate_pps[workers] =
+        Measure(bench, "duplicate", duplicate, workers, true);
   }
   // The pre-pipeline cost profile: sequential, every duplicate re-verified.
-  cells.push_back(Measure("duplicate", duplicate, 1, /*cache=*/false));
+  const double uncached_pps =
+      Measure(bench, "duplicate", duplicate, 1, /*cache=*/false);
 
-  const double speedup_mixed =
-      FindCell(cells, "mixed", 4, true).programs_per_sec /
-      FindCell(cells, "mixed", 1, true).programs_per_sec;
-  const double speedup_duplicate =
-      FindCell(cells, "duplicate", 4, true).programs_per_sec /
-      FindCell(cells, "duplicate", 1, false).programs_per_sec;
-
-  if (json_path != nullptr) {
-    FILE* out = std::fopen(json_path, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "admission_throughput: cannot write %s\n",
-                   json_path);
-      return 2;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"admission_throughput\",\n");
-    // Worker scaling is bounded by the host: on a 1-CPU runner the mixed
-    // corpus cannot speed up no matter how many workers exist.
-    std::fprintf(out, "  \"host_cpus\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(out,
-                 "  \"corpus\": {\"mixed\": {\"programs\": %zu, "
-                 "\"distinct\": %zu}, \"duplicate\": {\"programs\": %zu, "
-                 "\"distinct\": 1}},\n",
-                 mixed.size(), mixed.size(), duplicate.size());
-    std::fprintf(out, "  \"grid\": [\n");
-    for (usize i = 0; i < cells.size(); ++i) {
-      const Cell& cell = cells[i];
-      std::fprintf(
-          out,
-          "    {\"corpus\": \"%s\", \"workers\": %zu, \"cache\": %s, "
-          "\"wall_ms\": %.3f, \"programs_per_sec\": %.0f, "
-          "\"cache_hits\": %llu, \"coalesced_waits\": %llu, "
-          "\"verify_runs\": %llu, \"queue_depth_peak\": %llu}%s\n",
-          cell.corpus.c_str(), cell.workers, cell.cache ? "true" : "false",
-          cell.wall_ms, cell.programs_per_sec,
-          static_cast<unsigned long long>(cell.cache_hits),
-          static_cast<unsigned long long>(cell.coalesced_waits),
-          static_cast<unsigned long long>(cell.verify_runs),
-          static_cast<unsigned long long>(cell.queue_depth_peak),
-          i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"speedup\": {\n");
-    std::fprintf(out, "    \"mixed_4w_over_1w\": %.2f,\n", speedup_mixed);
-    std::fprintf(out,
-                 "    \"duplicate_cached_4w_over_uncached_1w\": %.2f\n",
-                 speedup_duplicate);
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("admission_throughput: wrote %s\n", json_path);
-  } else {
-    PrintTable(cells);
-    benchutil::Rule();
-    std::printf("  mixed corpus, 4 workers over 1:            %.2fx\n",
-                speedup_mixed);
-    std::printf("  duplicate corpus, cached 4w over uncached: %.2fx\n",
-                speedup_duplicate);
-    benchutil::Note(
-        "duplicate baseline (1 worker, cache off) is the old synchronous "
-        "load path: every duplicate re-pays the B-VER verification tax");
-  }
-  return 0;
+  const double speedup_mixed = mixed_pps[4] / mixed_pps[1];
+  const double speedup_duplicate = duplicate_pps[4] / uncached_pps;
+  bench.Row({{"mixed_4w_over_1w", speedup_mixed},
+             {"duplicate_cached_4w_over_uncached_1w", speedup_duplicate}});
+  harness::Rule();
+  std::printf("  mixed corpus, 4 workers over 1:            %.2fx\n",
+              speedup_mixed);
+  std::printf("  duplicate corpus, cached 4w over uncached: %.2fx\n",
+              speedup_duplicate);
+  harness::Note(
+      "duplicate baseline (1 worker, cache off) is the old synchronous "
+      "load path: every duplicate re-pays the B-VER verification tax");
+  return bench.Finish();
 }

@@ -7,11 +7,11 @@
 // analysis alone (either one!) cannot carry the safety case.
 #include <cstdio>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/diffcheck.h"
 
 int main() {
-  benchutil::Title(
+  harness::Title(
       "Differential oracle: broken verifier vs independent staticcheck");
   auto report = analysis::RunDiffCheck();
   if (!report.ok()) {
@@ -23,10 +23,10 @@ int main() {
       analysis::FormatDiffTable(report.value(), /*machine_readable=*/true)
           .c_str(),
       stdout);
-  benchutil::Note(
+  harness::Note(
       "cleanV/buggyV: verifier verdict without/with the defect injected; "
       "caught: staticcheck reports an error-severity finding");
-  benchutil::Note(
+  harness::Note(
       "helper-internal defects are below every bytecode analysis; only "
       "the program-visible rows can ever be caught");
   return 0;

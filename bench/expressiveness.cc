@@ -5,7 +5,7 @@
 // for shape/size reasons and its limits moved over the years, (b) entire
 // helper classes (bpf_loop, bpf_strtol, bpf_strncmp) exist only to paper
 // over missing expressiveness and disappear under a real language.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/verifier.h"
 
@@ -33,13 +33,13 @@ std::string VerdictAt(safex::System& rig, const ebpf::Program& prog,
 
 int main() {
   safex::System rig;
-  const int fd = benchutil::MustCreateArrayMap(rig, "m", 8, 4);
+  const int fd = harness::MustCreateArrayMap(rig, "m", 8, 4);
 
-  benchutil::Title("Expressiveness: verifier verdicts across versions vs "
-                   "safex");
+  harness::Title("Expressiveness: verifier verdicts across versions vs "
+                 "safex");
   std::printf("%-34s %-10s %-10s %-10s %s\n", "program", "v4.20", "v5.4",
               "v5.18", "safex");
-  benchutil::Rule(110);
+  harness::Rule(110);
 
   struct Row {
     std::string name;
@@ -85,11 +85,11 @@ int main() {
                 VerdictAt(rig, row.prog.value(), simkern::kV5_18).c_str(),
                 row.safex_verdict.c_str());
   }
-  benchutil::Rule(110);
+  harness::Rule(110);
 
-  benchutil::Title("§3.2: helpers retired by language expressiveness");
+  harness::Title("§3.2: helpers retired by language expressiveness");
   std::printf("%-18s %-30s %s\n", "helper", "eBPF", "safex replacement");
-  benchutil::Rule(96);
+  harness::Rule(96);
   std::printf("%-18s %-30s %s\n", "bpf_loop",
               "helper call + verified callback",
               "native `for` loop (helper deleted outright)");
@@ -105,7 +105,7 @@ int main() {
   std::printf("%-18s %-30s %s\n", "bpf_sys_bpf",
               "opaque attr union (crash, §2.2)",
               "typed wrapper over the same unsafe kernel code");
-  benchutil::Rule(96);
+  harness::Rule(96);
   std::printf("\npreliminary study cited by the paper [33]: 16 of 249 "
               "helpers retire outright; this repo retires 3 of its 78 and "
               "hardens 2 more (same ~1:3 scale).\n");

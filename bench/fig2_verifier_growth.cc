@@ -4,14 +4,14 @@
 // (or documents as accounting-only), tagged with the Linux-attributed LoC
 // of the era that introduced it. The claim under test is the *shape*:
 // monotone, roughly 6x growth from v3.18 (~2.4 kLoC) to v6.1 (~12 kLoC).
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/growth.h"
 
 int main() {
-  benchutil::Title("Figure 2: eBPF verifier growth by kernel version");
+  harness::Title("Figure 2: eBPF verifier growth by kernel version");
   std::printf("%-8s %-6s %14s %16s\n", "version", "year",
               "verifier LoC", "active passes");
-  benchutil::Rule(50);
+  harness::Rule(50);
 
   const auto loc_series = analysis::VerifierLocSeries();
   const auto feature_series = analysis::VerifierFeatureSeries();
@@ -22,18 +22,18 @@ int main() {
                 static_cast<unsigned long long>(loc_series[i].value),
                 static_cast<unsigned long long>(feature_series[i].value));
   }
-  benchutil::Rule(50);
+  harness::Rule(50);
 
   std::printf("\nPer-feature attribution (what each pass added):\n");
   std::printf("%-8s %-16s %8s  %s\n", "since", "pass", "LoC",
               "behavioural in this repo?");
-  benchutil::Rule();
+  harness::Rule();
   for (const ebpf::VFeatureInfo& info : ebpf::VerifierFeatureTable()) {
     std::printf("%-8s %-16s %8u  %s\n", info.introduced.ToString().c_str(),
                 info.name.c_str(), info.linux_loc,
                 info.behavioural ? "yes" : "accounting only");
   }
-  benchutil::Rule();
+  harness::Rule();
 
   const auto first = loc_series.front();
   const auto last = loc_series.back();

@@ -4,12 +4,12 @@
 // like the paper). The claims under test: helpers span four orders of
 // magnitude of complexity; a majority call 30+ kernel functions; roughly a
 // third call 500+; bpf_sys_bpf is the extreme outlier (paper: 4845 nodes).
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/callgraph.h"
 
 int main() {
   safex::System rig;
-  benchutil::Title("Figure 3: call-graph complexity of each eBPF helper");
+  harness::Title("Figure 3: call-graph complexity of each eBPF helper");
 
   const analysis::ComplexitySummary summary =
       analysis::AnalyzeHelperComplexity(rig.bpf.helpers(), rig.kernel);
@@ -20,7 +20,7 @@ int main() {
 
   std::printf("Top 10 by unique call-graph nodes:\n");
   std::printf("  %-28s %10s\n", "helper", "nodes");
-  benchutil::Rule(42);
+  harness::Rule(42);
   for (size_t i = 0; i < summary.helpers.size() && i < 10; ++i) {
     std::printf("  %-28s %10zu\n", summary.helpers[i].name.c_str(),
                 summary.helpers[i].reachable_nodes);

@@ -3,21 +3,21 @@
 // introduction version. The claim under test: steady growth (paper: ~50
 // helpers per two years in Linux; this registry is a ~1:3 scale model whose
 // *rate* should scale accordingly) with no sign of flattening.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/growth.h"
 
 int main() {
   safex::System rig;
-  benchutil::Title("Figure 4: number of helper functions by version/year");
+  harness::Title("Figure 4: number of helper functions by version/year");
 
   const auto series = analysis::HelperCountSeries(rig.bpf.helpers());
   std::printf("%-8s %-6s %10s\n", "version", "year", "#helpers");
-  benchutil::Rule(28);
+  harness::Rule(28);
   for (const analysis::GrowthPoint& point : series) {
     std::printf("%-8s %-6d %10llu\n", point.version.ToString().c_str(),
                 point.year, static_cast<unsigned long long>(point.value));
   }
-  benchutil::Rule(28);
+  harness::Rule(28);
 
   const double rate = analysis::HelpersPerTwoYears(series);
   std::printf("\ngrowth rate: %.1f helpers per two years "

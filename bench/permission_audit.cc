@@ -9,96 +9,25 @@
 // is stated once and machine-checked, versus the manual audit the kernel
 // relies on.
 //
-// Default: human-readable table. With `--json PATH` it also writes the
-// BENCH_perm.json CI artifact and exits nonzero if the census gate fails.
-#include <chrono>
-#include <cstring>
+// The census is the bench's one timed case (5 trials of one census after
+// one warm-up census); its counts and the fault matrix are the rows. Exits
+// nonzero if the census gate fails; `--json PATH` also writes the
+// BENCH_perm.json artifact.
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/permaudit.h"
 #include "src/ebpf/fault.h"
 #include "src/xbase/strfmt.h"
 
 namespace {
 
-struct CensusRun {
-  analysis::PermCensusReport report;
-  double wall_ms = 0;
-};
-
-CensusRun TimeCensus(ebpf::Bpf& bpf) {
-  CensusRun run;
-  const auto start = std::chrono::steady_clock::now();
-  run.report = analysis::RunPermCensus(bpf);
-  const auto end = std::chrono::steady_clock::now();
-  run.wall_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  return run;
-}
-
-bool GatePassed(const CensusRun& clean,
-                const std::vector<analysis::PermFaultCheck>& checks) {
-  if (!clean.report.clean() || clean.report.stats.cells == 0) {
-    return false;
-  }
-  for (const analysis::PermFaultCheck& check : checks) {
-    if (!check.passed) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int WriteJson(const char* path, const CensusRun& clean,
-              const std::vector<analysis::PermFaultCheck>& checks) {
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "permission_audit: cannot write %s\n", path);
-    return 1;
-  }
-  const analysis::PermCensusStats& stats = clean.report.stats;
-  std::fprintf(out,
-               "{\n  \"census\": {\"helpers\": %zu, \"prog_types\": %zu, "
-               "\"cells\": %zu,\n    \"verifier_probes\": %zu, "
-               "\"runtime_probes\": %zu, \"loader_probes\": %zu,\n    "
-               "\"expected_allows\": %zu, \"expected_version_denials\": "
-               "%zu,\n    \"expected_family_denials\": %zu, "
-               "\"expected_privilege_denials\": %zu,\n    \"gaps\": %zu, "
-               "\"overblocks\": %zu, \"wall_ms\": %.2f},\n",
-               stats.helpers, stats.prog_types, stats.cells,
-               stats.verifier_probes, stats.runtime_probes,
-               stats.loader_probes, stats.expected_allows,
-               stats.expected_version_denials,
-               stats.expected_family_denials,
-               stats.expected_privilege_denials, clean.report.gaps.size(),
-               clean.report.overblocks.size(), clean.wall_ms);
-  std::fprintf(out, "  \"fault_matrix\": [\n");
-  for (xbase::usize i = 0; i < checks.size(); ++i) {
-    std::fprintf(out, "    {\"name\": \"%s\", \"passed\": %s}%s\n",
-                 checks[i].name.c_str(),
-                 checks[i].passed ? "true" : "false",
-                 i + 1 < checks.size() ? "," : "");
-  }
-  const bool passed = GatePassed(clean, checks);
-  std::fprintf(out, "  ],\n  \"gate_passed\": %s\n}\n",
-               passed ? "true" : "false");
-  std::fclose(out);
-  std::printf("permission_audit: wrote %s (gate %s)\n", path,
-              passed ? "passed" : "FAILED");
-  return passed ? 0 : 1;
-}
+constexpr int kTrials = 5;
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
-  }
-
+  harness::Bench bench("permission_audit", argc, argv);
   simkern::KernelConfig config;
   config.version = simkern::kV6_12;
   // Expose the per-type privilege gate to the loader probes instead of
@@ -106,10 +35,17 @@ int main(int argc, char** argv) {
   config.unprivileged_bpf_disabled = false;
   safex::System rig(config);
 
-  benchutil::Title(
+  harness::Title(
       "Access-control census: contract vs verifier / dispatch / loader");
-  const CensusRun clean = TimeCensus(rig.bpf);
-  const analysis::PermCensusStats& stats = clean.report.stats;
+  analysis::PermCensusReport clean;
+  const harness::Stats census = bench.Time(
+      "census", kTrials, 1, [&] { clean = analysis::RunPermCensus(rig.bpf); },
+      [&](harness::Fields&, xbase::u64) {
+        return clean.stats.cells != 0
+                   ? xbase::Status::Ok()
+                   : xbase::Internal("the census covered no cells");
+      });
+  const analysis::PermCensusStats& stats = clean.stats;
   std::printf("  helpers x prog types      %zu x %zu\n", stats.helpers,
               stats.prog_types);
   std::printf("  admission cells           %zu\n", stats.cells);
@@ -124,29 +60,41 @@ int main(int argc, char** argv) {
               stats.expected_privilege_denials);
   std::printf("  clean census              %zu gaps, %zu overblocks in "
               "%.1f ms\n",
-              clean.report.gaps.size(), clean.report.overblocks.size(),
-              clean.wall_ms);
+              clean.gaps.size(), clean.overblocks.size(),
+              census.min_ns / 1e6);
+  bench.Row({{"helpers", stats.helpers},
+             {"prog_types", stats.prog_types},
+             {"cells", stats.cells},
+             {"verifier_probes", stats.verifier_probes},
+             {"runtime_probes", stats.runtime_probes},
+             {"loader_probes", stats.loader_probes},
+             {"expected_allows", stats.expected_allows},
+             {"expected_version_denials", stats.expected_version_denials},
+             {"expected_family_denials", stats.expected_family_denials},
+             {"expected_privilege_denials", stats.expected_privilege_denials},
+             {"gaps", clean.gaps.size()},
+             {"overblocks", clean.overblocks.size()}});
 
-  benchutil::Title("Missing-permission-check fault matrix");
+  harness::Title("Missing-permission-check fault matrix");
   const std::vector<analysis::PermFaultCheck> checks =
       analysis::RunPermFaultChecks();
+  xbase::usize missed = 0;
   for (const analysis::PermFaultCheck& check : checks) {
     std::printf("  %-38s %-9s %s\n", check.name.c_str(),
                 check.passed ? "detected" : "FAIL", check.detail.c_str());
+    bench.Row({{"fault", check.name}, {"passed", check.passed}});
+    missed += check.passed ? 0 : 1;
   }
-  benchutil::Rule();
-  benchutil::Note("a gap = an enforcement layer more permissive than the "
-                  "declared helper contract; the census must find zero on "
-                  "clean builds and attribute every injected defect to "
-                  "its layer");
+  harness::Rule();
+  harness::Note("a gap = an enforcement layer more permissive than the "
+                "declared helper contract; the census must find zero on "
+                "clean builds and attribute every injected defect to "
+                "its layer");
 
-  if (json_path != nullptr) {
-    return WriteJson(json_path, clean, checks);
-  }
-  if (!GatePassed(clean, checks)) {
-    std::fprintf(stderr,
-                 "permission_audit: FAIL — census gate did not hold\n");
-    return 1;
-  }
-  return 0;
+  const xbase::usize findings = clean.gaps.size() + clean.overblocks.size();
+  bench.Gate("clean_census", "gaps + overblocks",
+             static_cast<double>(findings), 0, clean.clean());
+  bench.Gate("fault_matrix", "checks failed", static_cast<double>(missed), 0,
+             missed == 0);
+  return bench.Finish();
 }

@@ -8,15 +8,14 @@
 //   fuzz    one seeded rangefuzz campaign: claim checks against concrete
 //           execution, compared points, disjoint count, wall time.
 //
-// Default: human-readable table. `--json PATH` writes the BENCH_range.json
-// CI artifact instead.
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+// The corpus comparison is the bench's rows; the campaign is its one timed
+// case (one trial after one warm-up run; seeded, so both runs agree), and
+// any finding fails it. `--json PATH` also writes the BENCH_range.json
+// artifact.
 #include <string>
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/diffcheck.h"
 #include "src/analysis/rangefuzz.h"
 #include "src/analysis/workloads.h"
@@ -37,7 +36,7 @@ struct CorpusRow {
 
 std::vector<CorpusRow> RunCorpus(System& rig) {
   std::vector<std::pair<std::string, ebpf::Program>> corpus;
-  const int counter_fd = benchutil::MustCreateArrayMap(rig, "cnt", 8, 4);
+  const int counter_fd = harness::MustCreateArrayMap(rig, "cnt", 8, 4);
   const auto add = [&](const char* name,
                        xbase::Result<ebpf::Program> prog) {
     if (prog.ok()) {
@@ -79,104 +78,56 @@ std::vector<CorpusRow> RunCorpus(System& rig) {
   return rows;
 }
 
-int Run(const char* json_path) {
+}  // namespace
+
+int main(int argc, char** argv) {
+  harness::Bench bench("range_precision", argc, argv);
   System rig;
   const std::vector<CorpusRow> corpus = RunCorpus(rig);
 
-  analysis::RangeFuzzOptions fopts;
-  fopts.seed = 1;
-  fopts.programs = 200;
-  fopts.execs = 32;
-  const auto start = std::chrono::steady_clock::now();
-  auto fuzz = analysis::RunRangeFuzz(fopts);
-  const auto end = std::chrono::steady_clock::now();
-  const double fuzz_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  if (!fuzz.ok()) {
-    std::fprintf(stderr, "range_precision: fuzz failed: %s\n",
-                 fuzz.status().ToString().c_str());
-    return 2;
-  }
-  const analysis::RangeFuzzStats& fs = fuzz.value().stats;
-
-  if (json_path != nullptr) {
-    FILE* out = std::fopen(json_path, "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "range_precision: cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(out, "{\n  \"bench\": \"range_precision\",\n");
-    std::fprintf(out, "  \"corpus\": [\n");
-    for (xbase::usize i = 0; i < corpus.size(); ++i) {
-      const CorpusRow& row = corpus[i];
-      std::fprintf(out,
-                   "    {\"name\": \"%s\", \"insns\": %u, "
-                   "\"verifier_accepts\": %s, \"points\": %llu, "
-                   "\"disjoint\": %llu, \"mean_width_ratio\": %.6f}%s\n",
-                   row.name.c_str(), row.insns,
-                   row.verifier_accepts ? "true" : "false",
-                   static_cast<unsigned long long>(row.cmp.points),
-                   static_cast<unsigned long long>(row.cmp.disjoint),
-                   row.cmp.MeanWidthRatio(),
-                   i + 1 < corpus.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"fuzz\": {\n");
-    std::fprintf(out, "    \"seed\": %llu,\n    \"programs\": %u,\n",
-                 static_cast<unsigned long long>(fopts.seed), fs.programs);
-    std::fprintf(out, "    \"executions\": %llu,\n",
-                 static_cast<unsigned long long>(fs.executions));
-    std::fprintf(out, "    \"claim_checks\": %llu,\n",
-                 static_cast<unsigned long long>(fs.points_checked));
-    std::fprintf(out, "    \"points_compared\": %llu,\n",
-                 static_cast<unsigned long long>(fs.points_compared));
-    std::fprintf(out, "    \"disjoint_points\": %llu,\n",
-                 static_cast<unsigned long long>(fs.disjoint_points));
-    std::fprintf(out, "    \"findings\": %zu,\n",
-                 fuzz.value().findings.size());
-    std::fprintf(out, "    \"mean_width_ratio\": %.6f,\n",
-                 fs.MeanWidthRatio());
-    std::fprintf(out, "    \"wall_ms\": %.1f\n  }\n}\n", fuzz_ms);
-    std::fclose(out);
-    std::printf("range_precision: wrote %s\n", json_path);
-    return 0;
-  }
-
-  benchutil::Title("RANGE-PRECISION: staticcheck vs verifier intervals");
+  harness::Title("RANGE-PRECISION: staticcheck vs verifier intervals");
   std::printf("%-18s %6s %8s %8s %9s %12s\n", "program", "insns", "accept",
               "points", "disjoint", "width-ratio");
-  benchutil::Rule();
+  harness::Rule();
   for (const CorpusRow& row : corpus) {
     std::printf("%-18s %6u %8s %8llu %9llu %12.3f\n", row.name.c_str(),
                 row.insns, row.verifier_accepts ? "yes" : "no",
                 static_cast<unsigned long long>(row.cmp.points),
                 static_cast<unsigned long long>(row.cmp.disjoint),
                 row.cmp.MeanWidthRatio());
+    bench.Row({{"name", row.name},
+               {"insns", row.insns},
+               {"verifier_accepts", row.verifier_accepts},
+               {"points", row.cmp.points},
+               {"disjoint", row.cmp.disjoint},
+               {"mean_width_ratio", row.cmp.MeanWidthRatio()}});
   }
-  benchutil::Rule();
-  std::printf(
-      "fuzz seed %llu: %u programs, %llu executions, %llu claim checks,\n"
-      "  %llu points compared, %llu disjoint, %zu findings, mean width "
-      "ratio %.3f, %.1f ms\n",
-      static_cast<unsigned long long>(fopts.seed), fs.programs,
-      static_cast<unsigned long long>(fs.executions),
-      static_cast<unsigned long long>(fs.points_checked),
-      static_cast<unsigned long long>(fs.points_compared),
-      static_cast<unsigned long long>(fs.disjoint_points),
-      fuzz.value().findings.size(), fs.MeanWidthRatio(), fuzz_ms);
-  benchutil::Note(
+  harness::Rule();
+
+  analysis::RangeFuzzOptions fopts;
+  fopts.seed = 1;
+  fopts.programs = 200;
+  fopts.execs = 32;
+  xbase::Result<analysis::RangeFuzzReport> fuzz =
+      xbase::Internal("not run");
+  bench.Time(
+      "fuzz/seed-1", 1, 1, [&] { fuzz = analysis::RunRangeFuzz(fopts); },
+      [&](harness::Fields& counters, xbase::u64) {
+        XB_RETURN_IF_ERROR(fuzz.status());
+        const analysis::RangeFuzzStats& fs = fuzz.value().stats;
+        counters.emplace_back("programs", fs.programs);
+        counters.emplace_back("executions", fs.executions);
+        counters.emplace_back("claim_checks", fs.points_checked);
+        counters.emplace_back("points_compared", fs.points_compared);
+        counters.emplace_back("disjoint_points", fs.disjoint_points);
+        counters.emplace_back("findings", fuzz.value().findings.size());
+        counters.emplace_back("mean_width_ratio", fs.MeanWidthRatio());
+        return fuzz.value().findings.empty()
+                   ? xbase::Status::Ok()
+                   : xbase::Internal("the campaign has findings");
+      });
+  harness::Note(
       "width-ratio 1.0 = path-insensitive intervals as tight as the "
       "verifier's; disjoint > 0 would mean one analysis is provably wrong");
-  return fuzz.value().findings.empty() ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
-  }
-  return Run(json_path);
+  return bench.Finish();
 }

@@ -10,7 +10,7 @@
 //    whose very first run oopses the kernel. Verification said yes; only
 //    supervision keeps the machine up, by containing the oops, attributing
 //    it to the attachment on CPU, and quarantining it.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/xbase/strfmt.h"
 
@@ -124,20 +124,20 @@ void PrintRow(const char* scenario, const Outcome& outcome) {
 }  // namespace
 
 int main() {
-  benchutil::Title(xbase::StrFormat(
+  harness::Title(xbase::StrFormat(
       "Availability under a persistent crasher (%d hook fires)", kFires));
   std::printf("%-34s | %-8s | %7s | %6s | %7s | %s\n", "scenario", "kernel",
               "avail", "ran", "skipped", "crasher health");
-  benchutil::Rule(100);
+  harness::Rule(100);
   PrintRow("safex panicker, unsupervised", RunScenario(false, false));
   PrintRow("safex panicker, supervised", RunScenario(true, false));
   PrintRow("verified eBPF oops, unsupervised", RunScenario(false, true));
   PrintRow("verified eBPF oops, supervised", RunScenario(true, true));
-  benchutil::Rule(100);
-  benchutil::Note("avail = fires where the healthy policy served on a live "
-                  "kernel; ran/skipped count the offender");
-  benchutil::Note("the eBPF offender is verifier-APPROVED (the sys_bpf "
-                  "union-NULL crash needs no injected defect): verification "
-                  "cannot keep the kernel up, supervision can");
+  harness::Rule(100);
+  harness::Note("avail = fires where the healthy policy served on a live "
+                "kernel; ran/skipped count the offender");
+  harness::Note("the eBPF offender is verifier-APPROVED (the sys_bpf "
+                "union-NULL crash needs no injected defect): verification "
+                "cannot keep the kernel up, supervision can");
   return 0;
 }

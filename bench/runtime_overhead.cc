@@ -1,31 +1,31 @@
 // B-RUN — runtime-mechanism overhead ablation (§3.1): what do the watchdog,
 // cleanup registry and protection domain cost per invocation, and how does
 // a safex extension compare against the eBPF equivalent of the same
-// workload (a packet counter) on both execution engines? Host wall-time is
-// what google-benchmark reports; the simulated-time accounting is identical
-// across variants by construction.
-//
-// Default: google-benchmark timing. With `--json PATH` it runs a
-// fixed-iteration measurement pass over the packet-counter variants and
-// writes the BENCH_runtime.json CI artifact.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstring>
-
-#include "bench/benchutil.h"
+// workload (a packet counter) on both execution engines? Every case is
+// host wall time per invocation, 8 trials x 2000 calls after one warm-up
+// call; the simulated-time accounting is identical across variants by
+// construction. `--json PATH` also writes the BENCH_runtime.json artifact.
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 
 namespace {
 
 struct PacketRig : safex::System {
   PacketRig() {
-    map_fd = benchutil::MustCreateArrayMap(*this, "counters", 8, 4);
+    map_fd = harness::MustCreateArrayMap(*this, "counters", 8, 4);
     xbase::u8 payload[64] = {};
     payload[12] = 2;  // "protocol" byte the filter reads
     auto skb_result = kernel.net().CreateSkBuff(kernel.mem(), payload);
-    skb = skb_result.ok() ? skb_result.value() : simkern::SkBuff{};
+    if (!skb_result.ok()) {
+      std::fprintf(stderr, "runtime_overhead: skb: %s\n",
+                   skb_result.status().ToString().c_str());
+      std::exit(1);
+    }
+    skb = skb_result.value();
   }
+
+  // Protocol byte 2 counts in slot 2.
+  xbase::u64 Counted() { return harness::ReadSlot(*this, map_fd, 2).value(); }
 
   int map_fd = -1;
   simkern::SkBuff skb;
@@ -56,65 +56,130 @@ class PacketCounterExt : public safex::Extension {
   int map_fd_;
 };
 
-void RunEbpfPacketCounter(benchmark::State& state, ebpf::ExecEngine engine) {
+constexpr int kTrials = 8;
+constexpr int kIters = 2000;
+constexpr xbase::u64 kXdpPass = 2;
+
+// Every invocation ended OK with `ret`.
+xbase::Status CheckOutcome(xbase::u64 failed, const safex::InvokeOutcome& last,
+                           xbase::u64 ret) {
+  if (failed != 0 || !last.status.ok()) {
+    return xbase::Internal(xbase::StrFormat(
+        "%llu invocations failed (last: %s)",
+        static_cast<unsigned long long>(failed),
+        last.status.ToString().c_str()));
+  }
+  if (last.ret != ret) {
+    return xbase::Internal(xbase::StrFormat(
+        "returned %llu, expected %llu",
+        static_cast<unsigned long long>(last.ret),
+        static_cast<unsigned long long>(ret)));
+  }
+  return xbase::Status::Ok();
+}
+
+xbase::Status CheckCounted(xbase::u64 counted, xbase::u64 calls) {
+  return counted == calls
+             ? xbase::Status::Ok()
+             : xbase::Internal(xbase::StrFormat(
+                   "counter advanced %llu for %llu calls",
+                   static_cast<unsigned long long>(counted),
+                   static_cast<unsigned long long>(calls)));
+}
+
+// Times `ext` invoked with `caps`/`opts` on `rig`; `check` sees the
+// failure count and the last outcome.
+template <typename Check>
+void TimeInvoke(harness::Bench& bench, const std::string& name,
+                safex::System& rig, safex::Extension& ext,
+                const safex::CapSet& caps, const safex::InvokeOptions& opts,
+                Check&& check) {
+  xbase::u64 failed = 0;
+  safex::InvokeOutcome last;
+  bench.Time(
+      name, kTrials, kIters,
+      [&] {
+        last = rig.runtime->Invoke(ext, caps, opts);
+        failed += last.status.ok() ? 0 : 1;
+      },
+      [&](harness::Fields& counters, xbase::u64 calls) {
+        return check(counters, calls, failed, last);
+      });
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  harness::Bench bench("runtime_overhead", argc, argv);
+  harness::Title("B-RUN — per-invocation cost of the runtime mechanisms");
+
+  // The packet counter three ways, on one rig.
   PacketRig rig;
   auto prog = analysis::BuildPacketCounter(rig.map_fd);
-  auto id = rig.loader.Load(prog.value());
+  auto id = prog.ok() ? rig.loader.Load(prog.value())
+                      : xbase::Result<xbase::u32>(prog.status());
   if (!id.ok()) {
-    state.SkipWithError(id.status().ToString().c_str());
-    return;
+    std::fprintf(stderr, "runtime_overhead: %s\n",
+                 id.status().ToString().c_str());
+    return 1;
   }
-  auto loaded = rig.loader.Find(id.value());
-  ebpf::ExecOptions opts;
-  opts.engine = engine;
-  for (auto _ : state) {
-    auto result = ebpf::Execute(rig.bpf, *loaded.value(), rig.skb.meta_addr,
-                                opts, &rig.loader);
-    benchmark::DoNotOptimize(result);
+  for (const ebpf::ExecEngine engine :
+       {ebpf::ExecEngine::kThreaded, ebpf::ExecEngine::kLegacy}) {
+    const ebpf::LoadedProgram& loaded = *rig.loader.Find(id.value()).value();
+    ebpf::ExecOptions opts;
+    opts.engine = engine;
+    const xbase::u64 counted_before = rig.Counted();
+    xbase::u64 failed = 0;
+    xbase::u64 r0 = 0;
+    bench.Time(
+        engine == ebpf::ExecEngine::kThreaded ? "EbpfThreadedPacketCounter"
+                                              : "EbpfLegacyPacketCounter",
+        kTrials, kIters,
+        [&] {
+          auto result = ebpf::Execute(rig.bpf, loaded, rig.skb.meta_addr,
+                                      opts, &rig.loader);
+          failed += result.ok() ? 0 : 1;
+          r0 = result.ok() ? result.value().r0 : 0;
+        },
+        [&](harness::Fields&, xbase::u64 calls) {
+          if (failed != 0 || r0 != kXdpPass) {
+            return xbase::Internal(xbase::StrFormat(
+                "%llu runs failed, r0 %llu",
+                static_cast<unsigned long long>(failed),
+                static_cast<unsigned long long>(r0)));
+          }
+          return CheckCounted(rig.Counted() - counted_before, calls);
+        });
   }
-}
-
-void BM_EbpfThreadedPacketCounter(benchmark::State& state) {
-  RunEbpfPacketCounter(state, ebpf::ExecEngine::kThreaded);
-}
-BENCHMARK(BM_EbpfThreadedPacketCounter);
-
-void BM_EbpfLegacyPacketCounter(benchmark::State& state) {
-  RunEbpfPacketCounter(state, ebpf::ExecEngine::kLegacy);
-}
-BENCHMARK(BM_EbpfLegacyPacketCounter);
-
-void BM_SafexPacketCounter(benchmark::State& state) {
-  PacketRig rig;
-  PacketCounterExt ext(rig.map_fd);
-  safex::InvokeOptions opts;
-  opts.skb_meta = rig.skb.meta_addr;
-  const safex::CapSet caps = {safex::Capability::kPacketAccess,
-                              safex::Capability::kMapAccess};
-  for (auto _ : state) {
-    auto outcome = rig.runtime->Invoke(ext, caps, opts);
-    benchmark::DoNotOptimize(outcome);
+  {
+    PacketCounterExt ext(rig.map_fd);
+    safex::InvokeOptions opts;
+    opts.skb_meta = rig.skb.meta_addr;
+    const xbase::u64 counted_before = rig.Counted();
+    TimeInvoke(bench, "SafexPacketCounter", rig, ext,
+               {safex::Capability::kPacketAccess,
+                safex::Capability::kMapAccess},
+               opts,
+               [&](harness::Fields&, xbase::u64 calls, xbase::u64 failed,
+                   const safex::InvokeOutcome& last) {
+                 XB_RETURN_IF_ERROR(CheckOutcome(failed, last, kXdpPass));
+                 return CheckCounted(rig.Counted() - counted_before, calls);
+               });
   }
-}
-BENCHMARK(BM_SafexPacketCounter);
 
-// Ablations: empty invocation with mechanisms individually exercised.
-void BM_SafexInvokeEmpty(benchmark::State& state) {
-  safex::System rig;
+  // Ablations: an empty invocation, then each mechanism exercised alone.
+  safex::System sys;
   struct Nop : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx&) override {
       return xbase::u64{0};
     }
-  } ext;
-  for (auto _ : state) {
-    auto outcome = rig.runtime->Invoke(ext, {}, {});
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_SafexInvokeEmpty);
+  } nop;
+  TimeInvoke(bench, "SafexInvokeEmpty", sys, nop, {}, {},
+             [](harness::Fields&, xbase::u64, xbase::u64 failed,
+                const safex::InvokeOutcome& last) {
+               return CheckOutcome(failed, last, 0);
+             });
 
-void BM_SafexCleanupHeavy(benchmark::State& state) {
-  safex::System rig;
   struct AllocHeavy : safex::Extension {
     xbase::s64 n;
     explicit AllocHeavy(xbase::s64 count) : n(count) {}
@@ -125,38 +190,44 @@ void BM_SafexCleanupHeavy(benchmark::State& state) {
       }
       return xbase::u64{0};  // all freed by the cleanup registry
     }
-  } ext(state.range(0));
-  const safex::CapSet caps = {safex::Capability::kDynAlloc};
-  for (auto _ : state) {
-    auto outcome = rig.runtime->Invoke(ext, caps, {});
-    benchmark::DoNotOptimize(outcome);
+  };
+  for (const xbase::s64 n : {1, 16, 63}) {
+    AllocHeavy ext(n);
+    TimeInvoke(bench, xbase::StrFormat("SafexCleanupHeavy/%lld",
+                                       static_cast<long long>(n)),
+               sys, ext, {safex::Capability::kDynAlloc}, {},
+               [n](harness::Fields& counters, xbase::u64, xbase::u64 failed,
+                   const safex::InvokeOutcome& last) {
+                 counters.emplace_back("cleanups_per_invoke", n);
+                 XB_RETURN_IF_ERROR(CheckOutcome(failed, last, 0));
+                 return last.cleanup.entries_run == n
+                            ? xbase::Status::Ok()
+                            : xbase::Internal("cleanup count mismatch");
+               });
   }
-  state.counters["cleanups_per_invoke"] =
-      static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_SafexCleanupHeavy)->Arg(1)->Arg(16)->Arg(63);
 
-void BM_SafexWatchdogFire(benchmark::State& state) {
-  safex::System rig;
   struct Spin : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx& ctx) override {
       for (;;) {
         XB_RETURN_IF_ERROR(ctx.Tick());
       }
     }
-  } ext;
-  safex::InvokeOptions opts;
-  opts.watchdog_budget_ns = 10'000;  // fires after ~10k ticks
-  for (auto _ : state) {
-    auto outcome = rig.runtime->Invoke(ext, {}, opts);
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_SafexWatchdogFire);
+  } spin;
+  safex::InvokeOptions watchdog;
+  watchdog.watchdog_budget_ns = 10'000;  // fires after ~10k ticks
+  const xbase::u64 fires_before = sys.runtime->watchdog_fires();
+  TimeInvoke(bench, "SafexWatchdogFire", sys, spin, {}, watchdog,
+             [&](harness::Fields&, xbase::u64 calls, xbase::u64 failed,
+                 const safex::InvokeOutcome&) {
+               const xbase::u64 fires =
+                   sys.runtime->watchdog_fires() - fires_before;
+               return failed == calls && fires == calls
+                          ? xbase::Status::Ok()
+                          : xbase::Internal("watchdog did not fire on "
+                                            "every call");
+             });
 
-// Reference acquire/release through RAII vs the cleanup registry.
-void BM_SafexSockRefScope(benchmark::State& state) {
-  safex::System rig;
+  // Reference acquire/release through RAII vs the cleanup registry.
   struct Lookup : safex::Extension {
     xbase::Result<xbase::u64> Run(safex::Ctx& ctx) override {
       auto sock = ctx.LookupTcp(
@@ -164,98 +235,12 @@ void BM_SafexSockRefScope(benchmark::State& state) {
       XB_RETURN_IF_ERROR(sock.status());
       return static_cast<xbase::u64>(sock.value().src_port());
     }
-  } ext;
-  const safex::CapSet caps = {safex::Capability::kSockLookup};
-  for (auto _ : state) {
-    auto outcome = rig.runtime->Invoke(ext, caps, {});
-    benchmark::DoNotOptimize(outcome);
-  }
-}
-BENCHMARK(BM_SafexSockRefScope);
-
-// Fixed-iteration JSON pass over the per-invocation packet-counter
-// variants (the availability-layer comparison the README quotes).
-int RunJson(const char* path) {
-  constexpr int kIters = 2000;
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "runtime_overhead: cannot write %s\n", path);
-    return 2;
-  }
-  const auto mean_ns = [](auto&& fn) {
-    fn();  // warm-up: decode, exec-stack lease, map state
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) {
-      fn();
-    }
-    const auto end = std::chrono::steady_clock::now();
-    return static_cast<double>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                                    start)
-                   .count()) /
-           kIters;
-  };
-
-  PacketRig rig;
-  auto id = rig.loader.Load(analysis::BuildPacketCounter(rig.map_fd).value());
-  if (!id.ok()) {
-    std::fprintf(stderr, "runtime_overhead: %s\n",
-                 id.status().ToString().c_str());
-    std::fclose(out);
-    return 2;
-  }
-  auto loaded = rig.loader.Find(id.value());
-  const auto exec_mean = [&](ebpf::ExecEngine engine) {
-    ebpf::ExecOptions opts;
-    opts.engine = engine;
-    return mean_ns([&] {
-      auto result = ebpf::Execute(rig.bpf, *loaded.value(),
-                                  rig.skb.meta_addr, opts, &rig.loader);
-      benchmark::DoNotOptimize(result);
-    });
-  };
-  const double threaded_ns = exec_mean(ebpf::ExecEngine::kThreaded);
-  const double legacy_ns = exec_mean(ebpf::ExecEngine::kLegacy);
-
-  PacketCounterExt ext(rig.map_fd);
-  safex::InvokeOptions opts;
-  opts.skb_meta = rig.skb.meta_addr;
-  const safex::CapSet caps = {safex::Capability::kPacketAccess,
-                              safex::Capability::kMapAccess};
-  const double safex_ns = mean_ns([&] {
-    auto outcome = rig.runtime->Invoke(ext, caps, opts);
-    benchmark::DoNotOptimize(outcome);
-  });
-
-  std::fprintf(out, "{\n  \"bench\": \"runtime_overhead\",\n");
-  std::fprintf(out, "  \"iterations\": %d,\n", kIters);
-  std::fprintf(out, "  \"workload\": \"packet-counter\",\n");
-  std::fprintf(out, "  \"ebpf_threaded_ns\": %.0f,\n", threaded_ns);
-  std::fprintf(out, "  \"ebpf_legacy_ns\": %.0f,\n", legacy_ns);
-  std::fprintf(out, "  \"safex_ns\": %.0f,\n", safex_ns);
-  std::fprintf(out, "  \"threaded_vs_legacy_speedup\": %.2f\n}\n",
-               threaded_ns > 0 ? legacy_ns / threaded_ns : 0.0);
-  std::fclose(out);
-  std::printf(
-      "runtime_overhead: wrote %s (threaded %.0f ns, legacy %.0f ns, "
-      "safex %.0f ns per invocation)\n",
-      path, threaded_ns, legacy_ns, safex_ns);
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      return RunJson(argv[i + 1]);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  } lookup;
+  TimeInvoke(bench, "SafexSockRefScope", sys, lookup,
+             {safex::Capability::kSockLookup}, {},
+             [](harness::Fields&, xbase::u64, xbase::u64 failed,
+                const safex::InvokeOutcome& last) {
+               return CheckOutcome(failed, last, 8080);
+             });
+  return bench.Finish();
 }

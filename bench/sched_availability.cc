@@ -7,15 +7,13 @@
 // keep 100% of tasks progressing under every fault; the unsupervised one
 // stalls the CPU, starves the hidden task, or loses the kernel outright.
 //
-// Default: human-readable table. With `--json PATH` it also writes the
-// BENCH_sched.json CI artifact and exits nonzero if the availability gate
-// fails.
-#include <cstring>
+// Exits nonzero if the availability gate fails; `--json PATH` also writes
+// the table's rows to the BENCH_sched.json artifact.
 #include <map>
 #include <string_view>
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/core/sched.h"
 #include "src/core/supervisor.h"
@@ -118,121 +116,76 @@ Outcome RunScenario(const Scenario& scenario, bool supervised) {
   return outcome;
 }
 
-void PrintRow(const char* name, const char* mode, const Outcome& outcome) {
-  std::printf("%-18s | %-12s | %-8s | %7.1f%% | %9.1f%% | %8.2f | %9llu\n",
-              name, mode, outcome.kernel_survived ? "intact" : "CRASHED",
-              100.0 * outcome.dispatch_rate, outcome.progressed_pct,
-              outcome.max_wait_ms,
-              static_cast<unsigned long long>(outcome.contained));
-}
-
 struct Row {
   const Scenario* scenario;
   Outcome supervised;
   Outcome unsupervised;
 };
 
-bool GatePassed(const std::vector<Row>& rows) {
+// Counts the rows that break the availability gate.
+int Violations(const std::vector<Row>& rows) {
+  int violations = 0;
   for (const Row& row : rows) {
     // The supervised scheduler must keep every task progressing on a live
     // kernel, clean or faulted.
-    if (!row.supervised.kernel_survived ||
-        row.supervised.progressed_pct < 100.0) {
-      return false;
-    }
+    const bool supervised_ok = row.supervised.kernel_survived &&
+                               row.supervised.progressed_pct >= 100.0;
     // Every fault must visibly hurt the unsupervised scheduler — stall,
     // starvation or a dead kernel. (The clean leg must hurt nobody.)
     const bool faulted = !row.scenario->fault.empty();
-    if (faulted && row.unsupervised.progressed_pct >= 100.0) {
-      return false;
-    }
-    if (!faulted && row.unsupervised.progressed_pct < 100.0) {
-      return false;
-    }
+    const bool unsupervised_ok =
+        faulted == (row.unsupervised.progressed_pct < 100.0);
+    violations += supervised_ok && unsupervised_ok ? 0 : 1;
   }
-  return true;
+  return violations;
 }
 
-int WriteJson(const char* path, const std::vector<Row>& rows) {
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "sched_availability: cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"ticks\": %d,\n  \"scenarios\": [\n", kTicks);
-  for (xbase::usize i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    auto emit = [out](const char* mode, const Outcome& outcome,
-                      bool trailing_comma) {
-      std::fprintf(out,
-                   "      \"%s\": {\"kernel_survived\": %s, "
-                   "\"dispatch_rate\": %.3f, \"tasks_progressed_pct\": "
-                   "%.1f, \"max_wait_ms\": %.2f, \"failures_contained\": "
-                   "%llu}%s\n",
-                   mode, outcome.kernel_survived ? "true" : "false",
-                   outcome.dispatch_rate, outcome.progressed_pct,
-                   outcome.max_wait_ms,
-                   static_cast<unsigned long long>(outcome.contained),
-                   trailing_comma ? "," : "");
-    };
-    std::fprintf(out, "    {\n      \"name\": \"%s\",\n",
-                 row.scenario->name);
-    emit("supervised", row.supervised, true);
-    emit("unsupervised", row.unsupervised, false);
-    std::fprintf(out, "    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  const bool passed = GatePassed(rows);
-  std::fprintf(out, "  ],\n  \"gate_passed\": %s\n}\n",
-               passed ? "true" : "false");
-  std::fclose(out);
-  std::printf("sched_availability: wrote %s (gate %s)\n", path,
-              passed ? "passed" : "FAILED");
-  return passed ? 0 : 1;
+// Prints the outcome's table line and records it as a row.
+void Report(harness::Bench& bench, const char* name, const char* mode,
+            const Outcome& outcome) {
+  std::printf("%-18s | %-12s | %-8s | %7.1f%% | %9.1f%% | %8.2f | %9llu\n",
+              name, mode, outcome.kernel_survived ? "intact" : "CRASHED",
+              100.0 * outcome.dispatch_rate, outcome.progressed_pct,
+              outcome.max_wait_ms,
+              static_cast<unsigned long long>(outcome.contained));
+  bench.Row({{"name", name},
+             {"mode", mode},
+             {"kernel_survived", outcome.kernel_survived},
+             {"dispatch_rate", outcome.dispatch_rate},
+             {"tasks_progressed_pct", outcome.progressed_pct},
+             {"max_wait_ms", outcome.max_wait_ms},
+             {"failures_contained", outcome.contained}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = argv[i + 1];
-    }
-  }
-
-  benchutil::Title(xbase::StrFormat(
+  harness::Bench bench("sched_availability", argc, argv);
+  harness::Title(xbase::StrFormat(
       "Task progress under faulty pick policies (%d scheduler ticks)",
       kTicks));
   std::printf("%-18s | %-12s | %-8s | %8s | %10s | %8s | %9s\n", "fault",
               "mode", "kernel", "dispatch", "progressed", "max wait",
               "contained");
-  benchutil::Rule(100);
+  harness::Rule(100);
   std::vector<Row> rows;
   for (const Scenario& scenario : kScenarios) {
     Row row;
     row.scenario = &scenario;
     row.supervised = RunScenario(scenario, true);
     row.unsupervised = RunScenario(scenario, false);
-    PrintRow(scenario.name, "supervised", row.supervised);
-    PrintRow(scenario.name, "unsupervised", row.unsupervised);
+    Report(bench, scenario.name, "supervised", row.supervised);
+    Report(bench, scenario.name, "unsupervised", row.unsupervised);
     rows.push_back(row);
   }
-  benchutil::Rule(100);
-  benchutil::Note("progressed = % of tasks that ran during the second half "
-                  "of the run on a live kernel; max wait in ms");
-  benchutil::Note("every witness policy is verifier-APPROVED sched_ext "
-                  "bytecode: the defects live in the helpers, below the "
-                  "verifier's horizon, or in the policy's intent");
-
-  if (json_path != nullptr) {
-    return WriteJson(json_path, rows);
-  }
-  if (!GatePassed(rows)) {
-    std::fprintf(stderr,
-                 "sched_availability: FAIL — the supervised scheduler lost "
-                 "task progress (or a fault did not hurt the unsupervised "
-                 "one)\n");
-    return 1;
-  }
-  return 0;
+  harness::Rule(100);
+  harness::Note("progressed = % of tasks that ran during the second half "
+                "of the run on a live kernel; max wait in ms");
+  harness::Note("every witness policy is verifier-APPROVED sched_ext "
+                "bytecode: the defects live in the helpers, below the "
+                "verifier's horizon, or in the policy's intent");
+  const int violations = Violations(rows);
+  bench.Gate("availability", "scenarios violating", violations, 0,
+             violations == 0);
+  return bench.Finish();
 }

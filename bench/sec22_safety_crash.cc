@@ -4,7 +4,7 @@
 // attr_size readable bytes; it cannot see the pointer stored inside —
 // CVE-2022-2785). The second half runs the safex counterpart: the hardened
 // typed wrapper (§3.2) makes the crash unrepresentable.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 
 namespace {
@@ -30,7 +30,7 @@ class SysBpfProbe : public safex::Extension {
 }  // namespace
 
 int main() {
-  benchutil::Title("§2.2 Safety: kernel crash through bpf_sys_bpf");
+  harness::Title("§2.2 Safety: kernel crash through bpf_sys_bpf");
 
   // ---- eBPF path -------------------------------------------------------
   {

@@ -12,7 +12,7 @@
 // measured unscaled.
 #include <cmath>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 
 namespace {
@@ -38,16 +38,16 @@ class BusyLoopExt : public safex::Extension {
 }  // namespace
 
 int main() {
-  benchutil::Title(
+  harness::Title(
       "§2.2 Termination: linear runtime control via nested bpf_loop");
   std::printf("%-9s %-12s %16s %14s\n", "nesting", "iters/level",
               "insns executed", "sim time");
-  benchutil::Rule(56);
+  harness::Rule(56);
 
   for (xbase::u32 nesting = 1; nesting <= 3; ++nesting) {
     for (xbase::u32 iters : {64u, 128u}) {
       safex::System rig;
-      const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
+      const int fd = harness::MustCreateArrayMap(rig, "loop", 8, 4);
       auto prog = analysis::BuildNestedLoopStall(fd, nesting, iters);
       auto id = rig.loader.Load(prog.value());
       if (!id.ok()) {
@@ -71,15 +71,15 @@ int main() {
                       1e6);
     }
   }
-  benchutil::Rule(56);
-  benchutil::Note("runtime scales linearly in iters and exponentially in "
-                  "nesting (iters^nesting) — the paper's 'linear control "
-                  "over total runtime'");
+  harness::Rule(56);
+  harness::Note("runtime scales linearly in iters and exponentially in "
+                "nesting (iters^nesting) — the paper's 'linear control "
+                "over total runtime'");
 
-  benchutil::Title("Driving it to an RCU stall (cost multiplier 1000)");
+  harness::Title("Driving it to an RCU stall (cost multiplier 1000)");
   {
     safex::System rig;
-    const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
+    const int fd = harness::MustCreateArrayMap(rig, "loop", 8, 4);
     // 3 levels x 256 iters = 16.7M inner updates at multiplier 1000:
     // crosses the 21 s stall threshold early in the run.
     auto prog = analysis::BuildNestedLoopStall(fd, 3, 256);
@@ -111,10 +111,10 @@ int main() {
                 std::pow(256.0, 9) * 70e-9 / 3.15e7);
   }
 
-  benchutil::Title("The same workload under safex");
+  harness::Title("The same workload under safex");
   {
     safex::System rig;
-    const int fd = benchutil::MustCreateArrayMap(rig, "loop", 8, 4);
+    const int fd = harness::MustCreateArrayMap(rig, "loop", 8, 4);
     BusyLoopExt ext(fd);
     safex::InvokeOptions opts;  // default 1 ms watchdog
     auto outcome = rig.runtime->Invoke(

@@ -9,18 +9,17 @@
 // time and wall-clock fire-latency tails (p50/p99/p999) are reported per
 // point alongside it.
 //
-// Default: human-readable table. With `--json PATH` it also writes the
-// BENCH_smp.json CI artifact and exits nonzero if a gate fails:
+// Exits nonzero if a gate fails; `--json PATH` also writes the points as
+// rows of the BENCH_smp.json artifact. The gates:
 //   - aggregate throughput at 4 CPUs must be >= 3.0x the 1-CPU run;
 //   - the p999 fire-latency tail at the 1- and 4-CPU points must stay
 //     under 5 ms (the 8/16-CPU tails are reported, not gated — on a
 //     small CI host 16 worker threads legitimately preempt each other);
 //   - every point's per-CPU counter sum must match its packet fire count
 //     exactly (RunTraffic already fails the run otherwise).
-#include <cstring>
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/trafficgen.h"
 #include "src/xbase/strfmt.h"
 
@@ -49,106 +48,22 @@ double SpeedupAt(const std::vector<Point>& points, xbase::u32 cpus) {
 
 bool TailGated(const Point& point) { return point.cpus <= 4; }
 
-bool GatePassed(const std::vector<Point>& points, std::string* why) {
-  for (const Point& point : points) {
-    if (!point.report.ok) {
-      *why = xbase::StrFormat("%u-cpu run failed: %s", point.cpus,
-                              point.report.failure.c_str());
-      return false;
-    }
-    if (TailGated(point) && point.report.fire_latency.p999 > kP999CeilingNs) {
-      *why = xbase::StrFormat(
-          "%u-cpu p999 fire latency %llu ns exceeds the %llu ns ceiling",
-          point.cpus,
-          static_cast<unsigned long long>(point.report.fire_latency.p999),
-          static_cast<unsigned long long>(kP999CeilingNs));
-      return false;
-    }
-  }
-  const double speedup4 = SpeedupAt(points, 4);
-  if (speedup4 < kMinSpeedupAt4) {
-    *why = xbase::StrFormat(
-        "aggregate throughput at 4 CPUs is %.2fx the 1-CPU run (gate %.1fx)",
-        speedup4, kMinSpeedupAt4);
-    return false;
-  }
-  return true;
-}
-
-int WriteJson(const char* path, const std::vector<Point>& points) {
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "smp_scaling: cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"bench\": \"smp_scaling\",\n  \"seed\": %llu,\n"
-               "  \"events\": %llu,\n  \"points\": [\n",
-               static_cast<unsigned long long>(kSeed),
-               static_cast<unsigned long long>(kEvents));
-  for (xbase::usize i = 0; i < points.size(); ++i) {
-    const Point& point = points[i];
-    const analysis::TrafficReport& report = point.report;
-    xbase::u64 stolen = 0;
-    for (const analysis::TrafficCpuStats& cpu : report.per_cpu) {
-      stolen += cpu.stolen;
-    }
-    std::fprintf(
-        out,
-        "    {\"cpus\": %u, \"ok\": %s, \"events_per_sim_ms\": %.1f, "
-        "\"speedup_vs_1cpu\": %.2f, \"sim_makespan_ms\": %.3f, "
-        "\"wall_ms\": %.1f, \"fire_p50_ns\": %llu, \"fire_p99_ns\": %llu, "
-        "\"fire_p999_ns\": %llu, \"fires\": %zu, \"stolen\": %llu, "
-        "\"tail_gated\": %s}%s\n",
-        point.cpus, report.ok ? "true" : "false", report.events_per_sim_ms,
-        point.speedup, static_cast<double>(report.sim_elapsed_ns) / 1e6,
-        static_cast<double>(report.wall_elapsed_ns) / 1e6,
-        static_cast<unsigned long long>(report.fire_latency.p50),
-        static_cast<unsigned long long>(report.fire_latency.p99),
-        static_cast<unsigned long long>(report.fire_latency.p999),
-        report.fire_latency.samples, static_cast<unsigned long long>(stolen),
-        TailGated(point) ? "true" : "false",
-        i + 1 < points.size() ? "," : "");
-  }
-  std::string why;
-  const bool passed = GatePassed(points, &why);
-  std::fprintf(out,
-               "  ],\n  \"gates\": {\"speedup_4cpu\": %.2f, "
-               "\"speedup_4cpu_min\": %.1f, \"p999_ceiling_ns\": %llu},\n"
-               "  \"gate_passed\": %s\n}\n",
-               SpeedupAt(points, 4), kMinSpeedupAt4,
-               static_cast<unsigned long long>(kP999CeilingNs),
-               passed ? "true" : "false");
-  std::fclose(out);
-  std::printf("smp_scaling: wrote %s (gate %s)\n", path,
-              passed ? "passed" : "FAILED");
-  if (!passed) {
-    std::printf("smp_scaling: %s\n", why.c_str());
-  }
-  return passed ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
-
-  benchutil::Title("SMP scaling: one seeded stream, 1 -> 16 simulated CPUs");
+  harness::Bench bench("smp_scaling", argc, argv);
+  harness::Title("SMP scaling: one seeded stream, 1 -> 16 simulated CPUs");
   std::printf("  %llu mixed-tenant events per point (seed %llu); aggregate "
               "throughput in simulated time\n",
               static_cast<unsigned long long>(kEvents),
               static_cast<unsigned long long>(kSeed));
-  benchutil::Rule();
+  harness::Rule();
   std::printf("  %-5s %-12s %-9s %-13s %-25s %s\n", "cpus", "events/simms",
               "speedup", "wall ms", "fire p50/p99/p999 ns", "verdict");
-  benchutil::Rule();
+  harness::Rule();
 
   std::vector<Point> points;
+  int failed_points = 0;  // the verdict column says why
   double base_throughput = 0;
   for (xbase::u32 cpus : kCpuPoints) {
     analysis::TrafficConfig config;
@@ -177,23 +92,42 @@ int main(int argc, char** argv) {
                         point.report.fire_latency.p999))
                     .c_str(),
                 point.report.ok ? "ok" : point.report.failure.c_str());
+    const analysis::TrafficReport& report = point.report;
+    xbase::u64 stolen = 0;
+    for (const analysis::TrafficCpuStats& cpu : report.per_cpu) {
+      stolen += cpu.stolen;
+    }
+    bench.Row({{"cpus", cpus},
+               {"ok", report.ok},
+               {"events_per_sim_ms", report.events_per_sim_ms},
+               {"speedup_vs_1cpu", point.speedup},
+               {"sim_makespan_ms",
+                static_cast<double>(report.sim_elapsed_ns) / 1e6},
+               {"wall_ms", static_cast<double>(report.wall_elapsed_ns) / 1e6},
+               {"fire_p50_ns", report.fire_latency.p50},
+               {"fire_p99_ns", report.fire_latency.p99},
+               {"fire_p999_ns", report.fire_latency.p999},
+               {"fires", report.fire_latency.samples},
+               {"stolen", stolen},
+               {"tail_gated", TailGated(point)}});
+    failed_points += report.ok ? 0 : 1;
     points.push_back(std::move(point));
   }
-  benchutil::Rule();
-  std::string why;
-  const bool passed = GatePassed(points, &why);
-  std::printf("  gate: 4-CPU aggregate throughput %.2fx the 1-CPU run "
-              "(must be >= %.1fx) — %s\n",
-              SpeedupAt(points, 4), kMinSpeedupAt4,
-              passed ? "PASS" : "FAIL");
-  if (!passed) {
-    std::printf("  %s\n", why.c_str());
+  harness::Rule();
+  bench.Gate("failed_points", "points", failed_points, 0, failed_points == 0);
+  for (const Point& point : points) {
+    if (TailGated(point)) {
+      const double p999 =
+          static_cast<double>(point.report.fire_latency.p999);
+      bench.Gate(xbase::StrFormat("fire_p999_ns/%ucpu", point.cpus), "p999",
+                 p999, static_cast<double>(kP999CeilingNs),
+                 p999 <= static_cast<double>(kP999CeilingNs));
+    }
   }
-  benchutil::Note("throughput uses each run's slowest simulated clock as "
-                  "the makespan; wall time is informational");
-
-  if (json_path != nullptr) {
-    return WriteJson(json_path, points);
-  }
-  return passed ? 0 : 1;
+  const double speedup4 = SpeedupAt(points, 4);
+  bench.Gate("speedup_4cpu", "sim throughput vs 1 cpu", speedup4,
+             kMinSpeedupAt4, speedup4 >= kMinSpeedupAt4);
+  harness::Note("throughput uses each run's slowest simulated clock as "
+                "the makespan; wall time is informational");
+  return bench.Finish();
 }

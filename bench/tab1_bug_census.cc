@@ -6,7 +6,7 @@
 // row of the table is backed by an executable demonstration.
 #include <functional>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/bugdb.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/verifier.h"
@@ -89,10 +89,10 @@ std::string AuditRefs(System& rig, const std::string& verdict,
 }  // namespace
 
 int main() {
-  benchutil::Title("Table 1: bug statistics (2021-2022), census");
+  harness::Title("Table 1: bug statistics (2021-2022), census");
   std::printf("%-28s %6s %7s %9s\n", "Vulnerabilities/Bugs", "Total",
               "Helper", "Verifier");
-  benchutil::Rule(54);
+  harness::Rule(54);
   const auto census = analysis::BugCensus();
   // Print in the paper's row order.
   const char* kOrder[] = {"Arbitrary read/write",
@@ -113,14 +113,14 @@ int main() {
                   it->second.helper, it->second.verifier);
     }
   }
-  benchutil::Rule(54);
-  benchutil::Note("paper: 40 total, 18 helper, 22 verifier — matched from "
-                  "the same commit-log taxonomy");
+  harness::Rule(54);
+  harness::Note("paper: 40 total, 18 helper, 22 verifier — matched from "
+                "the same commit-log taxonomy");
 
-  benchutil::Title("Executable evidence: one injected defect per bug class");
+  harness::Title("Executable evidence: one injected defect per bug class");
   std::printf("%-38s | %-28s | %s\n", "injected defect", "defect absent",
               "defect present");
-  benchutil::Rule(118);
+  harness::Rule(118);
 
   std::vector<ExploitRow> rows;
 
@@ -128,7 +128,7 @@ int main() {
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierScalarBounds,
       [](System& rig) {
-        const int fd = benchutil::MustCreateArrayMap(rig, "vic", 8, 4);
+        const int fd = harness::MustCreateArrayMap(rig, "vic", 8, 4);
         return analysis::BuildArbitraryReadExploit(fd, 4096);
       },
       [](System&, const std::string& verdict) { return verdict; }));
@@ -137,7 +137,7 @@ int main() {
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierPtrLeak,
       [](System& rig) {
-        const int fd = benchutil::MustCreateArrayMap(rig, "vic", 8, 4);
+        const int fd = harness::MustCreateArrayMap(rig, "vic", 8, 4);
         return analysis::BuildPtrLeakExploit(fd);
       },
       [](System& rig, const std::string& verdict) {
@@ -153,7 +153,7 @@ int main() {
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierJmp32Bounds,
       [](System& rig) {
-        const int fd = benchutil::MustCreateArrayMap(rig, "vic", 64, 4);
+        const int fd = harness::MustCreateArrayMap(rig, "vic", 64, 4);
         return analysis::BuildJmp32BoundsExploit(fd);
       },
       [](System&, const std::string& verdict) { return verdict; }));
@@ -162,7 +162,7 @@ int main() {
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierSpinLock,
       [](System& rig) {
-        const int fd = benchutil::MustCreateArrayMap(rig, "locked", 16, 1);
+        const int fd = harness::MustCreateArrayMap(rig, "locked", 16, 1);
         return analysis::BuildDoubleSpinLock(fd);
       },
       [](System&, const std::string& verdict) { return verdict; }));
@@ -171,7 +171,7 @@ int main() {
   rows.push_back(RunExploit(
       ebpf::kFaultVerifierLoopInlineUaf,
       [](System& rig) {
-        const int fd = benchutil::MustCreateArrayMap(rig, "m", 8, 4);
+        const int fd = harness::MustCreateArrayMap(rig, "m", 8, 4);
         return analysis::BuildNestedLoopStall(fd, 1, 4);
       },
       [](System&, const std::string& verdict) { return verdict; }));
@@ -238,7 +238,7 @@ int main() {
       ebpf::kFaultHelperArrayOverflow,
       [](System& rig) {
         const int fd =
-            benchutil::MustCreateArrayMap(rig, "big", 8, 8200);
+            harness::MustCreateArrayMap(rig, "big", 8, 8200);
         auto map = rig.bpf.maps().Find(fd);
         auto* array = dynamic_cast<ebpf::ArrayMap*>(map.value());
         array->InjectIndexOverflow(
@@ -290,9 +290,9 @@ int main() {
     std::printf("%-38s | %-28s | %s\n", row.fault_id.c_str(),
                 row.without_defect.c_str(), row.with_defect.c_str());
   }
-  benchutil::Rule(118);
-  benchutil::Note("every class: defect absent -> contained/rejected; "
-                  "defect present -> a *verified* program violates the "
-                  "property the verifier promised");
+  harness::Rule(118);
+  harness::Note("every class: defect absent -> contained/rejected; "
+                "defect present -> a *verified* program violates the "
+                "property the verifier promised");
   return 0;
 }

@@ -4,7 +4,7 @@
 // the violation and the bench reports which mechanism stopped it. The
 // paper's point — achieved "without restrictions on loop and program size"
 // — is checked by the probes themselves being ordinary unbounded C++.
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/matrix.h"
 #include "src/xbase/strfmt.h"
 
@@ -33,7 +33,7 @@ struct ProbeResult {
 ProbeResult RunProbe(const std::string& property, LambdaExt::Body body,
                      safex::CapSet caps) {
   safex::System rig;
-  const int fd = benchutil::MustCreateArrayMap(rig, "probe", 8, 4);
+  const int fd = harness::MustCreateArrayMap(rig, "probe", 8, 4);
   (void)fd;
   LambdaExt ext(std::move(body));
   const InvokeOutcome outcome = rig.runtime->Invoke(ext, caps, {});
@@ -118,16 +118,16 @@ ProbeResult RunContainmentProbe() {
 }  // namespace
 
 int main() {
-  benchutil::Title("Table 2: safety properties and enforcement mechanisms");
+  harness::Title("Table 2: safety properties and enforcement mechanisms");
   std::printf("%-36s %s\n", "Safety properties", "Enforcement");
-  benchutil::Rule(64);
+  harness::Rule(64);
   for (const analysis::SafetyProperty& row : analysis::SafetyMatrix()) {
     std::printf("%-36s %s\n", row.property.c_str(),
                 row.enforcement.c_str());
   }
-  benchutil::Rule(64);
+  harness::Rule(64);
 
-  benchutil::Title("Live probes (hostile extension per row)");
+  harness::Title("Live probes (hostile extension per row)");
   std::vector<ProbeResult> probes;
 
   probes.push_back(RunProbe(
@@ -206,15 +206,15 @@ int main() {
 
   std::printf("%-36s | %-9s | %s\n", "property probed", "kernel",
               "what stopped the violation");
-  benchutil::Rule(110);
+  harness::Rule(110);
   for (const ProbeResult& probe : probes) {
     std::printf("%-36s | %-9s | %s\n", probe.property.c_str(),
                 probe.contained ? "intact" : "CRASHED",
                 probe.mechanism_fired.c_str());
   }
-  benchutil::Rule(110);
-  benchutil::Note("all probes are plain C++ with unbounded loops and "
-                  "recursion — no program-size or loop restrictions were "
-                  "needed to contain them (Table 2's closing claim)");
+  harness::Rule(110);
+  harness::Note("all probes are plain C++ with unbounded loops and "
+                "recursion — no program-size or loop restrictions were "
+                "needed to contain them (Table 2's closing claim)");
   return 0;
 }

@@ -3,22 +3,20 @@
 // execution path), and the limits that keep it tractable are exactly the
 // expressiveness restrictions the paper complains about. The comparator is
 // the safex load path: one signature check + import fixup, independent of
-// program size or shape.
+// program size or shape. Every case is 5 trials x 2 calls after one
+// warm-up call (the budget-exhausting verify runs take ~0.6 s each).
 //
-// `verification_cost --json PATH` skips the timing benchmarks and instead
-// writes the relational cost study (BENCH_relational.json): verifier
-// explored-state counts vs staticcheck fixpoint iterations on the
-// branch-diamond and spill-heavy families, with staticcheck run both with
-// and without the zone/memory domains so the precision and cost of
-// relational reasoning are visible per family.
-#include <benchmark/benchmark.h>
-
-#include <cstring>
-#include <fstream>
+// The bench's rows are the relational cost study: verifier explored-state
+// counts vs staticcheck fixpoint iterations on the branch-diamond and
+// spill-heavy families, with staticcheck run both with and without the
+// zone/memory domains so the precision and cost of relational reasoning
+// are visible per family. `--json PATH` also writes them, with the timed
+// cases, to the BENCH_relational.json artifact.
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/benchutil.h"
+#include "bench/harness.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/verifier.h"
 #include "src/staticcheck/check.h"
@@ -26,142 +24,106 @@
 
 namespace {
 
-ebpf::VerifyOptions DefaultVerifyOptions(safex::System& rig) {
+constexpr int kTrials = 5;
+constexpr int kIters = 2;
+
+// Times verification of `prog` and checks the verdict is `accepts`.
+void TimeVerify(harness::Bench& bench, const std::string& name,
+                xbase::Result<ebpf::Program> (*build)(xbase::u32),
+                xbase::u32 arg, bool accepts) {
+  safex::System rig;
+  auto prog = build(arg);
+  if (!prog.ok()) {
+    std::fprintf(stderr, "verification_cost: build %s: %s\n", name.c_str(),
+                 prog.status().ToString().c_str());
+    std::exit(1);
+  }
   ebpf::VerifyOptions opts;
   opts.version = rig.kernel.version();
   opts.privileged = true;
   opts.faults = &rig.bpf.faults();
-  return opts;
+  xbase::u64 accepted = 0;
+  ebpf::VerifyStats stats;
+  bench.Time(
+      xbase::StrFormat("%s/%u", name.c_str(), arg), kTrials, kIters,
+      [&] {
+        auto result =
+            ebpf::Verify(prog.value(), rig.bpf.maps(), rig.bpf.helpers(), opts);
+        accepted += result.ok() ? 1 : 0;
+        if (result.ok()) {
+          stats = result.value().stats;
+        }
+      },
+      [&](harness::Fields& counters, xbase::u64 calls) {
+        counters.emplace_back("paths_explored", stats.states_explored);
+        counters.emplace_back("insns_processed", stats.insns_processed);
+        counters.emplace_back("accepted", accepts);
+        return accepted == (accepts ? calls : 0)
+                   ? xbase::Status::Ok()
+                   : xbase::Internal(accepts ? "verifier rejected it"
+                                             : "verifier accepted it");
+      });
 }
 
-void BM_VerifyStraightLine(benchmark::State& state) {
-  safex::System rig;
-  auto prog = analysis::BuildStraightLine(
-      static_cast<xbase::u32>(state.range(0)));
-  const auto opts = DefaultVerifyOptions(rig);
-  xbase::u64 insns = 0;
-  for (auto _ : state) {
-    auto result =
-        ebpf::Verify(prog.value(), rig.bpf.maps(), rig.bpf.helpers(), opts);
-    insns = result.ok() ? result.value().stats.insns_processed : 0;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["insns_processed"] = static_cast<double>(insns);
-}
-BENCHMARK(BM_VerifyStraightLine)->Arg(64)->Arg(512)->Arg(4096)->Arg(32768);
-
-void BM_VerifyBranchDiamonds(benchmark::State& state) {
-  safex::System rig;
-  auto prog = analysis::BuildBranchDiamonds(
-      static_cast<xbase::u32>(state.range(0)));
-  const auto opts = DefaultVerifyOptions(rig);
-  xbase::u64 states_explored = 0;
-  xbase::u64 insns = 0;
-  bool accepted = true;
-  for (auto _ : state) {
-    auto result =
-        ebpf::Verify(prog.value(), rig.bpf.maps(), rig.bpf.helpers(), opts);
-    accepted = result.ok();
-    if (result.ok()) {
-      states_explored = result.value().stats.states_explored;
-      insns = result.value().stats.insns_processed;
+std::unique_ptr<safex::Extension> MakeNop() {
+  struct Nop : safex::Extension {
+    xbase::Result<xbase::u64> Run(safex::Ctx&) override {
+      return xbase::u64{0};
     }
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["paths_explored"] = static_cast<double>(states_explored);
-  state.counters["insns_processed"] = static_cast<double>(insns);
-  state.counters["accepted"] = accepted ? 1 : 0;
+  };
+  return std::make_unique<Nop>();
 }
-// 2^20 paths exceeds the 1M insn budget: the verifier gives up — a correct
-// program rejected purely for its shape (the paper's scalability wall).
-BENCHMARK(BM_VerifyBranchDiamonds)->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
 
-void BM_VerifyCountedLoop(benchmark::State& state) {
-  safex::System rig;
-  auto prog = analysis::BuildCountedLoop(
-      static_cast<xbase::u32>(state.range(0)));
-  const auto opts = DefaultVerifyOptions(rig);
-  xbase::u64 insns = 0;
-  bool accepted = true;
-  for (auto _ : state) {
-    auto result =
-        ebpf::Verify(prog.value(), rig.bpf.maps(), rig.bpf.helpers(), opts);
-    accepted = result.ok();
-    if (result.ok()) {
-      insns = result.value().stats.insns_processed;
-    }
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["insns_processed"] = static_cast<double>(insns);
-  state.counters["accepted"] = accepted ? 1 : 0;
-}
-// The verifier walks every loop iteration: cost is linear in the trip
-// count even though the program is 8 instructions long. 300000 iterations
-// blow the budget.
-BENCHMARK(BM_VerifyCountedLoop)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Arg(300000);
-
-// The safex comparator: signature validation + load-time fixup. Constant,
-// regardless of what the extension does.
-void BM_SafexSignedLoad(benchmark::State& state) {
-  safex::System rig;
-  safex::Toolchain toolchain(safex::System::VendorKey());
+safex::ExtensionManifest BenchManifest() {
   safex::ExtensionManifest manifest;
   manifest.name = "bench-ext";
   manifest.version = "1.0";
+  return manifest;
+}
+
+// The safex comparator: signature validation + load-time fixup. Constant,
+// regardless of what the extension does. Code identity is scaled with the
+// "program size" arg: hashing is the only size-dependent cost in the whole
+// load path.
+void TimeSignedLoad(harness::Bench& bench, xbase::u32 size) {
+  safex::System rig;
+  safex::Toolchain toolchain(safex::System::VendorKey());
+  safex::ExtensionManifest manifest = BenchManifest();
   manifest.caps = {safex::Capability::kMapAccess,
                    safex::Capability::kTracing};
   manifest.imports = {"kcrate.map_lookup", "kcrate.map_update",
                       "kcrate.trace"};
-  // Code identity scaled with the "program size" arg: hashing is the only
-  // size-dependent cost in the whole load path.
-  std::vector<xbase::u8> code(static_cast<size_t>(state.range(0)) * 8, 0xab);
-  auto artifact = toolchain.Build(
-      manifest,
-      []() {
-        struct Nop : safex::Extension {
-          xbase::Result<xbase::u64> Run(safex::Ctx&) override {
-            return xbase::u64{0};
-          }
-        };
-        return std::make_unique<Nop>();
-      },
-      code);
-  for (auto _ : state) {
-    auto id = rig.ext_loader->Load(artifact.value());
-    benchmark::DoNotOptimize(id);
+  const std::vector<xbase::u8> code(static_cast<size_t>(size) * 8, 0xab);
+  auto artifact = toolchain.Build(manifest, MakeNop, code);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "verification_cost: %s\n",
+                 artifact.status().ToString().c_str());
+    std::exit(1);
   }
+  xbase::u64 failed = 0;
+  bench.Time(
+      xbase::StrFormat("SafexSignedLoad/%u", size), kTrials, kIters,
+      [&] { failed += rig.ext_loader->Load(artifact.value()).ok() ? 0 : 1; },
+      [&](harness::Fields&, xbase::u64) {
+        return failed == 0 ? xbase::Status::Ok()
+                           : xbase::Internal("a signed load failed");
+      });
 }
-BENCHMARK(BM_SafexSignedLoad)->Arg(64)->Arg(4096)->Arg(32768);
 
 // Toolchain-side cost (runs in userspace, off the kernel's critical path).
-void BM_SafexToolchainBuild(benchmark::State& state) {
-  safex::System rig;
+void TimeToolchainBuild(harness::Bench& bench, xbase::u32 size) {
   safex::Toolchain toolchain(safex::System::VendorKey());
-  safex::ExtensionManifest manifest;
-  manifest.name = "bench-ext";
-  manifest.version = "1.0";
-  std::vector<xbase::u8> code(static_cast<size_t>(state.range(0)) * 8, 0xab);
-  for (auto _ : state) {
-    auto artifact = toolchain.Build(
-        manifest,
-        []() {
-          struct Nop : safex::Extension {
-            xbase::Result<xbase::u64> Run(safex::Ctx&) override {
-              return xbase::u64{0};
-            }
-          };
-          return std::make_unique<Nop>();
-        },
-        code);
-    benchmark::DoNotOptimize(artifact);
-  }
+  const safex::ExtensionManifest manifest = BenchManifest();
+  const std::vector<xbase::u8> code(static_cast<size_t>(size) * 8, 0xab);
+  xbase::u64 failed = 0;
+  bench.Time(
+      xbase::StrFormat("SafexToolchainBuild/%u", size), kTrials, kIters,
+      [&] { failed += toolchain.Build(manifest, MakeNop, code).ok() ? 0 : 1; },
+      [&](harness::Fields&, xbase::u64) {
+        return failed == 0 ? xbase::Status::Ok()
+                           : xbase::Internal("a toolchain build failed");
+      });
 }
-BENCHMARK(BM_SafexToolchainBuild)->Arg(64)->Arg(32768);
 
 // ---- relational cost study (--json) ----------------------------------------
 
@@ -189,7 +151,7 @@ xbase::Result<RelCostRow> MeasureRelCost(
     const std::string& family, xbase::u32 param,
     xbase::Result<ebpf::Program> (*build)(xbase::u32, int)) {
   safex::System rig;
-  const int fd = benchutil::MustCreateArrayMap(rig, "relcost", 64, 4);
+  const int fd = harness::MustCreateArrayMap(rig, "relcost", 64, 4);
   XB_ASSIGN_OR_RETURN(ebpf::Program prog, build(param, fd));
 
   RelCostRow row;
@@ -235,7 +197,9 @@ xbase::Result<ebpf::Program> BuildRelGuardFamily(xbase::u32, int fd) {
   return analysis::BuildRelGuard(fd);
 }
 
-int RunRelCostStudy(const char* path) {
+// Runs the study, printing its table and recording its rows; false if a
+// family failed to build or analyze.
+bool RunRelCostStudy(harness::Bench& bench) {
   struct Family {
     const char* name;
     xbase::Result<ebpf::Program> (*build)(xbase::u32, int);
@@ -251,73 +215,77 @@ int RunRelCostStudy(const char* path) {
       {"spill-heavy", analysis::BuildSpillHeavy, {4, 8, 16, 32}},
   };
 
-  std::vector<RelCostRow> rows;
+  std::printf("%-18s %5s %6s %9s %9s %12s %12s %9s %9s\n", "family", "param",
+              "insns", "verifier", "states", "rel-iters", "intv-iters",
+              "rel-err", "intv-err");
   for (const Family& family : kFamilies) {
     for (const xbase::u32 param : family.params) {
       auto row = MeasureRelCost(family.name, param, family.build);
       if (!row.ok()) {
         std::fprintf(stderr, "verification_cost: %s/%u: %s\n", family.name,
                      param, row.status().ToString().c_str());
-        return 1;
+        return false;
       }
-      rows.push_back(std::move(row).value());
+      const RelCostRow& r = row.value();
+      std::printf("%-18s %5u %6u %9s %9llu %12u %12u %9zu %9zu\n",
+                  r.family.c_str(), r.param, r.insns,
+                  r.verifier_accepts ? "accept" : "reject",
+                  static_cast<unsigned long long>(r.states_explored),
+                  r.rel_iterations, r.intv_iterations, r.rel_errors,
+                  r.intv_errors);
+      bench.Row({{"family", r.family},
+                 {"param", r.param},
+                 {"insns", r.insns},
+                 {"verifier_accepts", r.verifier_accepts},
+                 {"verifier_states_explored", r.states_explored},
+                 {"verifier_insns_processed", r.insns_processed},
+                 {"relational_complete", r.rel_complete},
+                 {"relational_iterations", r.rel_iterations},
+                 {"relational_errors", r.rel_errors},
+                 {"relational_warnings", r.rel_warnings},
+                 {"intervals_complete", r.intv_complete},
+                 {"intervals_iterations", r.intv_iterations},
+                 {"intervals_errors", r.intv_errors},
+                 {"intervals_warnings", r.intv_warnings}});
     }
   }
-
-  std::string json = "{\n  \"bench\": \"relational_cost\",\n  \"rows\": [\n";
-  for (xbase::usize i = 0; i < rows.size(); ++i) {
-    const RelCostRow& r = rows[i];
-    json += xbase::StrFormat(
-        "    {\"family\": \"%s\", \"param\": %u, \"insns\": %u, "
-        "\"verifier\": {\"accepts\": %s, \"states_explored\": %llu, "
-        "\"insns_processed\": %llu}, "
-        "\"staticcheck_relational\": {\"complete\": %s, \"iterations\": %u, "
-        "\"errors\": %zu, \"warnings\": %zu}, "
-        "\"staticcheck_intervals\": {\"complete\": %s, \"iterations\": %u, "
-        "\"errors\": %zu, \"warnings\": %zu}}%s\n",
-        r.family.c_str(), r.param, r.insns,
-        r.verifier_accepts ? "true" : "false",
-        static_cast<unsigned long long>(r.states_explored),
-        static_cast<unsigned long long>(r.insns_processed),
-        r.rel_complete ? "true" : "false", r.rel_iterations, r.rel_errors,
-        r.rel_warnings, r.intv_complete ? "true" : "false",
-        r.intv_iterations, r.intv_errors, r.intv_warnings,
-        i + 1 < rows.size() ? "," : "");
-  }
-  json += "  ]\n}\n";
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "verification_cost: cannot write %s\n", path);
-    return 1;
-  }
-  out << json;
-  std::printf("%-18s %5s %6s %9s %9s %12s %12s %9s %9s\n", "family", "param",
-              "insns", "verifier", "states", "rel-iters", "intv-iters",
-              "rel-err", "intv-err");
-  for (const RelCostRow& r : rows) {
-    std::printf("%-18s %5u %6u %9s %9llu %12u %12u %9zu %9zu\n",
-                r.family.c_str(), r.param, r.insns,
-                r.verifier_accepts ? "accept" : "reject",
-                static_cast<unsigned long long>(r.states_explored),
-                r.rel_iterations, r.intv_iterations, r.rel_errors,
-                r.intv_errors);
-  }
-  std::printf("wrote %s\n", path);
-  return 0;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--json") == 0) {
-    return RunRelCostStudy(argv[2]);
+  harness::Bench bench("verification_cost", argc, argv);
+  harness::Title("B-VER — verification cost vs the safex load path");
+  for (const xbase::u32 len : {64, 512, 4096, 32768}) {
+    TimeVerify(bench, "VerifyStraightLine", analysis::BuildStraightLine, len,
+               true);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+  // 2^20 paths exceeds the 1M insn budget: the verifier gives up — a
+  // correct program rejected purely for its shape (the paper's
+  // scalability wall).
+  for (const xbase::u32 branches : {4, 8, 12, 16, 20}) {
+    TimeVerify(bench, "VerifyBranchDiamonds", analysis::BuildBranchDiamonds,
+               branches, branches < 20);
+  }
+  // The verifier walks every loop iteration: cost is linear in the trip
+  // count even though the program is 8 instructions long. 300000
+  // iterations blow the budget.
+  for (const xbase::u32 trips : {100, 1000, 10000, 100000, 300000}) {
+    TimeVerify(bench, "VerifyCountedLoop", analysis::BuildCountedLoop, trips,
+               trips < 300000);
+  }
+  for (const xbase::u32 size : {64, 4096, 32768}) {
+    TimeSignedLoad(bench, size);
+  }
+  for (const xbase::u32 size : {64, 32768}) {
+    TimeToolchainBuild(bench, size);
+  }
+
+  harness::Title("Relational cost study: verifier states vs staticcheck "
+                 "fixpoint iterations");
+  if (!RunRelCostStudy(bench)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return bench.Finish();
 }

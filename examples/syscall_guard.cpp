@@ -111,7 +111,7 @@ int main() {
   std::printf("%-24s %-8s %s\n", "event", "verdict", "who decided");
   safex::HookFireReport report;
   for (const Event& event : events) {
-    (void)kernel.tasks().SetCurrent(event.pid);
+    (void)kernel.tasks().SetCurrent(kernel.current_cpu(), event.pid);
     xbase::u8 block[8];
     xbase::StoreLe32(block + kCtxSyscallNr, event.nr);
     xbase::StoreLe32(block + kCtxPid, event.pid);

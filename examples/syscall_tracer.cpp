@@ -106,7 +106,7 @@ int main() {
 
   // Simulate syscalls from two tasks.
   for (const xbase::u32 pid : {1234u, 4321u, 1234u, 1234u, 4321u, 4321u}) {
-    (void)kernel.tasks().SetCurrent(pid);
+    (void)kernel.tasks().SetCurrent(kernel.current_cpu(), pid);
     auto outcome = loader.Invoke(ext_id).value();
     std::printf("hook fired for pid %u: per-task count now %llu%s\n", pid,
                 static_cast<unsigned long long>(outcome.ret),

@@ -342,7 +342,8 @@ u32 Ctx::Prandom() {
 
 u64 Ctx::PidTgid() {
   (void)Charge(5);
-  const simkern::Task* task = runtime_.kernel().tasks().current();
+  const simkern::Task* task = runtime_.kernel().tasks().current(
+      runtime_.kernel().current_cpu());
   if (task == nullptr) {
     return 0;
   }
@@ -352,7 +353,8 @@ u64 Ctx::PidTgid() {
 xbase::Result<TaskRef> Ctx::CurrentTask() {
   XB_RETURN_IF_ERROR(RequireCap(Capability::kTaskInspect));
   XB_RETURN_IF_ERROR(Charge(10));
-  const simkern::Task* task = runtime_.kernel().tasks().current();
+  const simkern::Task* task = runtime_.kernel().tasks().current(
+      runtime_.kernel().current_cpu());
   if (task == nullptr) {
     return xbase::FailedPrecondition("no current task");
   }
@@ -623,7 +625,8 @@ xbase::Status Ctx::Trace(std::string_view message) {
 xbase::Status Ctx::SendSignal(u32 sig) {
   XB_RETURN_IF_ERROR(RequireCap(Capability::kSignal));
   XB_RETURN_IF_ERROR(Charge(50));
-  const simkern::Task* task = runtime_.kernel().tasks().current();
+  const simkern::Task* task = runtime_.kernel().tasks().current(
+      runtime_.kernel().current_cpu());
   runtime_.kernel().Printk(StrFormat("safex: signal %u to pid %u", sig,
                                      task == nullptr ? 0 : task->pid));
   return xbase::Status::Ok();

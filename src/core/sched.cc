@@ -32,7 +32,7 @@ void SchedCore::WriteCtx() {
 void SchedCore::Dispatch(xbase::u32 pid, SchedTickOutcome& outcome) {
   RunQueue& rq = kernel_.runqueue();
   (void)rq.MarkRan(pid, kernel_.clock().now_ns());
-  (void)kernel_.tasks().SetCurrent(pid);
+  (void)kernel_.tasks().SetCurrent(kernel_.current_cpu(), pid);
   kernel_.clock().Advance(config_.timeslice_ns);
   // The timeslice is over; the task is runnable again at the tail, which
   // is what makes the default head pick plain round-robin.

@@ -325,7 +325,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
                {}, RetType::kInteger),
       {},
       [](HelperCtx& ctx, const HelperArgs&) -> xbase::Result<u64> {
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         if (task == nullptr) {
           return NegErrno(kEInval);
         }
@@ -343,7 +344,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
                {kUMem, kSz}, RetType::kInteger),
       {{"util", 4}},
       [](HelperCtx& ctx, const HelperArgs& a) -> xbase::Result<u64> {
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         if (task == nullptr) {
           return NegErrno(kEInval);
         }
@@ -362,7 +364,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
         // pointer handed straight to the program. This is faithful to the
         // real helper and is itself a controlled info-leak the verifier
         // cannot do anything about.
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         return task == nullptr ? 0 : task->struct_addr;
       }));
   XB_RETURN_IF_ERROR(def(
@@ -370,7 +373,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
                {}, RetType::kTaskOrNull),
       {},
       [](HelperCtx& ctx, const HelperArgs&) -> xbase::Result<u64> {
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         return task == nullptr ? 0 : task->struct_addr;
       }));
 
@@ -441,7 +445,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
                {kCtxA, kUMem, kSz, kA}, RetType::kInteger, 200),
       {{"trace", 500}, {"mm", 40}},
       [](HelperCtx& ctx, const HelperArgs& a) -> xbase::Result<u64> {
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         if (task == nullptr) {
           return NegErrno(kEInval);
         }
@@ -530,7 +535,8 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
                RetType::kInteger),
       {{"task", 400}},
       [](HelperCtx& ctx, const HelperArgs& a) -> xbase::Result<u64> {
-        const simkern::Task* task = ctx.kernel.tasks().current();
+        const simkern::Task* task =
+            ctx.kernel.tasks().current(ctx.kernel.current_cpu());
         ctx.kernel.Printk(xbase::StrFormat(
             "bpf_send_signal: sig %llu to pid %u",
             static_cast<unsigned long long>(a[0]),

@@ -129,7 +129,9 @@ xbase::Status Kernel::BootstrapWorkload() {
       tasks_.Create(mem_, objects_, 1234, 1200, "memcached").status());
   XB_RETURN_IF_ERROR(
       tasks_.Create(mem_, objects_, 4321, 4321, "nginx").status());
-  XB_RETURN_IF_ERROR(tasks_.SetCurrent(1234));
+  for (xbase::u32 cpu = 0; cpu < num_cpus(); ++cpu) {
+    XB_RETURN_IF_ERROR(tasks_.SetCurrent(cpu, 1234));
+  }
 
   // Established TCP flows for the sk_lookup helpers.
   XB_RETURN_IF_ERROR(net_.CreateSock(mem_, objects_,

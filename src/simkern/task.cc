@@ -48,9 +48,11 @@ xbase::Result<u32> TaskTable::Create(SimMemory& mem, ObjectTable& objects,
                                   xbase::StrFormat("task:%u(%s)", pid,
                                                    comm.c_str()),
                                   struct_addr);
-  tasks_.emplace(pid, std::move(task));
-  if (current_ == nullptr) {
-    current_ = &tasks_.at(pid);
+  const Task* created = &tasks_.emplace(pid, std::move(task)).first->second;
+  for (const Task*& current : current_) {
+    if (current == nullptr) {
+      current = created;
+    }
   }
   return pid;
 }
@@ -62,8 +64,10 @@ xbase::Status TaskTable::Remove(SimMemory& mem, ObjectTable& objects,
     return xbase::NotFound(xbase::StrFormat("no task with pid %u", pid));
   }
   Task& task = it->second;
-  if (current_ == &task) {
-    current_ = nullptr;
+  for (const Task*& current : current_) {
+    if (current == &task) {
+      current = nullptr;
+    }
   }
   XB_RETURN_IF_ERROR(mem.Unmap(task.struct_addr));
   XB_RETURN_IF_ERROR(mem.Unmap(task.stack_addr));
@@ -98,12 +102,15 @@ std::vector<u32> TaskTable::Pids() const {
   return pids;
 }
 
-xbase::Status TaskTable::SetCurrent(u32 pid) {
+xbase::Status TaskTable::SetCurrent(u32 cpu, u32 pid) {
+  if (cpu >= kMaxCpus) {
+    return xbase::InvalidArgument(xbase::StrFormat("no cpu %u", cpu));
+  }
   auto it = tasks_.find(pid);
   if (it == tasks_.end()) {
     return xbase::NotFound(xbase::StrFormat("no task with pid %u", pid));
   }
-  current_ = &it->second;
+  current_[cpu] = &it->second;
   return xbase::Status::Ok();
 }
 

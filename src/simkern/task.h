@@ -5,10 +5,12 @@
 // exactly like the bpf_task_storage_get bug the paper cites.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/simkern/cpu.h"
 #include "src/simkern/mem.h"
 #include "src/simkern/object.h"
 #include "src/xbase/status.h"
@@ -40,7 +42,8 @@ struct Task {
 class TaskTable {
  public:
   // Creates the task, maps its struct + kernel stack, registers the
-  // refcounted identity.
+  // refcounted identity. The new task becomes current on every CPU that
+  // has no current task.
   xbase::Result<xbase::u32> Create(SimMemory& mem, ObjectTable& objects,
                                    xbase::u32 pid, xbase::u32 tgid,
                                    const std::string& comm);
@@ -48,7 +51,7 @@ class TaskTable {
   // Task exit: unmaps the struct and stack, drops the create-time reference
   // on the ObjectTable identity (an extension still holding a reference
   // keeps the identity alive as a zombie until it releases), and clears
-  // `current_` if it points at the removed task.
+  // every CPU's current task that points at the removed one.
   xbase::Status Remove(SimMemory& mem, ObjectTable& objects, xbase::u32 pid);
 
   xbase::Result<const Task*> FindByPid(xbase::u32 pid) const;
@@ -57,15 +60,19 @@ class TaskTable {
   // All live pids, ascending.
   std::vector<xbase::u32> Pids() const;
 
-  // "current" — the task on whose behalf the extension runs.
-  xbase::Status SetCurrent(xbase::u32 pid);
-  const Task* current() const { return current_; }
+  // "current" — the task on whose behalf an extension running on `cpu`
+  // runs. One slot per simulated CPU: each CPU's scheduler writes only its
+  // own, so concurrent SchedCores never share one.
+  xbase::Status SetCurrent(xbase::u32 cpu, xbase::u32 pid);
+  const Task* current(xbase::u32 cpu) const {
+    return cpu < kMaxCpus ? current_[cpu] : nullptr;
+  }
 
   xbase::usize size() const { return tasks_.size(); }
 
  private:
   std::map<xbase::u32, Task> tasks_;
-  const Task* current_ = nullptr;
+  std::array<const Task*, kMaxCpus> current_{};
 };
 
 }  // namespace simkern

@@ -260,7 +260,7 @@ struct DomainRig {
 TEST(DomainTest, PksContainsUnsafeCode) {
   DomainRig rig(/*protection_key=*/2);
   // Key the current task's struct as kernel-domain (key 1).
-  const simkern::Task* task = rig.kernel.tasks().current();
+  const simkern::Task* task = rig.kernel.tasks().current(0);
   rig.kernel.mem().SetRegionKey(task->struct_addr, 1);
 
   DomainProbe probe(task->struct_addr);
@@ -276,7 +276,7 @@ TEST(DomainTest, WithoutPksUnsafeCodeReadsKernelData) {
   DomainRig rig(/*protection_key=*/2);
   // Task struct left at key 0: ambient kernel data, readable — the paper's
   // point that unsafe code undermines everything without hardware help.
-  const simkern::Task* task = rig.kernel.tasks().current();
+  const simkern::Task* task = rig.kernel.tasks().current(0);
   DomainProbe probe(task->struct_addr);
   const InvokeOutcome outcome = rig.runtime->Invoke(
       probe, {Capability::kUnsafeRaw}, {});

@@ -183,7 +183,7 @@ TEST_F(HelpersTest, SkLookupAcquiresReference) {
 }
 
 TEST_F(HelpersTest, GetTaskStackBalancedOnBothPaths) {
-  const simkern::Task* task = kernel_.tasks().current();
+  const simkern::Task* task = kernel_.tasks().current(0);
   const simkern::Addr buf = MapBuffer(64, "stack");
   const auto before = kernel_.objects().Snapshot();
   // Happy path.
@@ -200,7 +200,7 @@ TEST_F(HelpersTest, GetTaskStackBalancedOnBothPaths) {
 
 TEST_F(HelpersTest, GetTaskStackLeakUnderInjectedDefect) {
   bpf_.faults().Inject(kFaultHelperTaskStackLeak);
-  const simkern::Task* task = kernel_.tasks().current();
+  const simkern::Task* task = kernel_.tasks().current(0);
   const simkern::Addr buf = MapBuffer(64, "stack");
   const auto before = kernel_.objects().Snapshot();
   EXPECT_EQ(Call(kHelperGetTaskStack, {task->struct_addr, buf, 4, 0, 0})

@@ -258,7 +258,7 @@ TEST_F(MapsTest, TaskStorageGetForTask) {
   const int fd = Create(MapType::kTaskStorage, 4, 16, 8);
   auto* storage = dynamic_cast<TaskStorageMap*>(Find(fd));
   ASSERT_NE(storage, nullptr);
-  const simkern::Task* task = kernel_.tasks().current();
+  const simkern::Task* task = kernel_.tasks().current(0);
 
   EXPECT_EQ(storage->GetForTask(kernel_, task->struct_addr, false)
                 .status()

@@ -242,7 +242,7 @@ TEST(TaskTest, RemoveMakesFindFailCleanly) {
                   .Create(kernel.mem(), kernel.objects(), 7, 7, "worker")
                   .ok());
   const Addr struct_addr = kernel.tasks().FindByPid(7).value()->struct_addr;
-  ASSERT_TRUE(kernel.tasks().SetCurrent(7).ok());
+  ASSERT_TRUE(kernel.tasks().SetCurrent(0, 7).ok());
   ASSERT_TRUE(kernel.tasks().Remove(kernel.mem(), kernel.objects(), 7).ok());
   // The regression this pins: a lookup after removal must fail cleanly —
   // NotFound, not a stale pointer into unmapped memory.
@@ -250,7 +250,7 @@ TEST(TaskTest, RemoveMakesFindFailCleanly) {
             xbase::Code::kNotFound);
   EXPECT_EQ(kernel.tasks().FindByAddr(struct_addr).status().code(),
             xbase::Code::kNotFound);
-  EXPECT_EQ(kernel.tasks().current(), nullptr)
+  EXPECT_EQ(kernel.tasks().current(0), nullptr)
       << "current must not dangle past the exit";
   EXPECT_FALSE(kernel.mem().ReadU32(struct_addr + TaskLayout::kPid).ok())
       << "the struct region is unmapped";
@@ -275,9 +275,31 @@ TEST(TaskTest, KernelRemoveTaskAlsoDropsRunqueueEntry) {
 TEST(TaskTest, CurrentTaskSwitches) {
   Kernel kernel;
   ASSERT_TRUE(kernel.BootstrapWorkload().ok());
-  ASSERT_TRUE(kernel.tasks().SetCurrent(4321).ok());
-  EXPECT_EQ(kernel.tasks().current()->comm, "nginx");
-  EXPECT_EQ(kernel.tasks().SetCurrent(99999).code(), xbase::Code::kNotFound);
+  ASSERT_TRUE(kernel.tasks().SetCurrent(0, 4321).ok());
+  EXPECT_EQ(kernel.tasks().current(0)->comm, "nginx");
+  EXPECT_EQ(kernel.tasks().SetCurrent(0, 99999).code(),
+            xbase::Code::kNotFound);
+  EXPECT_EQ(kernel.tasks().SetCurrent(kMaxCpus, 4321).code(),
+            xbase::Code::kInvalidArgument);
+}
+
+// Each simulated CPU has its own current task: a scheduler dispatching on
+// one CPU must not change what helpers on another CPU see, and an exiting
+// task leaves no CPU pointing at it.
+TEST(TaskTest, CurrentTaskIsPerCpu) {
+  Kernel kernel;
+  ASSERT_TRUE(kernel.BootstrapWorkload().ok());
+  for (xbase::u32 cpu = 0; cpu < kernel.num_cpus(); ++cpu) {
+    EXPECT_EQ(kernel.tasks().current(cpu)->pid, 1234u) << "cpu " << cpu;
+  }
+  ASSERT_TRUE(kernel.tasks().SetCurrent(1, 4321).ok());
+  ASSERT_TRUE(kernel.tasks().SetCurrent(2, 4321).ok());
+  EXPECT_EQ(kernel.tasks().current(0)->pid, 1234u);
+  EXPECT_EQ(kernel.tasks().current(1)->pid, 4321u);
+  ASSERT_TRUE(kernel.RemoveTask(4321).ok());
+  EXPECT_EQ(kernel.tasks().current(1), nullptr);
+  EXPECT_EQ(kernel.tasks().current(2), nullptr);
+  EXPECT_EQ(kernel.tasks().current(0)->pid, 1234u);
 }
 
 TEST(NetTest, SockLookupByTuple) {
