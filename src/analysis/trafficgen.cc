@@ -344,6 +344,9 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   }
   report.fire_latency = MergeTails(aggs);
   report.lock_totals = rig.kernel.locks().Totals();
+  report.memory_table_lock = rig.kernel.mem().table_lock_stats();
+  report.map_table_lock = rig.bpf.maps().lock_stats();
+  report.hook_table_lock = rig.hooks->table_lock_stats();
 
   // The per-CPU counter sum: read every CPU's slot of every key.
   auto* pkt_map = dynamic_cast<ebpf::PercpuArrayMap*>(

@@ -22,6 +22,7 @@
 
 #include "src/ebpf/interp.h"
 #include "src/simkern/lock.h"
+#include "src/xbase/rwlock.h"
 #include "src/xbase/types.h"
 
 namespace analysis {
@@ -81,6 +82,10 @@ struct TrafficReport {
   LatencyTailsNs fire_latency;        // merged across CPUs
   std::vector<TrafficCpuStats> per_cpu;
   simkern::LockStats lock_totals;     // spin/hold contention, machine-wide
+  // Writer traffic on the host locks of the tables every fire reads.
+  xbase::RwLockStats memory_table_lock;
+  xbase::RwLockStats map_table_lock;
+  xbase::RwLockStats hook_table_lock;
 };
 
 TrafficReport RunTraffic(const TrafficConfig& config);

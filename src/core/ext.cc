@@ -35,7 +35,7 @@ simkern::LockId Runtime::LockIdFor(int map_fd, u32 value_off) {
 
 InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
                               const InvokeOptions& options) {
-  invocations_.fetch_add(1, std::memory_order_relaxed);
+  invocations_.Add();
   InvokeOutcome outcome;
   const u64 start_ns = kernel_.clock().now_ns();
 

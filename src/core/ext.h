@@ -13,6 +13,7 @@
 #include "src/core/api.h"
 #include "src/crypto/keyring.h"
 #include "src/ebpf/bpf.h"
+#include "src/xbase/rwlock.h"
 
 namespace safex {
 
@@ -75,8 +76,9 @@ class Runtime {
                        const InvokeOptions& options = {});
 
   // Counters across all invocations. Atomic because one runtime serves
-  // every simulated CPU; relaxed increments, since they order nothing.
-  u64 invocations() const { return invocations_; }
+  // every simulated CPU; relaxed increments, since they order nothing. The
+  // invocation count is bumped on every fire, so it is striped per thread.
+  u64 invocations() const { return invocations_.Sum(); }
   u64 watchdog_fires() const { return watchdog_fires_; }
   u64 panics() const { return panics_; }
   u64 foreign_exceptions() const { return foreign_exceptions_; }
@@ -92,7 +94,7 @@ class Runtime {
   std::unique_ptr<PerCpuPools> pools_;
   crypto::Keyring keyring_;
   std::map<u64, simkern::LockId> lock_ids_;
-  std::atomic<u64> invocations_{0};
+  xbase::StripedCounter invocations_;
   std::atomic<u64> watchdog_fires_{0};
   std::atomic<u64> panics_{0};
   std::atomic<u64> foreign_exceptions_{0};

@@ -61,81 +61,95 @@ xbase::Result<xbase::u32> HookRegistry::Attach(HookPoint hook, bool is_safex,
                                                xbase::u32 target_id) {
   const std::string_view name = FamilyOf(hook).name;
   const char* kind = is_safex ? "safex ext" : "bpf prog";
-  std::lock_guard<std::mutex> lock(attach_mu_);
-  for (const Attachment& attachment : attachments_) {
-    if (attachment.hook == hook && attachment.is_safex == is_safex &&
-        attachment.target_id == target_id) {
-      return xbase::AlreadyExists(xbase::StrFormat(
-          "%s %u already attached to %s", kind, target_id, name.data()));
+  xbase::u32 id = 0;
+  {
+    std::lock_guard<xbase::StripedRwLock> lock(table_lock_);
+    std::vector<Attachment>& table = by_hook_[static_cast<xbase::usize>(hook)];
+    for (const Attachment& attachment : table) {
+      if (attachment.is_safex == is_safex &&
+          attachment.target_id == target_id) {
+        return xbase::AlreadyExists(xbase::StrFormat(
+            "%s %u already attached to %s", kind, target_id, name.data()));
+      }
     }
-  }
-  if (!is_safex) {
-    if (auto loaded = bpf_loader_.Find(target_id); loaded.ok()) {
-      XB_RETURN_IF_ERROR(
-          CheckOwner(hook, target_id, loaded.value()->source.type));
+    if (!is_safex) {
+      if (auto loaded = bpf_loader_.Find(target_id); loaded.ok()) {
+        XB_RETURN_IF_ERROR(
+            CheckOwner(hook, target_id, loaded.value()->source.type));
+      }
     }
+    // Ids are never 0 (HookFireReport::decider's "nobody") and never alias
+    // a live attachment's supervisor record, even after the counter wraps.
+    const auto in_use = [this](xbase::u32 candidate) {
+      for (const std::vector<Attachment>& attachments : by_hook_) {
+        for (const Attachment& attachment : attachments) {
+          if (attachment.id == candidate) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    const std::optional<xbase::u32> fresh =
+        ids_.Allocate(AttachedCountLocked(), in_use);
+    if (!fresh) {
+      return xbase::ResourceExhausted("attachment id space exhausted");
+    }
+    id = *fresh;
+    // Pin the target for the attachment's lifetime: Unload refuses while
+    // the pin is held, so the pointer resolved here stays valid for every
+    // fire. (Pin also subsumes the existence check.)
+    Attachment attachment{
+        .id = id,
+        .hook = hook,
+        .is_safex = is_safex,
+        .target_id = target_id,
+        .scope_label = xbase::StrFormat("%s:%u(%s)", is_safex ? "ext" : "bpf",
+                                        target_id, name.data())};
+    if (is_safex) {
+      XB_RETURN_IF_ERROR(ext_loader_.Pin(target_id));
+      attachment.extension = ext_loader_.Find(target_id).value();
+    } else {
+      XB_RETURN_IF_ERROR(bpf_loader_.Pin(target_id));
+      attachment.program = bpf_loader_.Find(target_id).value();
+    }
+    if (config_.supervisor != nullptr) {
+      attachment.record = &config_.supervisor->Track(id);
+    }
+    table.push_back(std::move(attachment));
   }
-  // Ids are never 0 (HookFireReport::decider's "nobody") and never alias a
-  // live attachment's supervisor record, even after the counter wraps.
-  const std::optional<xbase::u32> id =
-      ids_.Allocate(attachments_.size(), [this](xbase::u32 candidate) {
-        return std::any_of(attachments_.begin(), attachments_.end(),
-                           [candidate](const Attachment& attachment) {
-                             return attachment.id == candidate;
-                           });
-      });
-  if (!id) {
-    return xbase::ResourceExhausted("attachment id space exhausted");
-  }
-  // Pin the target for the attachment's lifetime: Unload refuses while the
-  // pin is held, so a fire can never chase an unloaded id. (Pin also
-  // subsumes the existence check.)
-  XB_RETURN_IF_ERROR(is_safex ? ext_loader_.Pin(target_id)
-                              : bpf_loader_.Pin(target_id));
-  attachments_.push_back(Attachment{
-      *id, hook, is_safex, target_id,
-      xbase::StrFormat("%s:%u(%s)", is_safex ? "ext" : "bpf", target_id,
-                       name.data())});
-  PublishSnapshot();
   bpf_.kernel().Printk(xbase::StrFormat("hook %s: %s %u attached",
                                         name.data(), kind, target_id));
-  return *id;
+  return id;
 }
 
 xbase::Status HookRegistry::Detach(xbase::u32 attachment_id) {
-  std::lock_guard<std::mutex> lock(attach_mu_);
-  auto it = std::find_if(attachments_.begin(), attachments_.end(),
-                         [attachment_id](const Attachment& attachment) {
-                           return attachment.id == attachment_id;
-                         });
-  if (it == attachments_.end()) {
-    return xbase::NotFound("no such attachment");
+  // Holding the writer side means every fire that could have been running
+  // the attachment has returned, and no later fire can find it.
+  std::lock_guard<xbase::StripedRwLock> lock(table_lock_);
+  for (std::vector<Attachment>& table : by_hook_) {
+    auto it = std::find_if(table.begin(), table.end(),
+                           [attachment_id](const Attachment& attachment) {
+                             return attachment.id == attachment_id;
+                           });
+    if (it == table.end()) {
+      continue;
+    }
+    // Drop the unload pin taken at attach time.
+    if (it->is_safex) {
+      ext_loader_.Unpin(it->target_id);
+    } else {
+      bpf_loader_.Unpin(it->target_id);
+    }
+    table.erase(it);
+    if (config_.supervisor != nullptr) {
+      // Detaching while quarantined/evicted is always legal and drops the
+      // health record with the attachment.
+      config_.supervisor->Forget(attachment_id);
+    }
+    return xbase::Status::Ok();
   }
-  // Drop the unload pin taken at attach time.
-  if (it->is_safex) {
-    ext_loader_.Unpin(it->target_id);
-  } else {
-    bpf_loader_.Unpin(it->target_id);
-  }
-  attachments_.erase(it);
-  PublishSnapshot();
-  if (config_.supervisor != nullptr) {
-    // Detaching while quarantined/evicted is always legal and drops the
-    // health record with the attachment.
-    config_.supervisor->Forget(attachment_id);
-  }
-  return xbase::Status::Ok();
-}
-
-// Called with attach_mu_ held.
-void HookRegistry::PublishSnapshot() {
-  auto snapshot = std::make_shared<Snapshot>();
-  for (const Attachment& attachment : attachments_) {
-    snapshot->by_hook[static_cast<xbase::usize>(attachment.hook)].push_back(
-        attachment);
-  }
-  snapshot_.store(std::shared_ptr<const Snapshot>(std::move(snapshot)),
-                  std::memory_order_release);
+  return xbase::NotFound("no such attachment");
 }
 
 HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
@@ -148,7 +162,7 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
   Supervisor* supervisor = config_.supervisor;
   const xbase::u64 now = kernel.clock().now_ns();
   if (supervisor != nullptr) {
-    const AdmitDecision decision = supervisor->Admit(attachment.id, now);
+    const AdmitDecision decision = supervisor->Admit(*attachment.record, now);
     verdict.health = decision.health;
     if (!decision.allow) {
       verdict.skipped = true;
@@ -182,25 +196,17 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
     if (attachment.is_safex) {
       InvokeOptions options;
       options.skb_meta = FamilyOf(attachment.hook).skb_ctx ? ctx_addr : 0;
-      auto outcome = ext_loader_.Invoke(attachment.target_id, options);
-      if (outcome.ok()) {
-        verdict.value = outcome.value().ret;
-        verdict.status = outcome.value().status;
-      } else {
-        verdict.status = outcome.status();
-      }
+      const InvokeOutcome outcome =
+          ext_loader_.Invoke(*attachment.extension, options);
+      verdict.value = outcome.ret;
+      verdict.status = outcome.status;
     } else {
-      auto loaded = bpf_loader_.Find(attachment.target_id);
-      if (loaded.ok()) {
-        auto result = ebpf::Execute(bpf_, *loaded.value(), ctx_addr,
-                                    config_.exec_options, &bpf_loader_);
-        if (result.ok()) {
-          verdict.value = result.value().r0;
-        } else {
-          verdict.status = result.status();
-        }
+      auto result = ebpf::Execute(bpf_, *attachment.program, ctx_addr,
+                                  config_.exec_options, &bpf_loader_);
+      if (result.ok()) {
+        verdict.value = result.value().r0;
       } else {
-        verdict.status = loaded.status();
+        verdict.status = result.status();
       }
     }
   } catch (...) {
@@ -274,19 +280,20 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
   // Attribute the outcome. Priority: an on-CPU oops outranks the normal
   // termination reason, which outranks a repaired leak.
   const xbase::u64 after = kernel.clock().now_ns();
+  ExtRecord& record = *attachment.record;
   if (oopses > 0 || verdict.status.code() == xbase::Code::kKernelFault) {
-    supervisor->RecordFailure(
-        attachment.id, FailureKind::kOops,
+    verdict.health = supervisor->RecordFailure(
+        record, FailureKind::kOops,
         verdict.status.ok() ? "oops on extension CPU time"
                             : verdict.status.message(),
         after);
   } else if (verdict.status.code() == xbase::Code::kTerminated) {
-    supervisor->RecordFailure(attachment.id,
-                              ClassifyTermination(verdict.status.message()),
-                              verdict.status.message(), after);
+    verdict.health = supervisor->RecordFailure(
+        record, ClassifyTermination(verdict.status.message()),
+        verdict.status.message(), after);
   } else if (locks_repaired > 0 || refs_repaired > 0) {
-    supervisor->RecordFailure(
-        attachment.id, FailureKind::kResourceLeak,
+    verdict.health = supervisor->RecordFailure(
+        record, FailureKind::kResourceLeak,
         xbase::StrFormat("leaked %u ref(s), %u lock(s); repaired",
                          refs_repaired, locks_repaired),
         after);
@@ -294,9 +301,8 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
         "supervisor: attachment %u leaked %u ref(s) %u lock(s); repaired",
         attachment.id, refs_repaired, locks_repaired));
   } else {
-    supervisor->RecordSuccess(attachment.id, after);
+    verdict.health = supervisor->RecordSuccess(record, after);
   }
-  verdict.health = supervisor->HealthOf(attachment.id);
   if (verdict.health == ExtHealth::kQuarantined ||
       verdict.health == ExtHealth::kEvicted) {
     kernel.Printk(xbase::StrFormat(
@@ -338,13 +344,12 @@ void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
   report.failed = 0;
   report.skipped = 0;
 
-  // Walk the published snapshot: immutable, so nothing an attachment does
-  // (and no repair the supervisor performs) can invalidate the walk, and
-  // the hot path pays one atomic load instead of building an index vector.
-  const std::shared_ptr<const Snapshot> snapshot =
-      snapshot_.load(std::memory_order_acquire);
+  // Walk the hook's table under the reader side: no Attach or Detach can
+  // edit it until the walk ends, and the reader touches only this thread's
+  // stripe of the lock.
+  const xbase::StripedRwLock::ReadGuard table_guard(table_lock_);
   for (const Attachment& attachment :
-       snapshot->by_hook[static_cast<xbase::usize>(hook)]) {
+       by_hook_[static_cast<xbase::usize>(hook)]) {
     HookVerdict verdict = RunAttachment(attachment, ctx_addr);
 
     // Aggregate per the family's combine rule. A failed or skipped (never
@@ -386,11 +391,21 @@ void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
 }
 
 xbase::usize HookRegistry::AttachedCount(HookPoint hook) const {
-  std::lock_guard<std::mutex> lock(attach_mu_);
-  return std::count_if(attachments_.begin(), attachments_.end(),
-                       [hook](const Attachment& attachment) {
-                         return attachment.hook == hook;
-                       });
+  const xbase::StripedRwLock::ReadGuard table_guard(table_lock_);
+  return by_hook_[static_cast<xbase::usize>(hook)].size();
+}
+
+xbase::usize HookRegistry::AttachedCountTotal() const {
+  const xbase::StripedRwLock::ReadGuard table_guard(table_lock_);
+  return AttachedCountLocked();
+}
+
+xbase::usize HookRegistry::AttachedCountLocked() const {
+  xbase::usize total = 0;
+  for (const std::vector<Attachment>& table : by_hook_) {
+    total += table.size();
+  }
+  return total;
 }
 
 }  // namespace safex

@@ -12,9 +12,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,6 +24,7 @@
 #include "src/ebpf/loader.h"
 #include "src/simkern/smp.h"
 #include "src/xbase/ids.h"
+#include "src/xbase/rwlock.h"
 
 namespace safex {
 
@@ -149,13 +147,19 @@ class HookRegistry {
   xbase::Result<xbase::u32> AttachProgram(HookPoint hook, xbase::u32 prog_id);
   xbase::Result<xbase::u32> AttachExtension(HookPoint hook,
                                             xbase::u32 ext_id);
+  // Removes the attachment. Taking the table's writer side waits for every
+  // fire in flight, so once Detach returns no fire can still be running the
+  // attachment (the kernel's synchronize_rcu before bpf_prog_put): the
+  // target is unpinned — Unload may follow at once — and its supervisor
+  // record dropped only after that wait.
   xbase::Status Detach(xbase::u32 attachment_id);
 
   // Fires every attachment in attach order with the given context address
   // (skb meta for XDP; a per-event ctx block otherwise). Clears and refills
   // a caller-owned report, so vector capacity survives across fires. The
-  // fire path walks the immutable published snapshot — one atomic load, no
-  // per-fire index vector, no per-attachment copies.
+  // fire walks the hook's attachment table under the reader side of the
+  // striped table lock: no per-fire index vector, no per-attachment copies,
+  // no lookup of the target or of its health record by id.
   void FireInto(HookPoint hook, simkern::Addr ctx_addr,
                 HookFireReport& report);
 
@@ -172,10 +176,7 @@ class HookRegistry {
                    simkern::Addr ctx_addr);
 
   xbase::usize AttachedCount(HookPoint hook) const;
-  xbase::usize AttachedCountTotal() const {
-    std::lock_guard<std::mutex> lock(attach_mu_);
-    return attachments_.size();
-  }
+  xbase::usize AttachedCountTotal() const;
 
   // Per-CPU fire accounting (valid at quiescent points).
   xbase::u64 fires_on(xbase::u32 cpu) const {
@@ -195,6 +196,7 @@ class HookRegistry {
 
   HookRegistryConfig& config() { return config_; }
   Supervisor* supervisor() { return config_.supervisor; }
+  xbase::RwLockStats table_lock_stats() const { return table_lock_.stats(); }
 
  private:
   struct Attachment {
@@ -202,23 +204,23 @@ class HookRegistry {
     HookPoint hook = HookPoint::kXdpIngress;
     bool is_safex = false;
     xbase::u32 target_id = 0;
+    // The target, resolved at attach time. The attach pin keeps it loaded
+    // and Detach's grace period keeps it from being unpinned under a fire.
+    const ebpf::LoadedProgram* program = nullptr;
+    const LoadedExtension* extension = nullptr;
+    // The supervisor's health record (null when unsupervised); valid until
+    // Detach forgets it, after the same grace period.
+    ExtRecord* record = nullptr;
     // Precomputed extension-scope label ("bpf:3(xdp_ingress)"), so the
     // fire path never runs StrFormat.
     std::string scope_label;
   };
 
-  // RCU-style publication: attach/detach (rare, control plane) rebuild an
-  // immutable per-hook attachment table and publish it with one atomic
-  // store; FireInto (hot path) takes one atomic shared_ptr load and walks a
-  // table no concurrent detach can mutate under it.
-  struct Snapshot {
-    std::array<std::vector<Attachment>, kHookPointCount> by_hook;
-  };
-
   // The one attach path behind AttachProgram/AttachExtension.
   xbase::Result<xbase::u32> Attach(HookPoint hook, bool is_safex,
                                    xbase::u32 target_id);
-  void PublishSnapshot();
+  // Called with table_lock_ held (either side).
+  xbase::usize AttachedCountLocked() const;
 
   // Runs one attachment, fully contained: never throws, never returns
   // early, and under supervision repairs any kernel state (refcounts,
@@ -243,12 +245,11 @@ class HookRegistry {
   ebpf::Loader& bpf_loader_;
   ExtLoader& ext_loader_;
   HookRegistryConfig config_;
-  // attach_mu_ guards the control plane (attachments_, ids_); the fire
-  // path never takes it — it reads the published snapshot.
-  mutable std::mutex attach_mu_;
-  std::vector<Attachment> attachments_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_{
-      std::make_shared<const Snapshot>()};
+  // Per-hook attachment tables, in attach order, and the id allocator.
+  // Attach/Detach edit them under the writer side of table_lock_; fires
+  // read them under the reader side, one stripe per thread.
+  xbase::StripedRwLock table_lock_;
+  std::array<std::vector<Attachment>, kHookPointCount> by_hook_;
   xbase::IdAllocator ids_;
   std::array<FireScratch, simkern::kMaxCpus> scratch_;
 };

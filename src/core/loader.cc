@@ -146,8 +146,7 @@ xbase::usize ExtLoader::size() const {
 
 xbase::Result<InvokeOutcome> ExtLoader::Invoke(xbase::u32 id,
                                                const InvokeOptions& options) {
-  Extension* instance = nullptr;
-  CapSet caps;
+  const LoadedExtension* extension = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = extensions_.find(id);
@@ -155,11 +154,16 @@ xbase::Result<InvokeOutcome> ExtLoader::Invoke(xbase::u32 id,
       return xbase::NotFound(xbase::StrFormat("no extension id %u", id));
     }
     // Map nodes are stable and Unload refuses while the extension is
-    // attached, so the instance pointer outlives this invocation.
-    instance = it->second.instance.get();
-    caps = it->second.manifest.caps;
+    // attached, so the entry outlives this invocation.
+    extension = &it->second;
   }
-  return runtime_.Invoke(*instance, caps, options);
+  return Invoke(*extension, options);
+}
+
+InvokeOutcome ExtLoader::Invoke(const LoadedExtension& extension,
+                                const InvokeOptions& options) {
+  return runtime_.Invoke(*extension.instance, extension.manifest.caps,
+                         options);
 }
 
 }  // namespace safex

@@ -67,6 +67,10 @@ class ExtLoader {
   // Invokes a loaded extension with its manifest's capabilities.
   xbase::Result<InvokeOutcome> Invoke(xbase::u32 id,
                                       const InvokeOptions& options = {});
+  // The same for an extension the caller already resolved (and keeps
+  // pinned), without the id lookup and its lock.
+  InvokeOutcome Invoke(const LoadedExtension& extension,
+                       const InvokeOptions& options = {});
 
   xbase::usize size() const;
 

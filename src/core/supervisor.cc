@@ -42,22 +42,65 @@ std::string_view ExtHealthName(ExtHealth health) {
   return "unknown";
 }
 
+ExtRecord& Supervisor::Track(xbase::u32 attachment_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return records_[attachment_id];
+}
+
+AdmitDecision Supervisor::Admit(ExtRecord& record, xbase::u64 now_ns) {
+  if (record.quiet.load(std::memory_order_acquire)) {
+    record.invocations.Add();
+    return AdmitDecision{};
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return AdmitLocked(record, now_ns);
+}
+
+ExtHealth Supervisor::RecordSuccess(ExtRecord& record, xbase::u64 now_ns) {
+  if (record.quiet.load(std::memory_order_acquire)) {
+    return ExtHealth::kHealthy;  // nothing to prune, no probation to close
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordSuccessLocked(record, now_ns);
+  return record.health.load(std::memory_order_relaxed);
+}
+
+ExtHealth Supervisor::RecordFailure(ExtRecord& record, FailureKind kind,
+                                    std::string detail, xbase::u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordFailureLocked(record, kind, std::move(detail), now_ns);
+  return record.health.load(std::memory_order_relaxed);
+}
+
 AdmitDecision Supervisor::Admit(xbase::u32 attachment_id, xbase::u64 now_ns) {
-  AdmitDecision decision;
+  std::lock_guard<std::mutex> lock(mu_);
+  return AdmitLocked(records_[attachment_id], now_ns);
+}
+
+void Supervisor::RecordSuccess(xbase::u32 attachment_id, xbase::u64 now_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.find(attachment_id);
-  if (it == records_.end()) {
-    records_[attachment_id].invocations = 1;
-    return decision;
+  if (it != records_.end()) {
+    RecordSuccessLocked(it->second, now_ns);
   }
-  ExtRecord& record = it->second;
-  switch (record.health) {
+}
+
+void Supervisor::RecordFailure(xbase::u32 attachment_id, FailureKind kind,
+                               std::string detail, xbase::u64 now_ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordFailureLocked(records_[attachment_id], kind, std::move(detail),
+                      now_ns);
+}
+
+AdmitDecision Supervisor::AdmitLocked(ExtRecord& record, xbase::u64 now_ns) {
+  AdmitDecision decision;
+  switch (record.health.load(std::memory_order_relaxed)) {
     case ExtHealth::kHealthy:
       break;
     case ExtHealth::kQuarantined:
       if (now_ns >= record.quarantined_until_ns) {
         // Backoff served: half-open the breaker for trial invocations.
-        record.health = ExtHealth::kProbation;
+        record.health.store(ExtHealth::kProbation, std::memory_order_relaxed);
         record.probation_left = config_.probation_successes;
         record.quarantined_until_ns = 0;
         decision.probation_trial = true;
@@ -77,33 +120,28 @@ AdmitDecision Supervisor::Admit(xbase::u32 attachment_id, xbase::u64 now_ns) {
       break;
   }
   if (decision.allow) {
-    ++record.invocations;
+    record.invocations.Add();
   }
-  decision.health = record.health;
+  Publish(record);
+  decision.health = record.health.load(std::memory_order_relaxed);
   return decision;
 }
 
-void Supervisor::RecordSuccess(xbase::u32 attachment_id, xbase::u64 now_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(attachment_id);
-  if (it == records_.end()) {
-    return;
-  }
-  ExtRecord& record = it->second;
+void Supervisor::RecordSuccessLocked(ExtRecord& record, xbase::u64 now_ns) {
   PruneWindow(record, now_ns);
-  if (record.health == ExtHealth::kProbation && record.probation_left > 0 &&
-      --record.probation_left == 0) {
-    record.health = ExtHealth::kHealthy;
+  if (record.health.load(std::memory_order_relaxed) == ExtHealth::kProbation &&
+      record.probation_left > 0 && --record.probation_left == 0) {
+    record.health.store(ExtHealth::kHealthy, std::memory_order_relaxed);
     record.window.clear();
     ++readmissions_;
   }
+  Publish(record);
 }
 
-void Supervisor::RecordFailure(xbase::u32 attachment_id, FailureKind kind,
-                               std::string detail, xbase::u64 now_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExtRecord& record = records_[attachment_id];
-  if (record.health == ExtHealth::kEvicted) {
+void Supervisor::RecordFailureLocked(ExtRecord& record, FailureKind kind,
+                                     std::string detail, xbase::u64 now_ns) {
+  const ExtHealth health = record.health.load(std::memory_order_relaxed);
+  if (health == ExtHealth::kEvicted) {
     return;  // nothing left to contain
   }
   // Per-CPU clocks advance independently, so a failure reported from a
@@ -122,26 +160,33 @@ void Supervisor::RecordFailure(xbase::u32 attachment_id, FailureKind kind,
   PruneWindow(record, now_ns);
   // A failure during a half-open trial re-trips immediately: the extension
   // has not earned its way back. Otherwise the sliding-window budget rules.
-  if (record.health == ExtHealth::kProbation ||
+  if (health == ExtHealth::kProbation ||
       record.window.size() >= config_.crash_budget) {
-    Trip(attachment_id, record, now_ns);
+    Trip(record, now_ns);
   }
+  Publish(record);
 }
 
-void Supervisor::Trip(xbase::u32 /*attachment_id*/, ExtRecord& record,
-                      xbase::u64 now_ns) {
+void Supervisor::Trip(ExtRecord& record, xbase::u64 now_ns) {
   ++record.trips;
   ++trips_;
   record.window.clear();
   record.probation_left = 0;
   if (record.trips >= config_.max_trips) {
-    record.health = ExtHealth::kEvicted;
+    record.health.store(ExtHealth::kEvicted, std::memory_order_relaxed);
     record.quarantined_until_ns = 0;
     ++evictions_;
   } else {
-    record.health = ExtHealth::kQuarantined;
+    record.health.store(ExtHealth::kQuarantined, std::memory_order_relaxed);
     record.quarantined_until_ns = now_ns + BackoffFor(record.trips);
   }
+}
+
+void Supervisor::Publish(ExtRecord& record) {
+  record.quiet.store(
+      record.health.load(std::memory_order_relaxed) == ExtHealth::kHealthy &&
+          record.window.empty(),
+      std::memory_order_release);
 }
 
 void Supervisor::PruneWindow(ExtRecord& record, xbase::u64 now_ns) {
@@ -177,7 +222,9 @@ void Supervisor::Forget(xbase::u32 attachment_id) {
 ExtHealth Supervisor::HealthOf(xbase::u32 attachment_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = records_.find(attachment_id);
-  return it == records_.end() ? ExtHealth::kHealthy : it->second.health;
+  return it == records_.end()
+             ? ExtHealth::kHealthy
+             : it->second.health.load(std::memory_order_relaxed);
 }
 
 const ExtRecord* Supervisor::Find(xbase::u32 attachment_id) const {
@@ -193,7 +240,15 @@ xbase::Status Supervisor::CheckConsistent(xbase::u64 now_ns) const {
   for (const auto& [id, record] : records_) {
     failures += record.failures_total;
     skips += record.skips;
-    switch (record.health) {
+    const ExtHealth health = record.health.load(std::memory_order_relaxed);
+    if (record.quiet.load(std::memory_order_relaxed) !=
+        (health == ExtHealth::kHealthy && record.window.empty())) {
+      return xbase::Internal(xbase::StrFormat(
+          "supervisor: attachment %u lock-free flag disagrees with its "
+          "health and window",
+          id));
+    }
+    switch (health) {
       case ExtHealth::kHealthy:
         if (record.probation_left != 0) {
           return xbase::Internal(xbase::StrFormat(

@@ -15,6 +15,7 @@
 // runtime availability.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -22,6 +23,7 @@
 #include <string_view>
 
 #include "src/simkern/clock.h"
+#include "src/xbase/rwlock.h"
 #include "src/xbase/status.h"
 #include "src/xbase/types.h"
 
@@ -73,16 +75,23 @@ struct FailureEvent {
 };
 
 struct ExtRecord {
-  ExtHealth health = ExtHealth::kHealthy;
+  // Written under the supervisor's mutex, read without it: `health` by
+  // anyone, `quiet` by the fire path, which needs no lock while the record
+  // is healthy with an empty failure window (quiet == true).
+  std::atomic<ExtHealth> health{ExtHealth::kHealthy};
+  std::atomic<bool> quiet{true};
   std::deque<FailureEvent> window;  // failures inside the sliding window
   xbase::u64 quarantined_until_ns = 0;
   xbase::u32 trips = 0;            // lifetime breaker trips
   xbase::u32 probation_left = 0;   // successes still needed to close
-  xbase::u64 invocations = 0;      // admitted invocations
   xbase::u64 skips = 0;            // invocations refused by the breaker
   xbase::u64 failures_total = 0;
   xbase::u64 failures_by_kind[kFailureKindCount] = {};
   FailureEvent last_failure;
+
+  // Admitted invocations, counted per thread stripe so fires on different
+  // CPUs never write one cache line.
+  xbase::StripedCounter invocations;
 };
 
 struct AdmitDecision {
@@ -96,11 +105,24 @@ class Supervisor {
   explicit Supervisor(const SupervisorConfig& config = {})
       : config_(config) {}
 
-  // Gate an invocation of `attachment_id` at simulated time `now_ns`.
-  // Quarantine whose backoff has expired transitions to probation here.
-  AdmitDecision Admit(xbase::u32 attachment_id, xbase::u64 now_ns);
+  // Creates the health record for `attachment_id` (or returns the live
+  // one). The reference is the attachment's handle for the calls below and
+  // stays valid until Forget(attachment_id).
+  ExtRecord& Track(xbase::u32 attachment_id);
 
-  // Report the outcome of an admitted invocation.
+  // Gate an invocation at simulated time `now_ns`. Quarantine whose backoff
+  // has expired transitions to probation here. A healthy record with an
+  // empty failure window is admitted without taking the lock.
+  AdmitDecision Admit(ExtRecord& record, xbase::u64 now_ns);
+  // Report the outcome of an admitted invocation; returns the health after
+  // it. Success on a healthy record with an empty window takes no lock.
+  ExtHealth RecordSuccess(ExtRecord& record, xbase::u64 now_ns);
+  ExtHealth RecordFailure(ExtRecord& record, FailureKind kind,
+                          std::string detail, xbase::u64 now_ns);
+
+  // The same, keyed by attachment id and always under the lock. Admit and
+  // RecordFailure create a missing record; RecordSuccess ignores one.
+  AdmitDecision Admit(xbase::u32 attachment_id, xbase::u64 now_ns);
   void RecordSuccess(xbase::u32 attachment_id, xbase::u64 now_ns);
   void RecordFailure(xbase::u32 attachment_id, FailureKind kind,
                      std::string detail, xbase::u64 now_ns);
@@ -149,12 +171,19 @@ class Supervisor {
 
  private:
   // Called with mu_ held.
-  void Trip(xbase::u32 attachment_id, ExtRecord& record, xbase::u64 now_ns);
+  AdmitDecision AdmitLocked(ExtRecord& record, xbase::u64 now_ns);
+  void RecordSuccessLocked(ExtRecord& record, xbase::u64 now_ns);
+  void RecordFailureLocked(ExtRecord& record, FailureKind kind,
+                           std::string detail, xbase::u64 now_ns);
+  void Trip(ExtRecord& record, xbase::u64 now_ns);
   void PruneWindow(ExtRecord& record, xbase::u64 now_ns);
   xbase::u64 BackoffFor(xbase::u32 trips) const;
+  // Republishes `quiet` after a change to the record's health or window.
+  static void Publish(ExtRecord& record);
 
-  // Guards every record and aggregate counter: attachments fire — and
-  // fail — concurrently from all simulated CPUs.
+  // Guards the record map, every record's non-atomic fields, every write
+  // of `health` and `quiet`, and the aggregate counters: attachments fire —
+  // and fail — concurrently from all simulated CPUs.
   mutable std::mutex mu_;
   SupervisorConfig config_;
   std::map<xbase::u32, ExtRecord> records_;

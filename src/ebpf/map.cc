@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <shared_mutex>
 
 #include "src/xbase/bytes.h"
 #include "src/xbase/strfmt.h"
@@ -523,7 +522,7 @@ xbase::Result<Addr> TaskStorageMap::GetForTask(simkern::Kernel& kernel,
 // ---- MapTable ---------------------------------------------------------------------
 
 xbase::Result<int> MapTable::Create(const MapSpec& spec) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<xbase::StripedRwLock> lock(lock_);
   const int fd = next_fd_++;
   std::unique_ptr<Map> map;
   switch (spec.type) {
@@ -558,7 +557,7 @@ xbase::Result<int> MapTable::Create(const MapSpec& spec) {
 }
 
 xbase::Result<Map*> MapTable::Find(int fd) {
-  ReadGuard guard(*this);
+  const auto guard = ReadTable();
   auto it = maps_.find(fd);
   if (it == maps_.end()) {
     return xbase::NotFound(StrFormat("no map with fd %d", fd));
@@ -567,7 +566,7 @@ xbase::Result<Map*> MapTable::Find(int fd) {
 }
 
 xbase::Result<const Map*> MapTable::Find(int fd) const {
-  ReadGuard guard(*this);
+  const auto guard = ReadTable();
   auto it = maps_.find(fd);
   if (it == maps_.end()) {
     return xbase::NotFound(StrFormat("no map with fd %d", fd));
@@ -576,7 +575,7 @@ xbase::Result<const Map*> MapTable::Find(int fd) const {
 }
 
 xbase::Status MapTable::Destroy(int fd) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<xbase::StripedRwLock> lock(lock_);
   if (maps_.erase(fd) == 0) {
     return xbase::NotFound(StrFormat("no map with fd %d", fd));
   }
@@ -589,7 +588,7 @@ Map* MapTable::FindByValueAddr(Addr addr) {
   if (region == nullptr) {
     return nullptr;
   }
-  ReadGuard guard(*this);
+  const auto guard = ReadTable();
   for (auto& [_, map] : maps_) {
     if (auto* array = dynamic_cast<ArrayMap*>(map.get())) {
       if (array->values_base() == region->base) {

@@ -10,12 +10,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/simkern/kernel.h"
+#include "src/xbase/rwlock.h"
 #include "src/xbase/status.h"
 #include "src/xbase/types.h"
 
@@ -287,9 +287,10 @@ class TaskStorageMap : public Map {
 };
 
 // ---- table ------------------------------------------------------------------------
-// The fd table locks only once Kernel::StartCpus has armed SMP; the
-// single-threaded dispatch path (which hits Find on every map helper)
-// keeps paying just an untaken branch.
+// The fd table's readers lock only once Kernel::StartCpus has armed SMP;
+// the single-threaded dispatch path (which hits Find on every map helper)
+// keeps paying just an untaken branch. Create and Destroy always take the
+// writer side.
 class MapTable {
  public:
   explicit MapTable(simkern::Kernel& kernel) : kernel_(kernel) {}
@@ -304,34 +305,19 @@ class MapTable {
   Map* FindByValueAddr(Addr addr);
 
   xbase::usize size() const {
-    ReadGuard guard(*this);
+    const auto guard = ReadTable();
     return maps_.size();
   }
 
- private:
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const MapTable& table)
-        : table_(table), locked_(table.kernel_.smp_active()) {
-      if (locked_) {
-        table_.mu_.lock_shared();
-      }
-    }
-    ~ReadGuard() {
-      if (locked_) {
-        table_.mu_.unlock_shared();
-      }
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
+  xbase::RwLockStats lock_stats() const { return lock_.stats(); }
 
-   private:
-    const MapTable& table_;
-    const bool locked_;
-  };
+ private:
+  xbase::StripedRwLock::ReadGuard ReadTable() const {
+    return xbase::StripedRwLock::ReadGuard(lock_, kernel_.smp_active());
+  }
 
   simkern::Kernel& kernel_;
-  mutable std::shared_mutex mu_;
+  xbase::StripedRwLock lock_;  // guards maps_ and next_fd_
   std::map<int, std::unique_ptr<Map>> maps_;
   int next_fd_ = 3;
 };

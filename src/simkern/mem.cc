@@ -1,6 +1,7 @@
 #include "src/simkern/mem.h"
 
 #include <cstring>
+#include <iterator>
 
 #include "src/xbase/bytes.h"
 #include "src/xbase/strfmt.h"
@@ -65,47 +66,60 @@ xbase::Result<Addr> SimMemory::Map(usize size, MemPerm perm, RegionKind kind,
   if (size == 0) {
     return xbase::InvalidArgument("cannot map empty region: " + name);
   }
-  std::unique_lock<std::shared_mutex> table_guard(table_mu_);
+  if (fixed_base != 0 && fixed_base < kNullGuardSize) {
+    return xbase::InvalidArgument("cannot map over the NULL guard page");
+  }
+  // Zero-fill outside the lock: the table is held exclusively only for the
+  // address pick, the neighbour check and the insert.
+  Region region;
+  region.size = size;
+  region.perm = perm;
+  region.kind = kind;
+  region.name = std::move(name);
+  region.bytes.assign(size, 0);
+  std::lock_guard<xbase::StripedRwLock> table_guard(table_lock_);
   Addr base = fixed_base;
   if (base == 0) {
     base = next_base_;
     // Keep a guard gap between regions so off-the-end accesses fault
     // instead of landing in a neighbour.
     next_base_ += (size + 0xfff) / 0x1000 * 0x1000 + 0x1000;
-  } else if (base < kNullGuardSize) {
-    return xbase::InvalidArgument("cannot map over the NULL guard page");
   }
-  // Overlap check.
-  for (const auto& [_, region] : regions_) {
-    if (base < region.end() && region.base < base + size) {
-      return xbase::AlreadyExists(
-          xbase::StrFormat("region overlap at 0x%llx (%s vs %s)",
-                           static_cast<unsigned long long>(base),
-                           name.c_str(), region.name.c_str()));
-    }
+  // Regions never overlap each other, so only the nearest region at or
+  // below `base` and the nearest one above it can overlap the new one.
+  const auto next = regions_.upper_bound(base);
+  const Region* overlap = nullptr;
+  if (next != regions_.begin() && std::prev(next)->second.end() > base) {
+    overlap = &std::prev(next)->second;
+  } else if (next != regions_.end() && next->second.base < base + size) {
+    overlap = &next->second;
   }
-  Region region;
+  if (overlap != nullptr) {
+    return xbase::AlreadyExists(
+        xbase::StrFormat("region overlap at 0x%llx (%s vs %s)",
+                         static_cast<unsigned long long>(base),
+                         region.name.c_str(), overlap->name.c_str()));
+  }
   region.base = base;
-  region.size = size;
-  region.perm = perm;
-  region.kind = kind;
-  region.name = std::move(name);
-  region.bytes.assign(size, 0);
   regions_.emplace(base, std::move(region));
   total_mapped_ += size;
   return base;
 }
 
 xbase::Status SimMemory::Unmap(Addr base) {
-  std::unique_lock<std::shared_mutex> table_guard(table_mu_);
-  auto it = regions_.find(base);
-  if (it == regions_.end()) {
-    return xbase::NotFound(
-        xbase::StrFormat("no region mapped at 0x%llx",
-                         static_cast<unsigned long long>(base)));
+  // The region's bytes are freed after the table is released.
+  std::map<Addr, Region>::node_type unmapped;
+  {
+    std::lock_guard<xbase::StripedRwLock> table_guard(table_lock_);
+    auto it = regions_.find(base);
+    if (it == regions_.end()) {
+      return xbase::NotFound(
+          xbase::StrFormat("no region mapped at 0x%llx",
+                           static_cast<unsigned long long>(base)));
+    }
+    total_mapped_ -= it->second.size;
+    unmapped = regions_.extract(it);
   }
-  total_mapped_ -= it->second.size;
-  regions_.erase(it);
   return xbase::Status::Ok();
 }
 
@@ -135,7 +149,7 @@ xbase::Status SimMemory::Fault(FaultKind kind, Addr addr, bool is_write,
 }
 
 xbase::Status SimMemory::Read(Addr addr, std::span<u8> out) const {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   const Region* region = Locate(addr, out.size());
   if (region == nullptr) {
     return xbase::OutOfRange(
@@ -148,7 +162,7 @@ xbase::Status SimMemory::Read(Addr addr, std::span<u8> out) const {
 }
 
 xbase::Status SimMemory::Write(Addr addr, std::span<const u8> data) {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   const Region* region = Locate(addr, data.size());
   if (region == nullptr) {
     return xbase::OutOfRange(
@@ -164,7 +178,7 @@ xbase::Status SimMemory::Write(Addr addr, std::span<const u8> data) {
 
 xbase::Status SimMemory::ReadChecked(Addr addr, std::span<u8> out,
                                      u32 access_key) {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   if (addr < kNullGuardSize) {
     return Fault(FaultKind::kNullDeref, addr, false, "read through NULL");
   }
@@ -189,7 +203,7 @@ xbase::Status SimMemory::ReadChecked(Addr addr, std::span<u8> out,
 
 xbase::Status SimMemory::WriteChecked(Addr addr, std::span<const u8> data,
                                       u32 access_key) {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   if (addr < kNullGuardSize) {
     return Fault(FaultKind::kNullDeref, addr, true, "write through NULL");
   }
@@ -238,13 +252,13 @@ xbase::Status SimMemory::WriteU32(Addr addr, u32 value) {
 }
 
 Region* SimMemory::FindRegion(Addr base) {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   auto it = regions_.find(base);
   return it == regions_.end() ? nullptr : &it->second;
 }
 
 const Region* SimMemory::FindRegionContaining(Addr addr) const {
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   return Locate(addr, 1);
 }
 
@@ -252,7 +266,7 @@ SimMemory::DirectWindow SimMemory::TranslateForUnchecked(Addr addr) {
   // Pure region lookup — no NULL-guard, permission, key, or fault
   // bookkeeping (see header). Region byte storage is stable for the
   // region's lifetime, so the returned window stays valid until Unmap.
-  ReadGuard table_guard(*this);
+  const auto table_guard = ReadTable();
   const Region* region = Locate(addr, 1);
   if (region == nullptr) {
     return {};
@@ -264,7 +278,7 @@ SimMemory::DirectWindow SimMemory::TranslateForUnchecked(Addr addr) {
 }
 
 void SimMemory::SetRegionKey(Addr base, u32 key) {
-  std::unique_lock<std::shared_mutex> table_guard(table_mu_);
+  std::lock_guard<xbase::StripedRwLock> table_guard(table_lock_);
   auto it = regions_.find(base);
   if (it != regions_.end()) {
     it->second.protection_key = key;

@@ -12,11 +12,11 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/xbase/rwlock.h"
 #include "src/xbase/status.h"
 #include "src/xbase/types.h"
 
@@ -163,9 +163,10 @@ class SimMemory {
     return unchecked_wild_writes_.load(std::memory_order_relaxed);
   }
 
-  // Arms the region-table reader/writer lock. Off by default so the
+  // Arms the reader side of the region-table lock. Off by default so the
   // single-threaded dispatch hot path pays only an untaken branch per
   // access; Kernel::StartCpus flips it before any worker thread runs.
+  // Writers (Map, Unmap, SetRegionKey) always lock.
   // Note the lock protects the region *table* (Map/Unmap vs lookups), not
   // region byte contents — concurrent byte ownership is a workload-level
   // contract (per-CPU map slots, per-CPU stacks, per-map mutexes).
@@ -185,33 +186,19 @@ class SimMemory {
 
   xbase::usize region_count() const { return regions_.size(); }
   xbase::u64 total_mapped_bytes() const { return total_mapped_; }
+  xbase::RwLockStats table_lock_stats() const { return table_lock_.stats(); }
 
  private:
   const Region* Locate(Addr addr, xbase::usize size) const;
   xbase::Status Fault(FaultKind kind, Addr addr, bool is_write,
                       std::string detail);
 
-  // Shared-lock RAII that is a no-op until EnableConcurrentAccess.
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const SimMemory& mem)
-        : mem_(mem.concurrent_.load(std::memory_order_acquire) ? &mem
-                                                               : nullptr) {
-      if (mem_ != nullptr) {
-        mem_->table_mu_.lock_shared();
-      }
-    }
-    ~ReadGuard() {
-      if (mem_ != nullptr) {
-        mem_->table_mu_.unlock_shared();
-      }
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-   private:
-    const SimMemory* mem_;
-  };
+  // The reader side of the region table; a no-op until
+  // EnableConcurrentAccess.
+  xbase::StripedRwLock::ReadGuard ReadTable() const {
+    return xbase::StripedRwLock::ReadGuard(
+        table_lock_, concurrent_.load(std::memory_order_acquire));
+  }
 
   // Keyed by base address.
   std::map<Addr, Region> regions_;
@@ -220,7 +207,8 @@ class SimMemory {
   std::atomic<xbase::u64> unchecked_wild_reads_{0};
   std::atomic<xbase::u64> unchecked_wild_writes_{0};
   std::atomic<bool> concurrent_{false};
-  mutable std::shared_mutex table_mu_;
+  // Guards regions_, next_base_ and total_mapped_ (not region bytes).
+  xbase::StripedRwLock table_lock_;
   mutable std::mutex fault_mu_;
   mutable std::optional<MemFault> fault_;
 };

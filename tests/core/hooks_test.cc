@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "src/core/system.h"
 #include "src/core/toolchain.h"
@@ -19,6 +23,29 @@ class ConstExt : public Extension {
 
  private:
   xbase::u64 verdict_;
+};
+
+// Counts runs begun and ended in host atomics the test reads while CPUs
+// fire, and stays inside each run long enough that a Detach which did not
+// wait for in-flight fires would return mid-run.
+class SlowCountingExt : public Extension {
+ public:
+  SlowCountingExt(std::atomic<xbase::u64>* begun,
+                  std::atomic<xbase::u64>* ended)
+      : begun_(begun), ended_(ended) {}
+  xbase::Result<xbase::u64> Run(Ctx&) override {
+    begun_->fetch_add(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    ended_->fetch_add(1);
+    return xbase::u64{0};
+  }
+
+ private:
+  std::atomic<xbase::u64>* begun_;
+  std::atomic<xbase::u64>* ended_;
 };
 
 class HooksTest : public ::testing::Test {
@@ -45,14 +72,19 @@ class HooksTest : public ::testing::Test {
   }
 
   xbase::u32 LoadConstExt(xbase::u64 verdict) {
+    return LoadExt("const-ext", std::to_string(verdict), [verdict]() {
+      return std::make_unique<ConstExt>(verdict);
+    });
+  }
+
+  xbase::u32 LoadExt(const std::string& name, const std::string& version,
+                     ExtensionFactory factory) {
     Toolchain toolchain(System::VendorKey());
     ExtensionManifest manifest;
-    manifest.name = "const-ext";
-    manifest.version = std::to_string(verdict);
-    auto artifact = toolchain.Build(
-        manifest,
-        [verdict]() { return std::make_unique<ConstExt>(verdict); },
-        std::span<const xbase::u8>());
+    manifest.name = name;
+    manifest.version = version;
+    auto artifact = toolchain.Build(manifest, std::move(factory),
+                                    std::span<const xbase::u8>());
     return ext_loader_->Load(artifact.value()).value();
   }
 
@@ -209,6 +241,81 @@ TEST_F(HooksTest, AttachProgramFollowsTheOwnerColumn) {
   EXPECT_EQ(FamilyOf(HookPoint::kSchedPickNext).owner,
             ebpf::ProgType::kSchedExt);
   EXPECT_EQ(FamilyOf(HookPoint::kLsmFileOpen).owner, ebpf::ProgType::kLsm);
+}
+
+TEST_F(HooksTest, DetachUnderSmpFireWaitsOutInFlightFires) {
+  // One attachment stays; an eBPF program and a safex extension are
+  // detached and unloaded at once while 4 CPUs keep firing the hook.
+  const xbase::u32 kept_prog = LoadConstProg(0);
+  const xbase::u32 gone_prog = LoadConstProg(0);
+  std::atomic<xbase::u64> begun{0};
+  std::atomic<xbase::u64> ended{0};
+  const xbase::u32 gone_ext = LoadExt("slow-counting", "1", [&]() {
+    return std::make_unique<SlowCountingExt>(&begun, &ended);
+  });
+  const auto kept =
+      hooks_->AttachProgram(HookPoint::kSyscallEnter, kept_prog);
+  const auto gone_bpf =
+      hooks_->AttachProgram(HookPoint::kSyscallEnter, gone_prog);
+  const auto gone_safex =
+      hooks_->AttachExtension(HookPoint::kSyscallEnter, gone_ext);
+  ASSERT_TRUE(kept.ok() && gone_bpf.ok() && gone_safex.ok());
+
+  kernel_.StartCpus();
+  simkern::CpuPool& pool = *kernel_.cpus();
+  std::atomic<bool> stop{false};
+  std::thread feeder([&] {
+    for (xbase::u32 i = 0; !stop.load(); ++i) {
+      hooks_->FireAsyncOn(pool, i % kernel_.num_cpus(),
+                          HookPoint::kSyscallEnter, ctx_);
+      if (i % 8 == 7) {
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ended.load() < 100 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(ended.load(), 100u) << "the CPUs never fired the extension";
+
+  // Detach returns only once no fire can still run the attachment: no run
+  // is left half done, none begins afterwards, and the target unloads
+  // straight away.
+  ASSERT_TRUE(hooks_->Detach(gone_safex.value()).ok());
+  const xbase::u64 ended_at_detach = ended.load();
+  const xbase::u64 begun_at_detach = begun.load();
+  EXPECT_EQ(begun_at_detach, ended_at_detach) << "Detach returned mid-run";
+  EXPECT_TRUE(ext_loader_->Unload(gone_ext).ok());
+  ASSERT_TRUE(hooks_->Detach(gone_bpf.value()).ok());
+  EXPECT_TRUE(bpf_loader_.Unload(gone_prog).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true);
+  feeder.join();
+  pool.Drain();
+  EXPECT_EQ(begun.load(), begun_at_detach) << "a fire ran after Detach";
+
+  // One more round, so every CPU that reports below fired after Detach.
+  std::vector<xbase::u64> fires_before;
+  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
+    fires_before.push_back(hooks_->fires_on(cpu));
+  }
+  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
+    hooks_->FireAsyncOn(pool, cpu, HookPoint::kSyscallEnter, ctx_);
+  }
+  pool.Drain();
+  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
+    if (hooks_->fires_on(cpu) == fires_before[cpu]) {
+      continue;  // another CPU stole this one's fire
+    }
+    const HookFireReport& report = hooks_->async_report_on(cpu);
+    ASSERT_EQ(report.verdicts.size(), 1u) << "cpu " << cpu;
+    EXPECT_EQ(report.verdicts[0].attachment_id, kept.value());
+    EXPECT_EQ(report.served, 1u);
+  }
+  EXPECT_EQ(hooks_->AttachedCountTotal(), 1u);
+  kernel_.StopCpus();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // and a leak audit across a thousand quarantine/re-admit cycles.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/system.h"
 #include "src/core/toolchain.h"
 
@@ -359,6 +361,73 @@ TEST_F(SupervisedHooksTest, FallbackPoliciesAreFixedPerHookFamily) {
     EXPECT_TRUE(lsm.denied) << "access-control family fails closed";
     EXPECT_EQ(lsm.verdict, 1u) << "with EPERM";
   }
+}
+
+TEST_F(SupervisedHooksTest, CrossCpuFailuresTripExactlyAtTheBudget) {
+  // A failing and a healthy extension share a hook fired from 4 CPUs at
+  // once. The failing one's window fills from every CPU, yet the breaker
+  // trips exactly once, at crash_budget failures: with max_trips 1 the trip
+  // evicts, and a failure still in flight on another CPU finds the record
+  // evicted and is not counted. The healthy neighbour never notices.
+  SupervisorConfig config = TestConfig();
+  config.window_ns = 1'000'000 * kMs;
+  config.max_trips = 1;
+  Build(config);
+  panic_flag_ = true;
+  bool never_panic = false;
+  const auto failing = hooks_->AttachExtension(HookPoint::kSyscallEnter,
+                                               LoadToggleExt(&panic_flag_));
+  const auto healthy = hooks_->AttachExtension(HookPoint::kSyscallEnter,
+                                               LoadToggleExt(&never_panic));
+  ASSERT_TRUE(failing.ok() && healthy.ok());
+
+  kernel_->StartCpus();
+  simkern::CpuPool& pool = *kernel_->cpus();
+  constexpr xbase::u32 kFiresPerBurst = 64;
+  const auto burst = [&] {
+    for (xbase::u32 i = 0; i < kFiresPerBurst; ++i) {
+      hooks_->FireAsyncOn(pool, i % kernel_->num_cpus(),
+                          HookPoint::kSyscallEnter, ctx_);
+    }
+    pool.Drain();
+  };
+  burst();
+  const ExtRecord* record = supervisor_->Find(failing.value());
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->health.load(), ExtHealth::kEvicted);
+  EXPECT_EQ(record->trips, 1u);
+  EXPECT_EQ(record->failures_total, config.crash_budget);
+  EXPECT_EQ(supervisor_->failures(), config.crash_budget);
+  EXPECT_EQ(supervisor_->trips(), 1u);
+  EXPECT_EQ(supervisor_->evictions(), 1u);
+  EXPECT_TRUE(
+      supervisor_->CheckConsistent(kernel_->clock().max_now_ns()).ok());
+
+  // After the eviction every fire skips the evicted extension and serves
+  // its neighbour, on whichever CPUs ran the burst (idle CPUs steal).
+  std::vector<xbase::u64> fires_before;
+  for (xbase::u32 cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
+    fires_before.push_back(hooks_->fires_on(cpu));
+  }
+  burst();
+  for (xbase::u32 cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
+    if (hooks_->fires_on(cpu) == fires_before[cpu]) {
+      continue;
+    }
+    const HookFireReport& report = hooks_->async_report_on(cpu);
+    EXPECT_EQ(report.skipped, 1u) << "cpu " << cpu;
+    EXPECT_EQ(report.served, 1u) << "cpu " << cpu;
+    EXPECT_EQ(report.failed, 0u) << "cpu " << cpu;
+  }
+  const ExtRecord* neighbour = supervisor_->Find(healthy.value());
+  ASSERT_NE(neighbour, nullptr);
+  EXPECT_EQ(neighbour->health.load(), ExtHealth::kHealthy);
+  EXPECT_EQ(neighbour->failures_total, 0u);
+  EXPECT_EQ(neighbour->invocations.Sum(), 2 * kFiresPerBurst);
+  EXPECT_EQ(supervisor_->failures(), config.crash_budget);
+  EXPECT_TRUE(
+      supervisor_->CheckConsistent(kernel_->clock().max_now_ns()).ok());
+  kernel_->StopCpus();
 }
 
 TEST(SupervisorUnit, DeadlineMissLadderClosesViaProbation) {

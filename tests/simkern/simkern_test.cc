@@ -101,6 +101,48 @@ TEST(SimMemoryTest, OverlapRejected) {
             xbase::Code::kAlreadyExists);
 }
 
+TEST(SimMemoryTest, OverlapWithEitherNeighbourRejectedTouchingAccepted) {
+  // Fixed regions at [0x10000, 0x10100) and [0x10200, 0x10300), with
+  // unrelated regions around them so the neighbours are not the table ends.
+  SimMemory mem;
+  const auto map = [&mem](Addr base, xbase::usize size, const char* name) {
+    return mem.Map(size, MemPerm::kReadWrite, RegionKind::kKernelData, name,
+                   base);
+  };
+  ASSERT_TRUE(map(0x8000, 0x100, "low").ok());
+  ASSERT_TRUE(map(0x10000, 0x100, "left").ok());
+  ASSERT_TRUE(map(0x10200, 0x100, "right").ok());
+  ASSERT_TRUE(map(0x20000, 0x100, "high").ok());
+
+  // Overlaps the left neighbour's tail.
+  const auto left = map(0x100ff, 0x10, "x");
+  EXPECT_EQ(left.status().code(), xbase::Code::kAlreadyExists);
+  EXPECT_EQ(left.status().message(),
+            "region overlap at 0x100ff (x vs left)");
+  // Overlaps the right neighbour's head.
+  const auto right = map(0x10180, 0x81, "y");
+  EXPECT_EQ(right.status().code(), xbase::Code::kAlreadyExists);
+  EXPECT_EQ(right.status().message(),
+            "region overlap at 0x10180 (y vs right)");
+  // Covers a whole neighbour; the lower overlap is the one reported.
+  EXPECT_EQ(map(0xff00, 0x10400, "z").status().message(),
+            "region overlap at 0xff00 (z vs left)");
+  // Same base as a neighbour.
+  EXPECT_EQ(map(0x10200, 0x8, "w").status().code(),
+            xbase::Code::kAlreadyExists);
+  EXPECT_EQ(mem.region_count(), 4u) << "a rejected map leaves no region";
+
+  // Exactly filling the gap touches both neighbours and overlaps neither.
+  const auto gap = map(0x10100, 0x100, "gap");
+  ASSERT_TRUE(gap.ok()) << gap.status().ToString();
+  EXPECT_EQ(mem.region_count(), 5u);
+  u8 buf[1];
+  EXPECT_TRUE(mem.ReadChecked(0x100ff, buf, 0).ok());
+  EXPECT_TRUE(mem.ReadChecked(0x10100, buf, 0).ok());
+  EXPECT_TRUE(mem.ReadChecked(0x101ff, buf, 0).ok());
+  EXPECT_TRUE(mem.ReadChecked(0x10200, buf, 0).ok());
+}
+
 // ---- objects -------------------------------------------------------------------
 
 TEST(ObjectTableTest, AcquireReleaseLifecycle) {

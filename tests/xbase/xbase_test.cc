@@ -1,14 +1,21 @@
 // Unit tests for the foundation library: Status/Result plumbing, the
-// deterministic PRNG, byte encoding, formatting and id allocation.
+// deterministic PRNG, byte encoding, formatting, id allocation and the
+// striped reader-writer lock.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/xbase/bytes.h"
 #include "src/xbase/ids.h"
 #include "src/xbase/log.h"
 #include "src/xbase/rand.h"
+#include "src/xbase/rwlock.h"
 #include "src/xbase/status.h"
 #include "src/xbase/strfmt.h"
 
@@ -192,6 +199,116 @@ TEST(IdAllocatorTest, ReportsAFullSpace) {
   EXPECT_FALSE(ids.Allocate(std::numeric_limits<u32>::max() - 1,
                             [](u32) { return false; })
                    .has_value());
+}
+
+// ---- striped reader-writer lock ---------------------------------------------
+
+// Long enough for a thread that could get in to have done so.
+constexpr auto kSettle = std::chrono::milliseconds(50);
+
+TEST(StripedRwLockTest, WriterExcludesReadersOnEveryStripe) {
+  StripedRwLock lock;
+  lock.lock();
+  // One reader per stripe: threads take stripes round-robin, so
+  // kThreadStripes fresh threads cover them all.
+  std::atomic<usize> entered{0};
+  std::mutex stripes_mu;
+  std::set<usize> stripes;
+  std::vector<std::thread> readers;
+  for (usize i = 0; i < kThreadStripes; ++i) {
+    readers.emplace_back([&] {
+      {
+        std::lock_guard<std::mutex> guard(stripes_mu);
+        stripes.insert(ThisThreadStripe());
+      }
+      const StripedRwLock::ReadGuard read(lock);
+      entered.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(kSettle);
+  EXPECT_EQ(entered.load(), 0u) << "a reader got past the writer";
+  lock.unlock();
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(entered.load(), kThreadStripes);
+  EXPECT_EQ(stripes.size(), kThreadStripes);
+}
+
+TEST(StripedRwLockTest, ReadersOnEightThreadsHoldConcurrently) {
+  constexpr usize kReaders = 8;
+  StripedRwLock lock;
+  std::atomic<usize> inside{0};
+  std::atomic<usize> most_inside{0};
+  std::vector<std::thread> readers;
+  for (usize i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&] {
+      const StripedRwLock::ReadGuard read(lock);
+      const usize now = inside.fetch_add(1) + 1;
+      usize seen = most_inside.load();
+      while (now > seen && !most_inside.compare_exchange_weak(seen, now)) {
+      }
+      // Hold until every reader is in (bounded, so a failure cannot hang).
+      const auto deadline = std::chrono::steady_clock::now() + kSettle * 20;
+      while (inside.load() < kReaders &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(most_inside.load(), kReaders);
+  EXPECT_EQ(lock.stats().writer_acquires, 0u);
+}
+
+TEST(StripedRwLockTest, WriterWaitsForAReaderOnAnotherThread) {
+  StripedRwLock lock;
+  std::atomic<bool> reading{false};
+  std::atomic<bool> release{false};
+  std::thread reader([&] {
+    const StripedRwLock::ReadGuard read(lock);
+    reading.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (!reading.load()) {
+    std::this_thread::yield();
+  }
+  std::atomic<bool> writing{false};
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    writing.store(true);
+    const std::lock_guard<StripedRwLock> write(lock);
+    written.store(true);
+  });
+  while (!writing.load()) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(kSettle);
+  EXPECT_FALSE(written.load()) << "the writer ran over a reader";
+  release.store(true);
+  reader.join();
+  writer.join();
+  EXPECT_TRUE(written.load());
+  const RwLockStats stats = lock.stats();
+  EXPECT_EQ(stats.writer_acquires, 1u);
+  EXPECT_EQ(stats.writer_contended, 1u);
+  EXPECT_GT(stats.writer_wait_ns, 0u);
+}
+
+TEST(StripedRwLockTest, DisarmedGuardTakesNothing) {
+  StripedRwLock lock;
+  {
+    const StripedRwLock::ReadGuard read(lock, /*armed=*/false);
+    // A writer on this very thread would deadlock against an armed guard.
+    const std::lock_guard<StripedRwLock> write(lock);
+  }
+  const RwLockStats stats = lock.stats();
+  EXPECT_EQ(stats.writer_acquires, 1u);
+  EXPECT_EQ(stats.writer_contended, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 // counter sum matching the packet fire count exactly), 1 one broke,
 // 2 usage error.
 #include <cstdio>
+#include <utility>
 
 #include "src/analysis/stormmain.h"
 #include "src/xbase/strfmt.h"
@@ -46,6 +47,19 @@ void PrintStats(const analysis::TrafficReport& report) {
               static_cast<unsigned long long>(
                   report.lock_totals.contended_acquires),
               static_cast<double>(report.lock_totals.spin_wall_ns) / 1e6);
+  // The simulated locks above; below, the host locks every fire reads
+  // under (only their writer side is counted).
+  const std::pair<const char*, const xbase::RwLockStats*> host_locks[] = {
+      {"memory table (host)", &report.memory_table_lock},
+      {"map table (host)", &report.map_table_lock},
+      {"hook table (host)", &report.hook_table_lock}};
+  for (const auto& [table, stats] : host_locks) {
+    std::printf("  %-22s%llu writer acquires, %llu contended, %.3f ms "
+                "waiting\n",
+                table, static_cast<unsigned long long>(stats->writer_acquires),
+                static_cast<unsigned long long>(stats->writer_contended),
+                static_cast<double>(stats->writer_wait_ns) / 1e6);
+  }
   for (xbase::usize cpu = 0; cpu < report.per_cpu.size(); ++cpu) {
     const analysis::TrafficCpuStats& stats = report.per_cpu[cpu];
     std::printf("  cpu%-2zu                 %llu tasks (%llu stolen), "
