@@ -28,9 +28,10 @@ constexpr int kTrials = 5;
 constexpr int kIters = 2;
 
 // Times verification of `prog` and checks the verdict is `accepts`.
-void TimeVerify(harness::Bench& bench, const std::string& name,
-                xbase::Result<ebpf::Program> (*build)(xbase::u32),
-                xbase::u32 arg, bool accepts) {
+// Returns the fastest batch's ns per processed instruction (0 if rejected).
+double TimeVerify(harness::Bench& bench, const std::string& name,
+                  xbase::Result<ebpf::Program> (*build)(xbase::u32),
+                  xbase::u32 arg, bool accepts) {
   safex::System rig;
   auto prog = build(arg);
   if (!prog.ok()) {
@@ -44,7 +45,7 @@ void TimeVerify(harness::Bench& bench, const std::string& name,
   opts.faults = &rig.bpf.faults();
   xbase::u64 accepted = 0;
   ebpf::VerifyStats stats;
-  bench.Time(
+  const harness::Stats timing = bench.Time(
       xbase::StrFormat("%s/%u", name.c_str(), arg), kTrials, kIters,
       [&] {
         auto result =
@@ -63,6 +64,9 @@ void TimeVerify(harness::Bench& bench, const std::string& name,
                    : xbase::Internal(accepts ? "verifier rejected it"
                                              : "verifier accepted it");
       });
+  return stats.insns_processed == 0
+             ? 0
+             : timing.min_ns / static_cast<double>(stats.insns_processed);
 }
 
 std::unique_ptr<safex::Extension> MakeNop() {
@@ -257,23 +261,41 @@ bool RunRelCostStudy(harness::Bench& bench) {
 int main(int argc, char** argv) {
   harness::Bench bench("verification_cost", argc, argv);
   harness::Title("B-VER — verification cost vs the safex load path");
+  double straight_ns_per_insn = 0;
   for (const xbase::u32 len : {64, 512, 4096, 32768}) {
-    TimeVerify(bench, "VerifyStraightLine", analysis::BuildStraightLine, len,
-               true);
+    const double ns_per_insn = TimeVerify(
+        bench, "VerifyStraightLine", analysis::BuildStraightLine, len, true);
+    if (len == 4096) {
+      straight_ns_per_insn = ns_per_insn;
+    }
   }
+  // The verifier walks every loop iteration: cost is linear in the trip
+  // count even though the program is 8 instructions long. 300000
+  // iterations blow the budget.
+  double loop_ns_per_insn = 0;
+  for (const xbase::u32 trips : {100, 1000, 10000, 100000, 300000}) {
+    const double ns_per_insn =
+        TimeVerify(bench, "VerifyCountedLoop", analysis::BuildCountedLoop,
+                   trips, trips < 300000);
+    if (trips == 1000) {
+      loop_ns_per_insn = ns_per_insn;
+    }
+  }
+  // What a processed instruction costs must not depend much on the
+  // program's shape: every four instructions the loop forks at its branch
+  // and checks the stored states at its head, while the straight line does
+  // neither. The two sweeps run back to back, milliseconds apart, so both
+  // cases see the same host load, and the ratio is comparable across
+  // hosts.
+  const double shape_ratio = loop_ns_per_insn / straight_ns_per_insn;
+  bench.Gate("counted_loop_1000_vs_straight_line_4096_ns_per_insn", "min",
+             shape_ratio, 2.0, shape_ratio <= 2.0);
   // 2^20 paths exceeds the 1M insn budget: the verifier gives up — a
   // correct program rejected purely for its shape (the paper's
   // scalability wall).
   for (const xbase::u32 branches : {4, 8, 12, 16, 20}) {
     TimeVerify(bench, "VerifyBranchDiamonds", analysis::BuildBranchDiamonds,
                branches, branches < 20);
-  }
-  // The verifier walks every loop iteration: cost is linear in the trip
-  // count even though the program is 8 instructions long. 300000
-  // iterations blow the budget.
-  for (const xbase::u32 trips : {100, 1000, 10000, 100000, 300000}) {
-    TimeVerify(bench, "VerifyCountedLoop", analysis::BuildCountedLoop, trips,
-               trips < 300000);
   }
   for (const xbase::u32 size : {64, 4096, 32768}) {
     TimeSignedLoad(bench, size);

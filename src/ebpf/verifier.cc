@@ -203,6 +203,7 @@ class Verifier {
   }
 
   xbase::Status CheckCfg();
+  void MarkPrunePoint(u32 pc);
   xbase::Status VerifyEntry(u32 entry_pc, VerifierState state);
   xbase::Status ExplorePaths();
 
@@ -239,9 +240,12 @@ class Verifier {
   xbase::Status CheckExit(VerifierState& state, u32 pc, bool& path_done,
                           u32& next_pc);
 
-  void ApplyCondBranch(const VerifierState& state, const Insn& insn, u32 pc,
-                       VerifierState& taken, VerifierState& fallthrough,
-                       bool& taken_possible, bool& fall_possible);
+  // Refines `state` in place into the fall-through edge and returns the
+  // taken edge, copied from `state` only when that edge is feasible (the
+  // kernel's push_stack): a conditional branch copies its state at most
+  // once.
+  VerifierState ApplyCondBranch(VerifierState& state, const Insn& insn,
+                                bool& taken_possible, bool& fall_possible);
   void RefineScalar(RegState& reg, u8 jmp_op, u64 imm, bool branch_taken,
                     bool is32);
   void RefineRegReg(RegState& dst, RegState& src, u8 jmp_op,
@@ -266,10 +270,14 @@ class Verifier {
     VerifierState state;
     u64 path_id;  // which DFS path stored it (infinite-loop detection)
   };
+  static constexpr u32 kNotPrunePoint = std::numeric_limits<u32>::max();
   std::vector<Pending> worklist_;
-  std::map<u32, std::vector<StoredState>> explored_;
-  std::set<u32> jump_targets_;
-  std::set<u32> pseudo_func_targets_;
+  // Pruning points (jump targets and callback entries) indexed by pc: the
+  // pc's row in explored_, or kNotPrunePoint. Both are sized by CheckCfg
+  // and never grow after it, so a nested callback walk cannot move a row
+  // out from under the walk that started it.
+  std::vector<u32> prune_row_;
+  std::vector<std::vector<StoredState>> explored_;
   std::vector<u32> subprog_starts_;
   std::set<u32> verified_callbacks_;
   VerifyStats stats_;
@@ -291,8 +299,11 @@ xbase::Status Verifier::CheckCfg() {
                                      len, max_len));
   }
 
+  prune_row_.assign(len, kNotPrunePoint);
+
   // Identify the second slots of ld_imm64 pairs; jumps may not land there.
   std::vector<bool> is_ld64_cont(len, false);
+  std::set<u32> pseudo_func_targets;
   for (u32 pc = 0; pc < len; ++pc) {
     if (prog_.insns[pc].IsLdImm64()) {
       if (pc + 1 >= len) {
@@ -304,7 +315,7 @@ xbase::Status Verifier::CheckCfg() {
         if (target < 0 || static_cast<u32>(target) >= len) {
           return Reject(pc, "callback target out of range");
         }
-        pseudo_func_targets_.insert(static_cast<u32>(target));
+        pseudo_func_targets.insert(static_cast<u32>(target));
       }
       ++pc;
     }
@@ -326,8 +337,9 @@ xbase::Status Verifier::CheckCfg() {
       subprog_starts_.push_back(static_cast<u32>(target));
     }
   }
-  for (u32 target : pseudo_func_targets_) {
+  for (u32 target : pseudo_func_targets) {
     roots.push_back(target);
+    MarkPrunePoint(target);
   }
 
   // Iterative DFS with colors for back-edge detection and reachability.
@@ -415,7 +427,7 @@ xbase::Status Verifier::CheckCfg() {
       }
       // Record jump targets as pruning points.
       if (targets.size() > 1 || next != cur_pc + 1) {
-        jump_targets_.insert(next);
+        MarkPrunePoint(next);
       }
     }
   }
@@ -435,6 +447,13 @@ xbase::Status Verifier::CheckCfg() {
     return Reject(len - 1, "last insn is not an exit or jmp");
   }
   return xbase::Status::Ok();
+}
+
+void Verifier::MarkPrunePoint(u32 pc) {
+  if (prune_row_[pc] == kNotPrunePoint) {
+    prune_row_[pc] = static_cast<u32>(explored_.size());
+    explored_.emplace_back();
+  }
 }
 
 // ---- scalar ALU -------------------------------------------------------------------
@@ -863,15 +882,18 @@ xbase::Status Verifier::CheckStackAccess(FuncState& frame,
   stats_.max_stack_depth =
       std::max<u32>(stats_.max_stack_depth, static_cast<u32>(-off));
 
-  const s64 first = off + kMaxStackBytes;          // byte index from bottom
-  const u32 slot_lo = static_cast<u32>(first / 8);
-  const u32 slot_hi = static_cast<u32>((first + size - 1) / 8);
+  // Slots by depth: the access covers slots [shallow, deep].
+  const u32 deep = static_cast<u32>((-off - 1) / 8);
+  const u32 shallow = static_cast<u32>((-off - size) / 8);
 
   if (is_write) {
+    if (frame.stack.size() <= deep) {
+      frame.stack.resize(deep + 1);
+    }
     const bool full_spill = size == 8 && (off % 8) == 0 &&
                             store_src != nullptr &&
                             store_src->type != RegType::kNotInit;
-    for (u32 slot = slot_lo; slot <= slot_hi; ++slot) {
+    for (u32 slot = shallow; slot <= deep; ++slot) {
       StackSlot& stack_slot = frame.stack[slot];
       if (full_spill) {
         stack_slot.kind = SlotKind::kSpill;
@@ -891,15 +913,16 @@ xbase::Status Verifier::CheckStackAccess(FuncState& frame,
   }
 
   // Read.
-  if (size == 8 && (off % 8) == 0 &&
-      frame.stack[slot_lo].kind == SlotKind::kSpill) {
+  if (size == 8 && (off % 8) == 0 && deep < frame.stack.size() &&
+      frame.stack[deep].kind == SlotKind::kSpill) {
     if (load_dest != nullptr) {
-      *load_dest = frame.stack[slot_lo].spilled;
+      *load_dest = frame.stack[deep].spilled;
     }
     return xbase::Status::Ok();
   }
-  for (u32 slot = slot_lo; slot <= slot_hi; ++slot) {
-    if (frame.stack[slot].kind == SlotKind::kInvalid) {
+  for (u32 slot = shallow; slot <= deep; ++slot) {
+    if (slot >= frame.stack.size() ||
+        frame.stack[slot].kind == SlotKind::kInvalid) {
       return Reject(pc, StrFormat("invalid read from stack off %lld+%u",
                                   static_cast<long long>(off), size));
     }
@@ -1914,63 +1937,71 @@ void Verifier::FindGoodPktPointers(FuncState& frame, u32 pkt_id, u32 range) {
   }
 }
 
-void Verifier::ApplyCondBranch(const VerifierState& state, const Insn& insn,
-                               u32 pc, VerifierState& taken,
-                               VerifierState& fallthrough,
-                               bool& taken_possible, bool& fall_possible) {
-  (void)pc;
-  taken = state;
-  fallthrough = state;
+VerifierState Verifier::ApplyCondBranch(VerifierState& state, const Insn& insn,
+                                        bool& taken_possible,
+                                        bool& fall_possible) {
   taken_possible = true;
   fall_possible = true;
 
   const u8 op = insn.JmpOp();
   const bool is32 = insn.Class() == BPF_JMP32;
-  const RegState& dst = state.cur().regs[insn.dst];
+  // Copies: refining the fall-through edge rewrites these registers.
+  const RegState dst = state.cur().regs[insn.dst];
+  const RegState src = insn.UsesRegSrc() ? state.cur().regs[insn.src]
+                                         : RegState{};
 
   // Pointer-or-null refinement: `if rX == 0` / `if rX != 0`.
   if (!insn.UsesRegSrc() && insn.imm == 0 && IsOrNullType(dst.type) &&
       (op == BPF_JEQ || op == BPF_JNE)) {
     const bool eq_branch_null = op == BPF_JEQ;
+    VerifierState taken = state;
     MarkPtrOrNull(taken, dst.id, eq_branch_null);
-    MarkPtrOrNull(fallthrough, dst.id, !eq_branch_null);
-    return;
+    MarkPtrOrNull(state, dst.id, !eq_branch_null);
+    return taken;
   }
 
   // Packet range discovery: compare a packet cursor against pkt_end.
   if (insn.UsesRegSrc() && Feat(VFeature::kDirectPacketAccess)) {
-    const RegState& src = state.cur().regs[insn.src];
     if (dst.type == RegType::kPtrToPacket &&
         src.type == RegType::kPtrToPacketEnd && dst.var_off.IsConst()) {
       const u32 range = static_cast<u32>(
           std::max<s64>(0, dst.off + static_cast<s64>(dst.var_off.value)));
+      VerifierState taken = state;
       if (op == BPF_JGT || op == BPF_JGE) {
         // if (cursor > end) goto X: fallthrough proves `range` bytes.
-        FindGoodPktPointers(fallthrough.cur(), dst.id, range);
+        FindGoodPktPointers(state.cur(), dst.id, range);
       } else if (op == BPF_JLE || op == BPF_JLT) {
         // if (cursor <= end) goto X: taken branch proves `range` bytes.
         FindGoodPktPointers(taken.cur(), dst.id, range);
       }
-      return;
+      return taken;
     }
   }
 
   if (dst.type != RegType::kScalar) {
-    return;  // other pointer compares: no refinement
+    return state;  // other pointer compares: no refinement
   }
 
-  // Constant folding: prune statically impossible branches.
+  // A scalar compare refines only the compared registers. The fall-through
+  // edge refines them in place; the taken edge refines copies, which go
+  // into a copy of the state below only if that edge is feasible.
+  RegState taken_dst = dst;
+  RegState taken_src = src;
+  RegState& fall_dst = state.cur().regs[insn.dst];
+  const auto infeasible = [](const RegState& r) {
+    return r.umin > r.umax || r.smin > r.smax;
+  };
+
   if (!insn.UsesRegSrc()) {
+    // Constant folding: prune statically impossible branches.
     const u64 imm = is32 ? static_cast<u64>(static_cast<u32>(insn.imm))
                          : static_cast<u64>(static_cast<s64>(insn.imm));
-    RegState& t = taken.cur().regs[insn.dst];
-    RegState& f = fallthrough.cur().regs[insn.dst];
-    RefineScalar(t, op, imm, true, is32);
-    RefineScalar(f, op, imm, false, is32);
-    if (t.umin > t.umax || t.smin > t.smax) {
+    RefineScalar(taken_dst, op, imm, true, is32);
+    RefineScalar(fall_dst, op, imm, false, is32);
+    if (infeasible(taken_dst)) {
       taken_possible = false;
     }
-    if (f.umin > f.umax || f.smin > f.smax) {
+    if (infeasible(fall_dst)) {
       fall_possible = false;
     }
     // Fully-known comparisons settle the branch.
@@ -1978,7 +2009,7 @@ void Verifier::ApplyCondBranch(const VerifierState& state, const Insn& insn,
       const u64 value = dst.var_off.value;
       const s64 svalue = static_cast<s64>(value);
       const s64 simm = static_cast<s64>(insn.imm);
-      bool result;
+      std::optional<bool> result;
       switch (op) {
         case BPF_JEQ:
           result = value == imm;
@@ -2013,58 +2044,62 @@ void Verifier::ApplyCondBranch(const VerifierState& state, const Insn& insn,
         case BPF_JSET:
           result = (value & imm) != 0;
           break;
-        default:
-          return;
       }
-      taken_possible = result;
-      fall_possible = !result;
+      if (result.has_value()) {
+        taken_possible = *result;
+        fall_possible = !*result;
+      }
     }
-    return;
+  } else if (src.type == RegType::kScalar && !is32) {
+    // Register comparand. A constant src keeps the full RefineScalar path
+    // (tnum intersection on JEQ, JSET bit knowledge); a genuinely unknown
+    // scalar src gets mutual endpoint refinement on both edges — `if r7 <
+    // r8` with r8 <= 8 proves r7 <= 7 on the taken edge, and bounds r8
+    // from r7 symmetrically. 32-bit reg-reg compares stay conservative:
+    // the u32 views compared at runtime say nothing about the tracked
+    // 64-bit bounds.
+    if (src.IsConst()) {
+      RefineScalar(taken_dst, op, src.var_off.value, true, false);
+      RefineScalar(fall_dst, op, src.var_off.value, false, false);
+      if (infeasible(taken_dst)) {
+        taken_possible = false;
+      }
+      if (infeasible(fall_dst)) {
+        fall_possible = false;
+      }
+    } else {
+      // `if rX op rX` refines its one register from both sides.
+      RegState& taken_src_reg =
+          insn.src == insn.dst ? taken_dst : taken_src;
+      RegState& fall_src = state.cur().regs[insn.src];
+      RefineRegReg(taken_dst, taken_src_reg, op, true);
+      RefineRegReg(fall_dst, fall_src, op, false);
+      if (infeasible(taken_dst) || infeasible(taken_src_reg)) {
+        taken_possible = false;
+      }
+      if (infeasible(fall_dst) || infeasible(fall_src)) {
+        fall_possible = false;
+      }
+    }
   }
 
-  // Register comparand. A constant src keeps the full RefineScalar path
-  // (tnum intersection on JEQ, JSET bit knowledge); a genuinely unknown
-  // scalar src gets mutual endpoint refinement on both edges — `if r7 < r8`
-  // with r8 <= 8 proves r7 <= 7 on the taken edge, and bounds r8 from r7
-  // symmetrically. 32-bit reg-reg compares stay conservative: the u32
-  // views compared at runtime say nothing about the tracked 64-bit bounds.
-  const RegState& src = state.cur().regs[insn.src];
-  if (src.type != RegType::kScalar || is32) {
-    return;
+  if (!taken_possible) {
+    return VerifierState{};
   }
-  if (src.IsConst()) {
-    RegState& t = taken.cur().regs[insn.dst];
-    RegState& f = fallthrough.cur().regs[insn.dst];
-    RefineScalar(t, op, src.var_off.value, true, false);
-    RefineScalar(f, op, src.var_off.value, false, false);
-    if (t.umin > t.umax || t.smin > t.smax) {
-      taken_possible = false;
-    }
-    if (f.umin > f.umax || f.smin > f.smax) {
-      fall_possible = false;
-    }
-    return;
+  VerifierState taken = state;
+  taken.cur().regs[insn.dst] = taken_dst;
+  if (insn.UsesRegSrc() && insn.src != insn.dst) {
+    taken.cur().regs[insn.src] = taken_src;
   }
-  RefineRegReg(taken.cur().regs[insn.dst], taken.cur().regs[insn.src], op,
-               true);
-  RefineRegReg(fallthrough.cur().regs[insn.dst],
-               fallthrough.cur().regs[insn.src], op, false);
-  const auto infeasible = [](const RegState& r) {
-    return r.umin > r.umax || r.smin > r.smax;
-  };
-  if (infeasible(taken.cur().regs[insn.dst]) ||
-      infeasible(taken.cur().regs[insn.src])) {
-    taken_possible = false;
-  }
-  if (infeasible(fallthrough.cur().regs[insn.dst]) ||
-      infeasible(fallthrough.cur().regs[insn.src])) {
-    fall_possible = false;
-  }
+  return taken;
 }
 
 // ---- pruning ---------------------------------------------------------------------------
 
-bool Verifier::RegSafe(const RegState& old_reg, const RegState& new_reg)
+// Forced inline: the pruning scan runs it for every stored state at a
+// pruning point, and as a call it costs more than the check itself.
+[[gnu::always_inline]] inline bool Verifier::RegSafe(const RegState& old_reg,
+                                                     const RegState& new_reg)
     const {
   if (old_reg.type == RegType::kNotInit) {
     return true;  // the old path proved safe without reading it
@@ -2091,6 +2126,21 @@ bool Verifier::RegSafe(const RegState& old_reg, const RegState& new_reg)
 
 bool Verifier::StatesEqual(const VerifierState& old_state,
                            const VerifierState& new_state) const {
+  const auto regs_safe = [this](const FuncState& of, const FuncState& nf) {
+    for (int r = 0; r < kNumRegs; ++r) {
+      if (!RegSafe(of.regs[r], nf.regs[r])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // The pruning scan runs this for every stored state at a pruning point,
+  // and a stored state almost always differs from the new one in a
+  // register of the outermost frame, which every state has: that
+  // rejection goes first.
+  if (!regs_safe(old_state.frames.front(), new_state.frames.front())) {
+    return false;
+  }
   if (old_state.frames.size() != new_state.frames.size()) {
     return false;
   }
@@ -2103,20 +2153,18 @@ bool Verifier::StatesEqual(const VerifierState& old_state,
   for (usize i = 0; i < old_state.frames.size(); ++i) {
     const FuncState& of = old_state.frames[i];
     const FuncState& nf = new_state.frames[i];
-    if (of.callsite != nf.callsite) {
+    if (of.callsite != nf.callsite || (i > 0 && !regs_safe(of, nf))) {
       return false;
     }
-    for (int r = 0; r < kNumRegs; ++r) {
-      if (!RegSafe(of.regs[r], nf.regs[r])) {
-        return false;
-      }
-    }
-    for (u32 s = 0; s < kStackSlots; ++s) {
+    for (usize s = 0; s < of.stack.size(); ++s) {
       const StackSlot& os = of.stack[s];
-      const StackSlot& ns = nf.stack[s];
       if (os.kind == SlotKind::kInvalid) {
         continue;
       }
+      if (s >= nf.stack.size()) {
+        return false;  // the new state's slot reads as kInvalid
+      }
+      const StackSlot& ns = nf.stack[s];
       if (os.kind == SlotKind::kMisc) {
         if (ns.kind == SlotKind::kInvalid) {
           return false;
@@ -2208,10 +2256,9 @@ xbase::Status Verifier::Step(VerifierState& state, u32 pc, bool& path_done,
           state.cur().regs[insn.src].type == RegType::kNotInit) {
         return Reject(pc, StrFormat("R%d !read_ok", insn.src));
       }
-      VerifierState taken, fallthrough;
       bool taken_possible = false, fall_possible = false;
-      ApplyCondBranch(state, insn, pc, taken, fallthrough, taken_possible,
-                      fall_possible);
+      VerifierState taken =
+          ApplyCondBranch(state, insn, taken_possible, fall_possible);
       const u32 target =
           static_cast<u32>(static_cast<s64>(pc) + 1 + insn.off);
       if (taken_possible) {
@@ -2222,10 +2269,7 @@ xbase::Status Verifier::Step(VerifierState& state, u32 pc, bool& path_done,
         worklist_.push_back(Pending{target, std::move(taken)});
         ++stats_.states_explored;
       }
-      if (fall_possible) {
-        state = std::move(fallthrough);
-        next_pc = pc + 1;
-      } else {
+      if (!fall_possible) {
         path_done = true;
       }
       return xbase::Status::Ok();
@@ -2256,8 +2300,8 @@ xbase::Status Verifier::ExplorePaths() {
     bool path_done = false;
     while (!path_done) {
       // Pruning at join points.
-      if (jump_targets_.contains(pc) || pseudo_func_targets_.contains(pc)) {
-        auto& stored = explored_[pc];
+      if (pc < prune_row_.size() && prune_row_[pc] != kNotPrunePoint) {
+        auto& stored = explored_[prune_row_[pc]];
         bool pruned = false;
         for (const StoredState& old_state : stored) {
           if (StatesEqual(old_state.state, state)) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,18 +102,17 @@ struct StackSlot {
   bool operator==(const StackSlot&) const = default;
 };
 
-inline constexpr u32 kStackSlots = kMaxStackBytes / 8;
-
 // ---- per-frame and per-path state ---------------------------------------------------
 
 struct FuncState {
   RegState regs[kNumRegs];
-  std::vector<StackSlot> stack{kStackSlots};
+  // Slots by depth from the frame pointer: stack[i] covers bytes
+  // [-8 * (i + 1), -8 * i). Only as deep as the deepest slot written so far
+  // (the kernel's allocated_stack); a slot past the end reads as kInvalid.
+  std::vector<StackSlot> stack;
   u32 callsite = 0;       // return pc in the caller (frames > 0)
   u32 frame_no = 0;
   u32 subprog_start = 0;
-
-  bool operator==(const FuncState&) const = default;
 };
 
 struct VerifierState {

@@ -1,28 +1,27 @@
 #include "src/service/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace service {
 
 void MetricsCollector::RecordLatency(Stage stage, xbase::u64 ns) {
-  std::lock_guard<std::mutex> lock(samples_mu_);
-  samples_[static_cast<xbase::usize>(stage)].push_back(ns);
+  std::lock_guard<std::mutex> lock(latency_mu_);
+  StageLatency& latency = latency_[static_cast<xbase::usize>(stage)];
+  latency.histogram.Record(ns);
+  latency.total_ns += ns;
+  latency.max_ns = std::max(latency.max_ns, ns);
 }
 
-StageStats MetricsCollector::Summarize(const std::vector<xbase::u64>& samples) {
+StageStats MetricsCollector::Summarize(const StageLatency& stage) {
   StageStats stats;
-  stats.count = samples.size();
-  if (samples.empty()) {
-    return stats;
-  }
-  std::vector<xbase::u64> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  for (xbase::u64 sample : sorted) {
-    stats.total_ns += sample;
-  }
-  stats.p50_ns = sorted[(sorted.size() - 1) / 2];
-  stats.p99_ns = sorted[(sorted.size() - 1) * 99 / 100];
-  stats.max_ns = sorted.back();
+  stats.count = stage.histogram.count();
+  stats.total_ns = stage.total_ns;
+  stats.max_ns = stage.max_ns;
+  stats.p50_ns =
+      static_cast<xbase::u64>(std::llround(stage.histogram.Quantile(0.5)));
+  stats.p99_ns =
+      static_cast<xbase::u64>(std::llround(stage.histogram.Quantile(0.99)));
   return stats;
 }
 
@@ -37,12 +36,12 @@ AdmissionMetrics MetricsCollector::Snapshot() const {
   m.jit_runs = jit_runs_.load(std::memory_order_relaxed);
   m.signature_checks = signature_checks_.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(samples_mu_);
-    m.prepass = Summarize(samples_[static_cast<xbase::usize>(Stage::kPrepass)]);
-    m.verify = Summarize(samples_[static_cast<xbase::usize>(Stage::kVerify)]);
-    m.jit = Summarize(samples_[static_cast<xbase::usize>(Stage::kJit)]);
-    m.install = Summarize(samples_[static_cast<xbase::usize>(Stage::kInstall)]);
-    m.total = Summarize(samples_[static_cast<xbase::usize>(Stage::kTotal)]);
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    m.prepass = Summarize(latency_[static_cast<xbase::usize>(Stage::kPrepass)]);
+    m.verify = Summarize(latency_[static_cast<xbase::usize>(Stage::kVerify)]);
+    m.jit = Summarize(latency_[static_cast<xbase::usize>(Stage::kJit)]);
+    m.install = Summarize(latency_[static_cast<xbase::usize>(Stage::kInstall)]);
+    m.total = Summarize(latency_[static_cast<xbase::usize>(Stage::kTotal)]);
   }
   return m;
 }

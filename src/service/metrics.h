@@ -1,21 +1,25 @@
 // Per-stage admission metrics: what a production operator would watch.
-// Counters are atomics (hot path); latency distributions are mutex-guarded
-// sample vectors whose percentiles are computed at snapshot time. The
-// exported AdmissionMetrics is a plain-data struct — no locks, no methods —
-// so benches serialize it and tests assert on it directly.
+// Counters are atomics (hot path); each stage's latencies go into one
+// mutex-guarded fixed-size histogram, so memory stays bounded however many
+// loads a run admits. The exported AdmissionMetrics is a plain-data
+// struct — no locks, no methods — so benches serialize it and tests
+// assert on it directly.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <mutex>
-#include <vector>
 
 #include "src/service/cache.h"
+#include "src/xbase/metrics.h"
 #include "src/xbase/types.h"
 
 namespace service {
 
 // Latency distribution of one pipeline stage.
 struct StageStats {
+  // count, total_ns and max_ns are exact; p50_ns and p99_ns are histogram
+  // quantiles, within 1/64 of the exact sample quantile.
   xbase::u64 count = 0;
   xbase::u64 total_ns = 0;
   xbase::u64 p50_ns = 0;
@@ -72,7 +76,12 @@ class MetricsCollector {
   AdmissionMetrics Snapshot() const;
 
  private:
-  static StageStats Summarize(const std::vector<xbase::u64>& samples);
+  struct StageLatency {
+    xbase::Histogram histogram;
+    xbase::u64 total_ns = 0;
+    xbase::u64 max_ns = 0;
+  };
+  static StageStats Summarize(const StageLatency& stage);
 
   std::atomic<xbase::u64> submitted_{0};
   std::atomic<xbase::u64> completed_{0};
@@ -83,8 +92,8 @@ class MetricsCollector {
   std::atomic<xbase::u64> jit_runs_{0};
   std::atomic<xbase::u64> signature_checks_{0};
 
-  mutable std::mutex samples_mu_;
-  std::vector<xbase::u64> samples_[5];  // indexed by Stage
+  mutable std::mutex latency_mu_;
+  std::array<StageLatency, 5> latency_;  // indexed by Stage
 };
 
 }  // namespace service

@@ -10,6 +10,7 @@
 #include "src/ebpf/interp.h"
 #include "src/ebpf/verifier.h"
 #include "src/xbase/rand.h"
+#include "src/xbase/strfmt.h"
 
 namespace ebpf {
 namespace {
@@ -674,6 +675,338 @@ TEST_F(VerifierTest, UnprivilegedCannotStorePointerToMap) {
       .Ins(Exit());
   ExpectRejected(Must(b.Build()), "leaks addr", simkern::kV5_18,
                  /*privileged=*/false);
+}
+
+// ---- golden walk -------------------------------------------------------------------------------
+
+// The verifier's walk over a fixed corpus, pinned row by row: the verdict
+// and every walk counter, with pruning on, with pruning off, and under the
+// state-leak defect (which stores every pruning state twice). How the
+// verifier represents its state must never show here; a deliberate change
+// to the walk itself does, as a refresh of this table (a mismatch prints
+// the rows that match now).
+enum class Walk { kPruning, kNoPruning, kStateLeak };
+
+struct GoldenRow {
+  const char* program;
+  Walk walk;
+  // "accept", or the rejection message (a rejected walk reports no stats).
+  const char* verdict;
+  u64 insns_processed;
+  u64 states_explored;
+  u64 states_pruned;
+  u64 peak_states;
+  u32 max_stack_depth;
+  u64 states_leaked;
+};
+
+constexpr GoldenRow kGoldenWalks[] = {
+    {"branch-diamonds/3", Walk::kPruning, "accept", 38, 8, 0, 3, 0, 0},
+    {"branch-diamonds/3", Walk::kNoPruning, "accept", 38, 8, 0, 3, 0, 0},
+    {"branch-diamonds/3", Walk::kStateLeak, "accept", 38, 8, 0, 3, 0, 28},
+    {"branch-diamonds/6", Walk::kPruning, "accept", 318, 64, 0, 6, 0, 0},
+    {"branch-diamonds/6", Walk::kNoPruning, "accept", 318, 64, 0, 6, 0, 0},
+    {"branch-diamonds/6", Walk::kStateLeak, "accept", 318, 64, 0, 6, 0, 220},
+    {"branch-diamonds/9", Walk::kPruning, "accept", 2558, 512, 0, 9, 0, 0},
+    {"branch-diamonds/9", Walk::kNoPruning, "accept", 2558, 512, 0, 9, 0, 0},
+    {"branch-diamonds/9", Walk::kStateLeak, "accept", 2558, 512, 0, 9, 0, 508},
+    {"counted-loop/32", Walk::kPruning, "accept", 132, 2, 0, 1, 0, 0},
+    {"counted-loop/32", Walk::kNoPruning, "accept", 132, 2, 0, 1, 0, 0},
+    {"counted-loop/32", Walk::kStateLeak, "accept", 132, 2, 0, 1, 0, 33},
+    {"counted-loop/512", Walk::kPruning, "accept", 2052, 2, 0, 1, 0, 0},
+    {"counted-loop/512", Walk::kNoPruning, "accept", 2052, 2, 0, 1, 0, 0},
+    {"counted-loop/512", Walk::kStateLeak, "accept", 2052, 2, 0, 1, 0, 33},
+    {"spill-heavy/8", Walk::kPruning, "accept", 41, 3, 0, 2, 32, 0},
+    {"spill-heavy/8", Walk::kNoPruning, "accept", 41, 3, 0, 2, 32, 0},
+    {"spill-heavy/8", Walk::kStateLeak, "accept", 41, 3, 0, 2, 32, 6},
+    {"spill-heavy/96", Walk::kPruning, "accept", 305, 3, 0, 2, 32, 0},
+    {"spill-heavy/96", Walk::kNoPruning, "accept", 305, 3, 0, 2, 32, 0},
+    {"spill-heavy/96", Walk::kStateLeak, "accept", 305, 3, 0, 2, 32, 6},
+    {"reg-reg-diamonds/2", Walk::kPruning, "accept", 30, 5, 1, 3, 4, 0},
+    {"reg-reg-diamonds/2", Walk::kNoPruning, "accept", 32, 5, 0, 3, 4, 0},
+    {"reg-reg-diamonds/2", Walk::kStateLeak, "accept", 30, 5, 1, 3, 4, 14},
+    {"reg-reg-diamonds/7", Walk::kPruning, "accept", 140, 30, 21, 8, 4, 0},
+    {"reg-reg-diamonds/7", Walk::kNoPruning, "accept", 776, 129, 0, 8, 4, 0},
+    {"reg-reg-diamonds/7", Walk::kStateLeak, "accept", 140, 30, 21, 8, 4, 94},
+    {"jgt-off-by-one", Walk::kPruning,
+     "at insn 10 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=9 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"jgt-off-by-one", Walk::kNoPruning,
+     "at insn 10 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=9 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"jgt-off-by-one", Walk::kStateLeak,
+     "at insn 10 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=9 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"arbitrary-read", Walk::kPruning,
+     "at insn 8 (r0 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=8 off=4096 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"arbitrary-read", Walk::kNoPruning,
+     "at insn 8 (r0 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=8 off=4096 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"arbitrary-read", Walk::kStateLeak,
+     "at insn 8 (r0 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=8 off=4096 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"jmp32-bounds", Walk::kPruning,
+     "at insn 10 (r0 add= r7): pointer offset out of range",
+     0, 0, 0, 0, 0, 0},
+    {"jmp32-bounds", Walk::kNoPruning,
+     "at insn 10 (r0 add= r7): pointer offset out of range",
+     0, 0, 0, 0, 0, 0},
+    {"jmp32-bounds", Walk::kStateLeak,
+     "at insn 10 (r0 add= r7): pointer offset out of range",
+     0, 0, 0, 0, 0, 0},
+    {"alu32-trunc", Walk::kPruning,
+     "at insn 13 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=4294967295 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"alu32-trunc", Walk::kNoPruning,
+     "at insn 13 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=4294967295 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"alu32-trunc", Walk::kStateLeak,
+     "at insn 13 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=4294967295 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"sign-ext", Walk::kPruning,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=16 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"sign-ext", Walk::kNoPruning,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=16 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"sign-ext", Walk::kStateLeak,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=16 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"tnum-mul", Walk::kPruning,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=24 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"tnum-mul", Walk::kNoPruning,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=24 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"tnum-mul", Walk::kStateLeak,
+     "at insn 11 (r1 = *(u64 *)(r0 +0)): invalid access to map value, "
+     "value_size=16 off=24 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"reg-reg-off-by-one", Walk::kPruning,
+     "at insn 13 (r0 = *(u64 *)(r9 +50)): invalid access to map value, "
+     "value_size=64 off=57 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"reg-reg-off-by-one", Walk::kNoPruning,
+     "at insn 13 (r0 = *(u64 *)(r9 +50)): invalid access to map value, "
+     "value_size=64 off=57 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"reg-reg-off-by-one", Walk::kStateLeak,
+     "at insn 13 (r0 = *(u64 *)(r9 +50)): invalid access to map value, "
+     "value_size=64 off=57 size=8",
+     0, 0, 0, 0, 0, 0},
+    {"spill-width", Walk::kPruning,
+     "at insn 14 (r0 = *(u8 *)(r9 +56)): R9 min value is negative "
+     "(-9223372036854775752), either use unsigned index or do a if (index "
+     ">=0) check",
+     0, 0, 0, 0, 0, 0},
+    {"spill-width", Walk::kNoPruning,
+     "at insn 14 (r0 = *(u8 *)(r9 +56)): R9 min value is negative "
+     "(-9223372036854775752), either use unsigned index or do a if (index "
+     ">=0) check",
+     0, 0, 0, 0, 0, 0},
+    {"spill-width", Walk::kStateLeak,
+     "at insn 14 (r0 = *(u8 *)(r9 +56)): R9 min value is negative "
+     "(-9223372036854775752), either use unsigned index or do a if (index "
+     ">=0) check",
+     0, 0, 0, 0, 0, 0},
+    {"sk-lookup-no-release", Walk::kPruning,
+     "at insn 13 (exit): Unreleased reference id=1",
+     0, 0, 0, 0, 0, 0},
+    {"sk-lookup-no-release", Walk::kNoPruning,
+     "at insn 13 (exit): Unreleased reference id=1",
+     0, 0, 0, 0, 0, 0},
+    {"sk-lookup-no-release", Walk::kStateLeak,
+     "at insn 13 (exit): Unreleased reference id=1",
+     0, 0, 0, 0, 0, 0},
+    {"pkt-range-stale", Walk::kPruning,
+     "at insn 11 (r5 = *(u8 *)(r7 +13)): R7 invalid mem access 'scalar'",
+     0, 0, 0, 0, 0, 0},
+    {"pkt-range-stale", Walk::kNoPruning,
+     "at insn 11 (r5 = *(u8 *)(r7 +13)): R7 invalid mem access 'scalar'",
+     0, 0, 0, 0, 0, 0},
+    {"pkt-range-stale", Walk::kStateLeak,
+     "at insn 11 (r5 = *(u8 *)(r7 +13)): R7 invalid mem access 'scalar'",
+     0, 0, 0, 0, 0, 0},
+    {"reg-reg-src", Walk::kPruning, "accept", 10, 2, 0, 1, 0, 0},
+    {"reg-reg-src", Walk::kNoPruning, "accept", 10, 2, 0, 1, 0, 0},
+    {"reg-reg-src", Walk::kStateLeak, "accept", 10, 2, 0, 1, 0, 3},
+    {"call-stacks", Walk::kPruning, "accept", 30, 3, 1, 2, 40, 0},
+    {"call-stacks", Walk::kNoPruning, "accept", 48, 4, 0, 2, 40, 0},
+    {"call-stacks", Walk::kStateLeak, "accept", 30, 3, 1, 2, 40, 7},
+    {"bpf-loop-callback", Walk::kPruning, "accept", 25, 3, 0, 1, 16, 0},
+    {"bpf-loop-callback", Walk::kNoPruning, "accept", 25, 3, 0, 1, 16, 0},
+    {"bpf-loop-callback", Walk::kStateLeak, "accept", 25, 3, 0, 1, 16, 5},
+};
+
+const char* WalkName(Walk walk) {
+  switch (walk) {
+    case Walk::kPruning:
+      return "Walk::kPruning";
+    case Walk::kNoPruning:
+      return "Walk::kNoPruning";
+    case Walk::kStateLeak:
+      return "Walk::kStateLeak";
+  }
+  return "?";
+}
+
+// BPF-to-BPF call whose caller and callee each use their own stack. The
+// callee's two diamonds meet their join points with stacks of different
+// depths: the first join prunes a deeper state against a shallower stored
+// one, the second keeps a shallower state a deeper stored one does not
+// cover.
+Program BuildCallWithStacks() {
+  ProgramBuilder b("call-stacks", ProgType::kKprobe);
+  b.Ins(LdxMem(BPF_DW, R6, R1, 0))
+      .Ins(StxMem(BPF_DW, R10, R6, -8))
+      .Ins(Mov64Reg(R1, R6))
+      .CallTo("f")
+      .Ins(LdxMem(BPF_DW, R1, R10, -8))
+      .Ins(Alu64Reg(BPF_ADD, R0, R1))
+      .Ins(Exit())
+      .Bind("f")
+      .Ins(StxMem(BPF_DW, R10, R1, -24))
+      .Ins(Mov64Imm(R0, 0))
+      .Ins(Mov64Reg(R3, R1))
+      .JmpTo(BPF_JGT, R3, 3, "big")
+      .Ins(Mov64Imm(R3, 0))
+      .JaTo("out")
+      .Bind("big")
+      .Ins(StMemImm(BPF_DW, R10, -32, 0))
+      .Ins(Mov64Imm(R3, 0))
+      .Bind("out")
+      .Ins(Mov64Reg(R4, R1))
+      .JmpTo(BPF_JGT, R4, 9, "wide")
+      .Ins(StMemImm(BPF_DW, R10, -40, 0))
+      .Ins(Mov64Imm(R4, 0))
+      .JaTo("done")
+      .Bind("wide")
+      .Ins(Mov64Imm(R4, 0))
+      .Bind("done")
+      .Ins(LdxMem(BPF_DW, R2, R10, -24))
+      .Ins(Alu64Reg(BPF_ADD, R0, R2))
+      .Ins(Exit());
+  return Must(b.Build());
+}
+
+// A reg-reg compare bounds both registers on each edge: `if r6 > r7` proves
+// r7 <= 14 on the taken edge, which makes the later `r7 == 15` edge dead.
+Program BuildRegRegSourceBound() {
+  ProgramBuilder b("reg-reg-src", ProgType::kKprobe);
+  b.Ins(LdxMem(BPF_DW, R6, R1, 0))
+      .Ins(LdxMem(BPF_DW, R7, R1, 8))
+      .Ins(Alu64Imm(BPF_AND, R6, 15))
+      .Ins(Alu64Imm(BPF_AND, R7, 15))
+      .JmpRegTo(BPF_JGT, R6, R7, "greater")
+      .Ins(Mov64Imm(R0, 0))
+      .Ins(Exit())
+      .Bind("greater")
+      .JmpTo(BPF_JEQ, R7, 15, "dead")
+      .Ins(Mov64Imm(R0, 1))
+      .Ins(Exit())
+      .Bind("dead")
+      .Ins(Mov64Imm(R0, 2))
+      .Ins(Exit());
+  return Must(b.Build());
+}
+
+TEST_F(VerifierTest, GoldenWalk) {
+  const int arr8 = MakeArrayMap(8, 4);
+  const int v16 = MakeArrayMap(16, 4);
+  const int v64 = MakeArrayMap(64, 4);
+  std::vector<std::pair<std::string, Program>> corpus;
+  const auto add = [&](std::string name, xbase::Result<Program> prog) {
+    ASSERT_TRUE(prog.ok()) << name << ": " << prog.status().ToString();
+    corpus.emplace_back(std::move(name), std::move(prog).value());
+  };
+  for (const u32 n : {3, 6, 9}) {
+    add("branch-diamonds/" + std::to_string(n),
+        analysis::BuildBranchDiamonds(n));
+  }
+  for (const u32 n : {32, 512}) {
+    add("counted-loop/" + std::to_string(n), analysis::BuildCountedLoop(n));
+  }
+  for (const u32 n : {8, 96}) {
+    add("spill-heavy/" + std::to_string(n), analysis::BuildSpillHeavy(n, v64));
+  }
+  for (const u32 n : {2, 7}) {
+    add("reg-reg-diamonds/" + std::to_string(n),
+        analysis::BuildRegRegDiamonds(n, v64));
+  }
+  add("jgt-off-by-one", analysis::BuildJgtOffByOneExploit(v16));
+  add("arbitrary-read", analysis::BuildArbitraryReadExploit(arr8, 4096));
+  add("jmp32-bounds", analysis::BuildJmp32BoundsExploit(v64));
+  add("alu32-trunc", analysis::BuildAlu32TruncExploit(v16));
+  add("sign-ext", analysis::BuildSignExtExploit(v16));
+  add("tnum-mul", analysis::BuildTnumMulExploit(v16));
+  add("reg-reg-off-by-one", analysis::BuildRegRegOffByOneExploit(v64));
+  add("spill-width", analysis::BuildSpillWidthExploit(v64));
+  add("sk-lookup-no-release", analysis::BuildSkLookupNoRelease());
+  add("pkt-range-stale", analysis::BuildPktRangeStaleExploit());
+  add("reg-reg-src", BuildRegRegSourceBound());
+  add("call-stacks", BuildCallWithStacks());
+  add("bpf-loop-callback", analysis::BuildNestedLoopStall(arr8, 2, 4));
+
+  std::string mismatches;
+  for (const auto& [name, prog] : corpus) {
+    for (const Walk walk : {Walk::kPruning, Walk::kNoPruning,
+                            Walk::kStateLeak}) {
+      VerifyOptions opts;
+      opts.faults = &bpf_.faults();
+      opts.disable_pruning = walk == Walk::kNoPruning;
+      if (walk == Walk::kStateLeak) {
+        bpf_.faults().Inject(kFaultVerifierStateLeak);
+      }
+      auto result = Verify(prog, bpf_.maps(), bpf_.helpers(), opts);
+      bpf_.faults().Clear(kFaultVerifierStateLeak);
+      const std::string verdict =
+          result.ok() ? "accept" : result.status().message();
+      const VerifyStats stats =
+          result.ok() ? result.value().stats : VerifyStats{};
+      const GoldenRow* pinned = nullptr;
+      for (const GoldenRow& row : kGoldenWalks) {
+        if (row.program == name && row.walk == walk) {
+          pinned = &row;
+        }
+      }
+      if (pinned == nullptr || pinned->verdict != verdict ||
+          pinned->insns_processed != stats.insns_processed ||
+          pinned->states_explored != stats.states_explored ||
+          pinned->states_pruned != stats.states_pruned ||
+          pinned->peak_states != stats.peak_states ||
+          pinned->max_stack_depth != stats.max_stack_depth ||
+          pinned->states_leaked != stats.states_leaked) {
+        mismatches += xbase::StrFormat(
+            "    {\"%s\", %s, \"%s\", %llu, %llu, %llu, %llu, %u, %llu},\n",
+            name.c_str(), WalkName(walk), verdict.c_str(),
+            static_cast<unsigned long long>(stats.insns_processed),
+            static_cast<unsigned long long>(stats.states_explored),
+            static_cast<unsigned long long>(stats.states_pruned),
+            static_cast<unsigned long long>(stats.peak_states),
+            stats.max_stack_depth,
+            static_cast<unsigned long long>(stats.states_leaked));
+      }
+    }
+  }
+  EXPECT_EQ(std::size(kGoldenWalks), corpus.size() * 3);
+  EXPECT_TRUE(mismatches.empty())
+      << "walks differ from the pinned table; the rows that match now:\n"
+      << mismatches;
 }
 
 // ---- soundness property: accepted => safe -----------------------------------------------------
