@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -129,6 +128,16 @@ struct LiveAttachment {
   safex::HookPoint hook;
 };
 
+// One CPU's share of a fire op: the last fire's report and what every fire
+// it ran reported. Only the thread bound to that CPU writes it.
+struct FireTally {
+  safex::HookFireReport report;
+  u64 fires = 0;
+  u64 served = 0;
+  u64 failed = 0;
+  u64 skipped = 0;
+};
+
 constexpr safex::HookPoint kHooks[] = {safex::HookPoint::kXdpIngress,
                                        safex::HookPoint::kSyscallEnter,
                                        safex::HookPoint::kSchedSwitch};
@@ -141,7 +150,8 @@ ChaosReport RunChaos(const ChaosConfig& config) {
   report.stats.fault_catalog_size = ebpf::FaultRegistry::Catalog().size();
 
   xbase::Rng rng(config.seed);
-  safex::System rig(ChaosKernelConfig(config.cpus), config.supervisor);
+  safex::System rig(ChaosKernelConfig(config.cpus),
+                    safex::SupervisorConfig{});
   if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
@@ -237,8 +247,7 @@ ChaosReport RunChaos(const ChaosConfig& config) {
   // Survival invariants, checked after every op. Every check is
   // machine-wide: any CPU's leaked reader, held lock or drifted record
   // breaks the run (the op loop quiesces SMP bursts before checking).
-  auto check_invariants = [&](u64 op_index,
-                              const std::string& op) -> std::string {
+  auto check_invariants = [&]() -> std::string {
     if (rig.kernel.state() != simkern::KernelState::kRunning) {
       return "kernel not running (oopsed/panicked)";
     }
@@ -262,15 +271,15 @@ ChaosReport RunChaos(const ChaosConfig& config) {
     if (!supervisor_state.ok()) {
       return supervisor_state.message();
     }
-    (void)op_index;
-    (void)op;
     return "";
   };
 
   u64 ops_done = 0;
   std::string op_desc;
+  std::vector<FireTally> tallies;
   for (u64 op = 0; op < config.ops; ++op) {
     const u64 dice = rng.NextBelow(100);
+    std::string fire_failure;  // a fire op that lost an attachment run
     if (dice < 8) {
       // Load an eBPF program or a safex extension.
       if (rng.NextBool() || artifacts.empty()) {
@@ -384,24 +393,27 @@ ChaosReport RunChaos(const ChaosConfig& config) {
                                          ? skb.value().meta_addr
                                          : ctx_block.value();
       op_desc = std::string("fire ") + std::string(HookPointName(hook));
+      // Each fire tallies into its executing CPU's slot, so SMP fires
+      // need no lock; the tallies are read once every fire has finished.
+      tallies.assign(rig.kernel.num_cpus(), FireTally{});
+      const auto fire = [&rig, &tallies, hook, ctx_addr] {
+        FireTally& tally = tallies[rig.kernel.current_cpu()];
+        rig.hooks->FireInto(hook, ctx_addr, tally.report);
+        ++tally.fires;
+        tally.served += tally.report.served;
+        tally.failed += tally.report.failed;
+        tally.skipped += tally.report.skipped;
+      };
+      u64 fires = 1;
       if (smp && rig.kernel.cpus() != nullptr) {
-        // Cross-CPU burst: one fire per CPU runs concurrently on the pool
+        // Cross-CPU burst: two fires per CPU run concurrently on the pool
         // (idle CPUs steal), with a fault toggle racing the in-flight
         // fires. Invariants are asserted after the Drain barrier.
         simkern::CpuPool& pool = *rig.kernel.cpus();
-        std::mutex agg_mu;
+        fires = 2ULL * config.cpus;
         for (u32 i = 0; i < config.cpus; ++i) {
-          rig.hooks->FireAsyncOn(pool, i % rig.kernel.num_cpus(), hook,
-                                 ctx_addr);
-          pool.Submit(i % rig.kernel.num_cpus(), [&] {
-            safex::HookFireReport fired;
-            rig.hooks->FireInto(hook, ctx_addr, fired);
-            std::lock_guard<std::mutex> lock(agg_mu);
-            ++report.stats.fires;
-            report.stats.attachments_served += fired.served;
-            report.stats.attachments_failed += fired.failed;
-            report.stats.attachments_skipped += fired.skipped;
-          });
+          pool.Submit(i % rig.kernel.num_cpus(), fire);
+          pool.Submit(i % rig.kernel.num_cpus(), fire);
         }
         if (config.toggle_faults && !catalog.empty()) {
           // Deliberately concurrent with the burst: the registry is
@@ -417,19 +429,40 @@ ChaosReport RunChaos(const ChaosConfig& config) {
           ++report.stats.fault_toggles;
         }
         pool.Drain();
-        report.stats.fires += config.cpus;  // the FireAsyncOn halves
       } else {
-        safex::HookFireReport fired;
-        rig.hooks->FireInto(hook, ctx_addr, fired);
-        ++report.stats.fires;
-        report.stats.attachments_served += fired.served;
-        report.stats.attachments_failed += fired.failed;
-        report.stats.attachments_skipped += fired.skipped;
+        fire();
+      }
+      u64 fired = 0;
+      u64 walked = 0;
+      for (const FireTally& tally : tallies) {
+        fired += tally.fires;
+        report.stats.attachments_served += tally.served;
+        report.stats.attachments_failed += tally.failed;
+        report.stats.attachments_skipped += tally.skipped;
+        walked += tally.served + tally.failed + tally.skipped;
+      }
+      report.stats.fires += fired;
+      // Every submitted fire runs and tallies once. Attach and detach never
+      // run during a fire op, so every fire walks the whole table and
+      // reports each attachment exactly once.
+      const u64 expected = fires * rig.hooks->AttachedCount(hook);
+      if (fired != fires) {
+        fire_failure = xbase::StrFormat(
+            "%llu fire(s) submitted, %llu tallied",
+            static_cast<unsigned long long>(fires),
+            static_cast<unsigned long long>(fired));
+      } else if (walked != expected) {
+        fire_failure = xbase::StrFormat(
+            "%llu fire(s) reported %llu attachment runs, expected %llu",
+            static_cast<unsigned long long>(fires),
+            static_cast<unsigned long long>(walked),
+            static_cast<unsigned long long>(expected));
       }
     }
 
     ++ops_done;
-    const std::string violated = check_invariants(op, op_desc);
+    const std::string violated =
+        fire_failure.empty() ? check_invariants() : fire_failure;
     if (!violated.empty()) {
       report.failure = xbase::StrFormat(
           "op %llu (%s): %s", static_cast<unsigned long long>(op),

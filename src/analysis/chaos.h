@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/supervisor.h"
 #include "src/ebpf/interp.h"
 #include "src/xbase/types.h"
 
@@ -36,11 +35,10 @@ struct ChaosConfig {
   // Round-robin fault toggling (guarantees every registry defect is active
   // at some point once enough toggle ops have fired).
   bool toggle_faults = true;
-  bool verbose = false;
   // Execution engine every hook fire runs attached programs on — the storm
-  // is engine-agnostic by construction, so both must survive it.
+  // is engine-agnostic by construction, so both must survive it. The
+  // supervisor always runs with the default SupervisorConfig.
   ebpf::ExecEngine engine = ebpf::ExecEngine::kThreaded;
-  safex::SupervisorConfig supervisor;
 };
 
 struct ChaosStats {

@@ -28,6 +28,8 @@ constexpr std::string_view kPermFaults[] = {
 };
 constexpr xbase::usize kPermFaultCount =
     sizeof(kPermFaults) / sizeof(kPermFaults[0]);
+// Ops between fault toggles.
+constexpr xbase::u64 kTogglePeriod = 97;
 
 // What the enforcement layers should do for a cell given the currently
 // injected defects: the clean contract, transformed fault-by-fault. Any
@@ -113,8 +115,7 @@ PermStormReport RunPermStorm(const PermStormConfig& config) {
   for (xbase::u64 op = 0; op < config.ops; ++op) {
     ++report.stats.ops_executed;
 
-    if (config.toggle_faults && config.toggle_period > 0 &&
-        op % config.toggle_period == config.toggle_period - 1) {
+    if (config.toggle_faults && op % kTogglePeriod == kTogglePeriod - 1) {
       // Round-robin: clear whatever is active, inject the next defect,
       // with an all-clean window every fourth toggle.
       for (std::string_view fault : kPermFaults) {

@@ -26,8 +26,6 @@ struct PermStormConfig {
   // Round-robin toggling of the three missing-permission-check defects;
   // off = every divergence is a false positive.
   bool toggle_faults = true;
-  // Ops between fault toggles.
-  xbase::u64 toggle_period = 97;
 };
 
 struct PermStormStats {

@@ -87,6 +87,8 @@ u64 BiasedU64(Rng& rng) {
 }
 
 constexpr u32 kFuzzValueSize = 64;
+// Findings kept in a report; a campaign stops recording past this many.
+constexpr xbase::usize kMaxFindings = 16;
 constexpr u8 kScalarPool[] = {R0, R1, R2, R3, R4, R5, R6, R7, R8};
 
 // One seeded random program. Shape: map-lookup prologue that seeds R6/R7
@@ -564,7 +566,7 @@ xbase::Result<RangeFuzzReport> RunRangeFuzz(const RangeFuzzOptions& opts) {
 
     const auto add_finding = [&](RangeFinding::Kind kind, u32 pc, u8 reg,
                                  std::string detail) {
-      if (report.findings.size() >= opts.max_findings) {
+      if (report.findings.size() >= kMaxFindings) {
         return;
       }
       RangeFinding finding;

@@ -55,7 +55,6 @@ struct RangeFuzzOptions {
   // Nonzero: skip seed scheduling and fuzz exactly the one program this
   // per-program seed generates (the replay path findings print).
   xbase::u64 replay_program_seed = 0;
-  xbase::usize max_findings = 16;
 };
 
 struct RangeFinding {

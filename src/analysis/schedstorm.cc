@@ -37,16 +37,25 @@ class PanicPickExt : public safex::Extension {
 
 // ---- the rig --------------------------------------------------------------
 
+// Starvation bound handed to every SchedCore under test.
+constexpr u64 kStarvationBoundNs = 10 * simkern::kNsPerMs;
+// Liveness invariant: no runnable task may ever wait longer than this.
+// Generous (200x the bound) because a runnable-filter defect legitimately
+// starves the hidden task for a few breaker trips before eviction — the
+// invariant is that the wait is *bounded*, unlike the unsupervised loop
+// where it grows without limit.
+constexpr u64 kMaxWaitNs = 2 * simkern::kNsPerSec;
+
 // The supervised stack plus a SchedCore on cpu0.
 struct SchedRig : safex::System {
-  SchedRig(const safex::SupervisorConfig& supervisor_config,
-           u64 starvation_bound_ns, u32 cpus = 1)
+  explicit SchedRig(const safex::SupervisorConfig& supervisor_config,
+                    u32 cpus = 1)
       : safex::System(MakeKernelConfig(cpus), supervisor_config) {
     if (!System::ok()) {
       return;
     }
     safex::SchedConfig sched_config;
-    sched_config.starvation_bound_ns = starvation_bound_ns;
+    sched_config.starvation_bound_ns = kStarvationBoundNs;
     sched = std::make_unique<safex::SchedCore>(kernel, *hooks, sched_config);
     sched_ok = sched->Init().ok();
   }
@@ -95,7 +104,7 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
   report.seed = config.seed;
 
   xbase::Rng rng(config.seed);
-  SchedRig rig(config.supervisor, config.starvation_bound_ns, config.cpus);
+  SchedRig rig(safex::SupervisorConfig{}, config.cpus);
   if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
@@ -223,11 +232,11 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
       if (max_wait > report.stats.max_wait_seen_ns) {
         report.stats.max_wait_seen_ns = max_wait;
       }
-      if (max_wait > config.max_wait_ns) {
+      if (max_wait > kMaxWaitNs) {
         return xbase::StrFormat(
             "runnable task on cpu%u waiting %llu ns (bound %llu)", cpu,
             static_cast<unsigned long long>(max_wait),
-            static_cast<unsigned long long>(config.max_wait_ns));
+            static_cast<unsigned long long>(kMaxWaitNs));
       }
     }
     // Liveness: a supervised tick with runnable tasks must dispatch one —
@@ -452,12 +461,11 @@ SchedFaultCheck Check(const char* name, bool passed,
 
 std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   std::vector<SchedFaultCheck> checks;
-  constexpr u64 kBound = 10 * simkern::kNsPerMs;
 
   // stall-loop: the pick blows its watchdog deadline; the supervised tick
   // must still dispatch, and the deadline miss must be charged.
   {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     rig.bpf.faults().Inject(ebpf::kFaultSchedStallLoop);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickViaDefault());
     for (int i = 0; i < 40; ++i) {
@@ -481,7 +489,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // invalid-pid: the buggy peek serves a dead pid; validation must refuse
   // it, charge kInvalidPick, and fail over.
   {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     rig.bpf.faults().Inject(ebpf::kFaultSchedPickInvalidPid);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickFirst());
     for (int i = 0; i < 20; ++i) {
@@ -504,7 +512,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // runnable-filter: the hidden task must be flagged starving, the charge
   // must land, and quarantine fail-over must rescue it.
   {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     rig.bpf.faults().Inject(ebpf::kFaultSchedRunnableFilter);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickLongestWaiting());
     const std::vector<u32> pids = rig.kernel.tasks().Pids();
@@ -529,7 +537,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // crash-on-pick: the helper oopses mid-pick; the oops must be contained,
   // attributed to the extension, and the tick must still dispatch.
   {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     rig.bpf.faults().Inject(ebpf::kFaultSchedCrashOnPick);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickLongestWaiting());
     for (int i = 0; i < 20; ++i) {
@@ -558,7 +566,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // double-pick: a policy-level attack (no helper defect) — the dequeued
   // victim must be detected as a non-runnable pick and reclaimed.
   {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     const u32 attachment = rig.AttachPolicy(BuildSchedDoublePick());
     for (int i = 0; i < 20; ++i) {
       (void)rig.sched->Tick();
@@ -593,7 +601,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
       {"clean.yield", BuildSchedYield},
   };
   for (const CleanLeg& leg : clean_legs) {
-    SchedRig rig(CheckSupervisorConfig(), kBound);
+    SchedRig rig(CheckSupervisorConfig());
     const u32 attachment = rig.AttachPolicy(leg.builder());
     for (int i = 0; i < 60; ++i) {
       (void)rig.sched->Tick();

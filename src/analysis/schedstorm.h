@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/supervisor.h"
 #include "src/xbase/types.h"
 
 namespace analysis {
@@ -38,15 +37,6 @@ struct SchedStormConfig {
   xbase::u32 cpus = 1;
   // Round-robin toggling of the four sched.* helper defects.
   bool toggle_faults = true;
-  // Starvation bound handed to the SchedCore under test.
-  xbase::u64 starvation_bound_ns = 10 * simkern::kNsPerMs;
-  // Liveness invariant: no runnable task may ever wait longer than this.
-  // Generous (200x the bound) because a runnable-filter defect legitimately
-  // starves the hidden task for a few breaker trips before eviction — the
-  // invariant is that the wait is *bounded*, unlike the unsupervised loop
-  // where it grows without limit.
-  xbase::u64 max_wait_ns = 2 * simkern::kNsPerSec;
-  safex::SupervisorConfig supervisor;
 };
 
 struct SchedStormStats {

@@ -11,6 +11,7 @@
 #include "src/ebpf/asm.h"
 #include "src/simkern/lsm.h"
 #include "src/xbase/bytes.h"
+#include "src/xbase/metrics.h"
 #include "src/xbase/rand.h"
 #include "src/xbase/strfmt.h"
 
@@ -20,7 +21,6 @@ namespace {
 using xbase::u32;
 using xbase::u64;
 using xbase::u8;
-using xbase::usize;
 
 // Event mix (percent of the stream): heavily packet-dominated, like a
 // datapath box with a scheduler, an LSM policy and a control plane
@@ -33,6 +33,10 @@ constexpr u64 kLsmPct = 10;  // remainder is map churn
 // growth, large enough that the pool's work stealing has something to do.
 constexpr u64 kBatchSize = 128;
 
+// Tasks available to the scheduler tenant (spread across the CPUs'
+// runqueues at setup).
+constexpr u32 kSchedTasks = 8;
+
 simkern::KernelConfig TrafficKernelConfig(u32 cpus) {
   simkern::KernelConfig config;
   config.version = simkern::kV6_12;  // LSM hook family needs >= 6.12
@@ -43,11 +47,14 @@ simkern::KernelConfig TrafficKernelConfig(u32 cpus) {
 
 // Single-writer per-CPU aggregation: only the thread bound to `cpu`
 // touches slot `cpu` during the run; the main thread reads everything at
-// the post-Drain quiescent point.
+// the post-Drain quiescent point. Fire latencies go into a fixed-size
+// histogram, so memory stays flat however long the run; the exact max
+// rides alongside it.
 struct alignas(64) CpuAgg {
   u64 fires = 0;
   u64 lsm_denies = 0;
-  std::vector<u64> latencies_ns;
+  xbase::Histogram latency_ns;
+  u64 max_latency_ns = 0;
   safex::HookFireReport report;
 };
 
@@ -58,26 +65,17 @@ u64 WallNowNs() {
           .count());
 }
 
-LatencyTailsNs MergeTails(std::vector<CpuAgg>& aggs) {
-  std::vector<u64> all;
-  for (const CpuAgg& agg : aggs) {
-    all.insert(all.end(), agg.latencies_ns.begin(), agg.latencies_ns.end());
-  }
+LatencyTailsNs MergeLatencies(const std::vector<CpuAgg>& aggs) {
+  xbase::Histogram all;
   LatencyTailsNs tails;
-  tails.samples = all.size();
-  if (all.empty()) {
-    return tails;
+  for (const CpuAgg& agg : aggs) {
+    all.Merge(agg.latency_ns);
+    tails.max = std::max(tails.max, agg.max_latency_ns);
   }
-  std::sort(all.begin(), all.end());
-  auto at = [&all](u64 per_mille) {
-    const usize index = std::min(
-        all.size() - 1, static_cast<usize>((all.size() * per_mille) / 1000));
-    return all[index];
-  };
-  tails.p50 = at(500);
-  tails.p99 = at(990);
-  tails.p999 = at(999);
-  tails.max = all.back();
+  tails.samples = all.count();
+  tails.p50 = static_cast<u64>(all.Quantile(0.50));
+  tails.p99 = static_cast<u64>(all.Quantile(0.99));
+  tails.p999 = static_cast<u64>(all.Quantile(0.999));
   return tails;
 }
 
@@ -91,7 +89,6 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     report.failure = "rig construction failed";
     return report;
   }
-  rig.hooks->config().exec_options.engine = config.engine;
   const u32 num_cpus = rig.kernel.num_cpus();
 
   // --- tenants --------------------------------------------------------------
@@ -196,7 +193,7 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
       return report;
     }
   }
-  for (u32 i = 0; i < config.tasks; ++i) {
+  for (u32 i = 0; i < kSchedTasks; ++i) {
     const u32 pid = 60000 + i;
     if (rig.kernel.tasks()
             .Create(rig.kernel.mem(), rig.kernel.objects(), pid, pid,
@@ -229,9 +226,6 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   }
   simkern::CpuPool* pool = smp ? rig.kernel.cpus() : nullptr;
   std::vector<CpuAgg> aggs(num_cpus);
-  for (CpuAgg& agg : aggs) {
-    agg.latencies_ns.reserve(static_cast<usize>(config.events));
-  }
   std::vector<u64> sim_start(num_cpus);
   for (u32 cpu = 0; cpu < num_cpus; ++cpu) {
     sim_start[cpu] = rig.kernel.clock().now_ns(cpu);
@@ -253,7 +247,8 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     rig.hooks->FireInto(hook, ctx_addr, agg.report);
     const u64 t1 = WallNowNs();
     ++agg.fires;
-    agg.latencies_ns.push_back(t1 - t0);
+    agg.latency_ns.Record(t1 - t0);
+    agg.max_latency_ns = std::max(agg.max_latency_ns, t1 - t0);
     if (count_deny && agg.report.verdict != 0) {
       ++agg.lsm_denies;
     }
@@ -342,7 +337,7 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
         static_cast<double>(config.events) * 1e6 /
         static_cast<double>(max_advance);
   }
-  report.fire_latency = MergeTails(aggs);
+  report.fire_latency = MergeLatencies(aggs);
   report.lock_totals = rig.kernel.locks().Totals();
   report.memory_table_lock = rig.kernel.mem().table_lock_stats();
   report.map_table_lock = rig.bpf.maps().lock_stats();

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ebpf/interp.h"
 #include "src/simkern/lock.h"
 #include "src/xbase/rwlock.h"
 #include "src/xbase/types.h"
@@ -34,10 +33,6 @@ struct TrafficConfig {
   // pool, the historical single-CPU dispatch path); >1 starts the kernel's
   // CpuPool and round-robins event batches across the machine.
   xbase::u32 cpus = 4;
-  // Tasks available to the scheduler tenant (spread across the CPUs'
-  // runqueues at setup).
-  xbase::u32 tasks = 8;
-  ebpf::ExecEngine engine = ebpf::ExecEngine::kThreaded;
 };
 
 // Per-CPU accounting, read at the post-Drain quiescent point.
@@ -50,7 +45,9 @@ struct TrafficCpuStats {
 };
 
 // Wall-clock service-latency tails for one tenant's fires (ns per fire,
-// measured around the Fire call on the executing thread).
+// measured around the Fire call on the executing thread). The quantiles
+// come from per-CPU histograms merged at the end (within 1/64 of the exact
+// value); max is exact.
 struct LatencyTailsNs {
   xbase::u64 p50 = 0;
   xbase::u64 p99 = 0;

@@ -7,14 +7,20 @@
 
 namespace safex {
 
+namespace {
+// The size of each CPU's extension allocation pool.
+constexpr u32 kPoolChunkSize = 256;
+constexpr u32 kPoolChunkCount = 64;
+}  // namespace
+
 xbase::Result<std::unique_ptr<Runtime>> Runtime::Create(
     simkern::Kernel& kernel, ebpf::Bpf& bpf, const RuntimeConfig& config) {
   auto runtime =
       std::unique_ptr<Runtime>(new Runtime(kernel, bpf, config));
   XB_ASSIGN_OR_RETURN(
       PerCpuPools pools,
-      PerCpuPools::Create(kernel, config.pool_chunk_size,
-                          config.pool_chunk_count, config.protection_key));
+      PerCpuPools::Create(kernel, kPoolChunkSize, kPoolChunkCount,
+                          config.protection_key));
   runtime->pools_ = std::make_unique<PerCpuPools>(std::move(pools));
   kernel.Printk("safex: runtime initialized (pools mapped, keyring empty)");
   return runtime;
@@ -39,9 +45,7 @@ InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
   InvokeOutcome outcome;
   const u64 start_ns = kernel_.clock().now_ns();
 
-  if (options.wrap_in_rcu) {
-    kernel_.rcu().ReadLock(kernel_.clock(), "safex-ext");
-  }
+  kernel_.rcu().ReadLock(kernel_.clock(), "safex-ext");
 
   Ctx ctx(*this, caps, options.watchdog_budget_ns, options.skb_meta);
   try {
@@ -82,9 +86,7 @@ InvokeOutcome Runtime::Invoke(Extension& ext, const CapSet& caps,
   // not. Trusted destructors only; nothing here can fail silently.
   outcome.cleanup = ctx.cleanup().RunAll(kernel_, &pool_for_cpu(0));
 
-  if (options.wrap_in_rcu) {
-    (void)kernel_.rcu().ReadUnlock();
-  }
+  (void)kernel_.rcu().ReadUnlock();
 
   outcome.sim_time_ns = kernel_.clock().now_ns() - start_ns;
   outcome.crate_calls = ctx.stats().crate_calls;

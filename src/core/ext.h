@@ -29,7 +29,6 @@ class Extension {
 struct InvokeOptions {
   u64 watchdog_budget_ns = kDefaultWatchdogBudgetNs;
   simkern::Addr skb_meta = 0;  // packet hook context, if any
-  bool wrap_in_rcu = true;
 };
 
 struct InvokeOutcome {
@@ -43,8 +42,6 @@ struct InvokeOutcome {
 };
 
 struct RuntimeConfig {
-  u32 pool_chunk_size = 256;
-  u32 pool_chunk_count = 64;
   // Protection-domain key for extension memory; 0 disables the PKS/MPK
   // simulation (§4 ablation).
   u32 protection_key = 2;

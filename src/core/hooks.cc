@@ -314,28 +314,9 @@ HookVerdict HookRegistry::RunAttachment(const Attachment& attachment,
   return verdict;
 }
 
-void HookRegistry::FireAsync(simkern::CpuPool& pool, HookPoint hook,
-                             simkern::Addr ctx_addr) {
-  pool.SubmitAny([this, hook, ctx_addr] {
-    FireInto(hook, ctx_addr,
-             scratch_[bpf_.kernel().current_cpu()].async_report);
-  });
-}
-
-void HookRegistry::FireAsyncOn(simkern::CpuPool& pool, xbase::u32 cpu,
-                               HookPoint hook, simkern::Addr ctx_addr) {
-  pool.Submit(cpu, [this, hook, ctx_addr] {
-    // A stolen task runs on the thief's CPU — index by the *executing*
-    // CPU, never the submission target.
-    FireInto(hook, ctx_addr,
-             scratch_[bpf_.kernel().current_cpu()].async_report);
-  });
-}
-
 void HookRegistry::FireInto(HookPoint hook, simkern::Addr ctx_addr,
                             HookFireReport& report) {
   const HookFamily& family = FamilyOf(hook);
-  ++scratch_[bpf_.kernel().current_cpu()].fires;
   report.verdicts.clear();  // keeps capacity for the steady state
   report.verdict = family.neutral;
   report.denied = false;

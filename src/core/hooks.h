@@ -22,7 +22,7 @@
 #include "src/core/supervisor.h"
 #include "src/ebpf/interp.h"
 #include "src/ebpf/loader.h"
-#include "src/simkern/smp.h"
+#include "src/simkern/cpu.h"
 #include "src/xbase/ids.h"
 #include "src/xbase/rwlock.h"
 
@@ -160,39 +160,17 @@ class HookRegistry {
   // fire walks the hook's attachment table under the reader side of the
   // striped table lock: no per-fire index vector, no per-attachment copies,
   // no lookup of the target or of its health record by id.
+  //
+  // Safe to call concurrently from any thread. SMP callers submit the fire
+  // to a CpuPool themselves, so it runs on the worker's bound CPU against
+  // that CPU's clock, percpu map slots and scratch, and pass a report slot
+  // indexed by the executing CPU (kernel.current_cpu(), which a stolen task
+  // reports as the thief's), read only after the pool's Drain.
   void FireInto(HookPoint hook, simkern::Addr ctx_addr,
                 HookFireReport& report);
 
-  // SMP dispatch: enqueue the fire on the pool (round-robin across CPUs,
-  // work-stealing when a CPU backs up). The fire runs on the worker's
-  // bound CPU against that CPU's clock, percpu map slots and scratch; the
-  // report lands in the executing CPU's scratch slot (see
-  // async_report_on; read it only after a pool Drain). Safe to call
-  // concurrently from any thread.
-  void FireAsync(simkern::CpuPool& pool, HookPoint hook,
-                 simkern::Addr ctx_addr);
-  // Pin the fire to one CPU's queue instead of round-robin.
-  void FireAsyncOn(simkern::CpuPool& pool, xbase::u32 cpu, HookPoint hook,
-                   simkern::Addr ctx_addr);
-
   xbase::usize AttachedCount(HookPoint hook) const;
   xbase::usize AttachedCountTotal() const;
-
-  // Per-CPU fire accounting (valid at quiescent points).
-  xbase::u64 fires_on(xbase::u32 cpu) const {
-    return cpu < simkern::kMaxCpus ? scratch_[cpu].fires : 0;
-  }
-  // Last async fire report that landed on `cpu` (valid post-Drain).
-  const HookFireReport& async_report_on(xbase::u32 cpu) const {
-    return scratch_[cpu < simkern::kMaxCpus ? cpu : 0].async_report;
-  }
-  xbase::u64 fires_total() const {
-    xbase::u64 total = 0;
-    for (const FireScratch& scratch : scratch_) {
-      total += scratch.fires;
-    }
-    return total;
-  }
 
   HookRegistryConfig& config() { return config_; }
   Supervisor* supervisor() { return config_.supervisor; }
@@ -228,17 +206,13 @@ class HookRegistry {
   HookVerdict RunAttachment(const Attachment& attachment,
                             simkern::Addr ctx_addr);
 
-  // Per-CPU fire state: repair scratch (leak detection is
-  // count/journal-gated, so the vectors stay empty — and allocation-free —
-  // on the happy path), the async-dispatch report, and the fire counter.
-  // Only the bound CPU's thread touches its slot, so no locking; reads
-  // from other threads are valid only at quiescent points (post-Drain).
+  // Per-CPU repair scratch (leak detection is count/journal-gated, so the
+  // vectors stay empty — and allocation-free — on the happy path). Only
+  // the bound CPU's thread touches its slot, so no locking.
   struct alignas(64) FireScratch {
     std::vector<simkern::LockId> locks_before;
     std::vector<simkern::LockId> locks_after;
     std::vector<std::pair<simkern::ObjectId, xbase::s64>> ref_net;
-    HookFireReport async_report;
-    xbase::u64 fires = 0;
   };
 
   ebpf::Bpf& bpf_;

@@ -10,6 +10,15 @@ namespace safex {
 using simkern::RunQueue;
 using simkern::SchedCtxLayout;
 
+namespace {
+// Watchdog budget for one extension pick. Two orders of magnitude above an
+// honest policy's cost (a handful of helper calls at ~20ns each) and one
+// below the timeslice it is deciding about.
+constexpr xbase::u64 kPickBudgetNs = 100'000;
+// Simulated time a dispatched task holds the CPU.
+constexpr xbase::u64 kTimesliceNs = simkern::kNsPerMs;
+}  // namespace
+
 xbase::Status SchedCore::Init() {
   XB_ASSIGN_OR_RETURN(
       ctx_addr_,
@@ -33,7 +42,7 @@ void SchedCore::Dispatch(xbase::u32 pid, SchedTickOutcome& outcome) {
   RunQueue& rq = kernel_.runqueue();
   (void)rq.MarkRan(pid, kernel_.clock().now_ns());
   (void)kernel_.tasks().SetCurrent(kernel_.current_cpu(), pid);
-  kernel_.clock().Advance(config_.timeslice_ns);
+  kernel_.clock().Advance(kTimesliceNs);
   // The timeslice is over; the task is runnable again at the tail, which
   // is what makes the default head pick plain round-robin.
   (void)rq.Enqueue(pid, kernel_.clock().now_ns());
@@ -72,8 +81,7 @@ void SchedCore::ChargeDeadlineMiss(xbase::u64 now_ns) {
       worst->attachment_id, FailureKind::kDeadlineMiss,
       xbase::StrFormat("pick consumed %llu ns (budget %llu ns)",
                        static_cast<unsigned long long>(worst->cost_ns),
-                       static_cast<unsigned long long>(
-                           config_.pick_budget_ns)),
+                       static_cast<unsigned long long>(kPickBudgetNs)),
       now_ns);
 }
 
@@ -96,7 +104,7 @@ SchedTickOutcome SchedCore::Tick() {
   if (rq.runnable_count() == 0) {
     outcome.idle = true;
     ++stats_.idle_ticks;
-    kernel_.clock().Advance(config_.timeslice_ns);
+    kernel_.clock().Advance(kTimesliceNs);
     return outcome;
   }
 
@@ -108,7 +116,7 @@ SchedTickOutcome SchedCore::Tick() {
   bool pick_ok = false;
 
   if (have_ext) {
-    watchdog_.Arm(kernel_.clock(), config_.pick_budget_ns);
+    watchdog_.Arm(kernel_.clock(), kPickBudgetNs);
     hooks_.FireInto(HookPoint::kSchedPickNext, ctx_addr_, report_);
     const xbase::u64 now = kernel_.clock().now_ns();
     outcome.yielded = rq.ConsumeYield();
@@ -183,7 +191,7 @@ SchedTickOutcome SchedCore::Tick() {
     // every runnable task just waits (the paper's availability gap).
     outcome.stalled = true;
     ++stats_.stalls;
-    kernel_.clock().Advance(config_.timeslice_ns);
+    kernel_.clock().Advance(kTimesliceNs);
   }
 
   // Starvation scan over the *real* queue. Supervised mode charges the

@@ -28,14 +28,8 @@
 namespace safex {
 
 struct SchedConfig {
-  // Watchdog budget for one extension pick. Two orders of magnitude above
-  // an honest policy's cost (a handful of helper calls at ~20ns each) and
-  // one below the timeslice it is deciding about.
-  xbase::u64 pick_budget_ns = 100'000;
   // A runnable task waiting longer than this is starving.
   xbase::u64 starvation_bound_ns = 50 * simkern::kNsPerMs;
-  // Simulated time a dispatched task holds the CPU.
-  xbase::u64 timeslice_ns = simkern::kNsPerMs;
   // Supervised: contain/charge/fail-over (the four defences above).
   // Unsupervised: trust the extension verbatim.
   bool supervised = true;

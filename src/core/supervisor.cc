@@ -198,12 +198,13 @@ void Supervisor::PruneWindow(ExtRecord& record, xbase::u64 now_ns) {
 }
 
 xbase::u64 Supervisor::BackoffFor(xbase::u32 trips) const {
+  // Each trip doubles the quarantine.
   xbase::u64 backoff = config_.base_backoff_ns;
   for (xbase::u32 i = 1; i < trips; ++i) {
-    if (backoff > config_.max_backoff_ns / config_.backoff_multiplier) {
+    if (backoff > config_.max_backoff_ns / 2) {
       return config_.max_backoff_ns;
     }
-    backoff *= config_.backoff_multiplier;
+    backoff *= 2;
   }
   return backoff < config_.max_backoff_ns ? backoff : config_.max_backoff_ns;
 }

@@ -58,9 +58,8 @@ struct SupervisorConfig {
   // breaker.
   xbase::u64 window_ns = 100 * simkern::kNsPerMs;
   xbase::u32 crash_budget = 3;
-  // Quarantine duration: base * multiplier^(trips-1), capped.
+  // Quarantine duration: base * 2^(trips-1), capped.
   xbase::u64 base_backoff_ns = 10 * simkern::kNsPerMs;
-  xbase::u32 backoff_multiplier = 2;
   xbase::u64 max_backoff_ns = 10 * simkern::kNsPerSec;
   // Consecutive half-open successes required to close the breaker again.
   xbase::u32 probation_successes = 3;

@@ -152,11 +152,6 @@ class ProgramBuilder {
   // Binds `label` to the next instruction index.
   ProgramBuilder& Bind(const std::string& label);
 
-  ProgramBuilder& SetGpl(bool gpl) {
-    prog_.gpl_compatible = gpl;
-    return *this;
-  }
-
   u32 CurrentPc() const { return prog_.len(); }
 
   // Resolves all label fixups. Fails on unbound labels or offsets that do

@@ -42,9 +42,8 @@ xbase::Result<ExecResult> Execution::Run(Addr ctx_addr) {
   // Resolve the bound CPU's clock cell once; Charge() runs per dispatched
   // micro-op and must not pay the TLS resolution every time.
   clock_cell_ = &kernel_.clock().BoundCell();
-  if (opts_.wrap_in_rcu) {
-    kernel_.rcu().ReadLock(kernel_.clock(), "bpf-prog");
-  }
+  // Every run sits inside rcu_read_lock/unlock, as the real dispatcher's do.
+  kernel_.rcu().ReadLock(kernel_.clock(), "bpf-prog");
 
   u64 regs[kNumRegs] = {};
   regs[R1] = ctx_addr;
@@ -54,9 +53,7 @@ xbase::Result<ExecResult> Execution::Run(Addr ctx_addr) {
                     ? RunFrom(0, regs, /*depth=*/0)
                     : RunThreaded(0, regs, /*depth=*/0);
 
-  if (opts_.wrap_in_rcu) {
-    (void)kernel_.rcu().ReadUnlock();
-  }
+  (void)kernel_.rcu().ReadUnlock();
   if (rebind) {
     kernel_.set_current_cpu(prev_cpu);
   }

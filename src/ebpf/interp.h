@@ -50,8 +50,6 @@ struct ExecOptions {
   // compress wall-clock while keeping simulated time honest (documented in
   // EXPERIMENTS.md).
   u64 cost_multiplier = 1;
-  // Run inside rcu_read_lock/unlock (the real dispatcher always does).
-  bool wrap_in_rcu = true;
   // Optional per-instruction observer (not owned; may be null).
   InsnTracer* tracer = nullptr;
   // Executor selection (see ExecEngine).

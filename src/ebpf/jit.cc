@@ -143,7 +143,7 @@ bool MemProven(const RangeTrace* trace, u32 pc) {
 // the dispatch-layer defect that elides regardless — the runtime trusts a
 // proof nobody produced.
 bool ElideAt(const JitClaims* claims, const FaultRegistry* faults, u32 pc) {
-  if (claims == nullptr || !claims->elide) {
+  if (claims == nullptr) {
     return false;
   }
   if (faults != nullptr && faults->IsActive(kFaultJitElideUnproven)) {
@@ -523,7 +523,7 @@ DecodedImage DecodeProgram(const Program& image,
     }
   }
 
-  if (claims != nullptr && claims->fuse) {
+  if (claims != nullptr) {
     BuildSuperBlocks(out, stats);
     FusePairs(out, image, stats);
   }

@@ -35,13 +35,12 @@ struct JitStats {
 // bounds check when the verifier trace has a proven claim at its pc AND —
 // if a staticcheck trace is supplied (the loader's prepass, defense in
 // depth) — staticcheck agrees. Null traces or missing/unproven claims
-// keep every check. With `claims == nullptr` (every non-loader caller)
-// lowering is byte-identical to the pre-elision JIT.
+// keep every check. Non-null claims also turn on superblocks and pair
+// fusion; with `claims == nullptr` (every non-loader caller) lowering is
+// byte-identical to the pre-elision JIT.
 struct JitClaims {
   const RangeTrace* verifier = nullptr;
   const RangeTrace* staticcheck = nullptr;
-  bool elide = true;  // lower unchecked memory variants
-  bool fuse = true;   // fuse adjacent pairs into superops
 };
 
 struct JitImage {

@@ -582,21 +582,4 @@ xbase::Status MapTable::Destroy(int fd) {
   return xbase::Status::Ok();
 }
 
-Map* MapTable::FindByValueAddr(Addr addr) {
-  const simkern::Region* region =
-      kernel_.mem().FindRegionContaining(addr);
-  if (region == nullptr) {
-    return nullptr;
-  }
-  const auto guard = ReadTable();
-  for (auto& [_, map] : maps_) {
-    if (auto* array = dynamic_cast<ArrayMap*>(map.get())) {
-      if (array->values_base() == region->base) {
-        return map.get();
-      }
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace ebpf

@@ -118,8 +118,6 @@ class ArrayMap : public Map {
                          std::span<const u8> key) override;
   u32 entry_count() const override { return spec().max_entries; }
 
-  Addr values_base() const { return values_base_; }
-
   // Injectable defect (CVE-2022-xxxx class, commit 87ac0d600943): compute
   // the element offset in 32 bits so a large index*value_size wraps.
   void InjectIndexOverflow(bool on) { index_overflow_bug_ = on; }
@@ -299,10 +297,6 @@ class MapTable {
   xbase::Result<Map*> Find(int fd);
   xbase::Result<const Map*> Find(int fd) const;
   xbase::Status Destroy(int fd);
-
-  // Reverse lookup: which map owns this address? Used by the verifier's
-  // runtime oracle and the analysis tools.
-  Map* FindByValueAddr(Addr addr);
 
   xbase::usize size() const {
     const auto guard = ReadTable();

@@ -38,7 +38,6 @@ AdmissionService::AdmissionService(const AdmissionConfig& config,
       bpf_(bpf),
       loader_(loader),
       ext_loader_(ext_loader),
-      cache_(config.cache_shards, config.cache_capacity_per_shard),
       queue_(std::make_unique<BoundedQueue<std::unique_ptr<Request>>>(
           config.queue_capacity)) {
   if (config_.workers == 0) {

@@ -41,8 +41,6 @@ struct AdmissionConfig {
   xbase::usize workers = 4;
   xbase::usize queue_capacity = 128;
   bool cache_enabled = true;
-  xbase::usize cache_shards = 16;
-  xbase::usize cache_capacity_per_shard = 1024;
 };
 
 class AdmissionService {

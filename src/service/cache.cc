@@ -57,24 +57,12 @@ xbase::usize VerdictCache::KeyHash::operator()(const VerdictKey& key) const {
   return static_cast<xbase::usize>(xbase::SplitMix64(mix));
 }
 
-VerdictCache::VerdictCache(xbase::usize shard_count,
-                           xbase::usize capacity_per_shard)
-    : capacity_per_shard_(capacity_per_shard == 0 ? 1 : capacity_per_shard) {
-  if (shard_count == 0) {
-    shard_count = 1;
-  }
-  shards_.reserve(shard_count);
-  for (xbase::usize i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 VerdictCache::Shard& VerdictCache::ShardFor(const VerdictKey& key) {
-  return *shards_[KeyHash{}(key) % shards_.size()];
+  return shards_[KeyHash{}(key) % kShardCount];
 }
 
 void VerdictCache::EvictIfNeededLocked(Shard& shard) {
-  while (shard.map.size() > capacity_per_shard_) {
+  while (shard.map.size() > kCapacityPerShard) {
     // FIFO over ready entries; pending entries are never evicted (waiters
     // hold references into them).
     auto victim = shard.map.end();
@@ -148,24 +136,24 @@ void VerdictCache::Publish(const VerdictKey& key, Verdict verdict,
 CacheStats VerdictCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.coalesced_waits += shard->coalesced;
-    total.published += shard->published;
-    total.uncacheable += shard->uncacheable;
-    total.evictions += shard->evictions;
-    total.entries += shard->map.size();
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total.hits += shard.hits;
+    total.misses += shard.misses;
+    total.coalesced_waits += shard.coalesced;
+    total.published += shard.published;
+    total.uncacheable += shard.uncacheable;
+    total.evictions += shard.evictions;
+    total.entries += shard.map.size();
   }
   return total;
 }
 
 void VerdictCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (auto it = shard.map.begin(); it != shard.map.end();) {
       if (it->second->ready) {
-        it = shard->map.erase(it);
+        it = shard.map.erase(it);
       } else {
         ++it;
       }

@@ -14,11 +14,11 @@
 // duplicate loads verifies exactly once.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "src/crypto/sha256.h"
 #include "src/ebpf/jit.h"
@@ -72,9 +72,6 @@ struct CacheStats {
 
 class VerdictCache {
  public:
-  explicit VerdictCache(xbase::usize shard_count = 16,
-                        xbase::usize capacity_per_shard = 1024);
-
   struct Acquisition {
     // Exactly one of hit/owner is true. hit: verdict is set (waited is true
     // if it blocked on an in-flight owner). owner: the caller must run the
@@ -130,8 +127,10 @@ class VerdictCache {
   Shard& ShardFor(const VerdictKey& key);
   void EvictIfNeededLocked(Shard& shard);
 
-  const xbase::usize capacity_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  static constexpr xbase::usize kShardCount = 16;
+  static constexpr xbase::usize kCapacityPerShard = 1024;
+
+  std::array<Shard, kShardCount> shards_;
 };
 
 }  // namespace service

@@ -11,9 +11,8 @@ FuncId CallGraph::Intern(const std::string& name) {
   if (it != ids_.end()) {
     return it->second;
   }
-  const FuncId id = static_cast<FuncId>(names_.size());
+  const FuncId id = static_cast<FuncId>(adjacency_.size());
   ids_.emplace(name, id);
-  names_.push_back(name);
   adjacency_.emplace_back();
   return id;
 }
@@ -42,10 +41,8 @@ xbase::Result<FuncId> CallGraph::Find(const std::string& name) const {
   return it->second;
 }
 
-const std::string& CallGraph::NameOf(FuncId id) const { return names_[id]; }
-
 std::vector<FuncId> CallGraph::ReachableSet(FuncId root) const {
-  std::vector<bool> seen(names_.size(), false);
+  std::vector<bool> seen(adjacency_.size(), false);
   std::vector<FuncId> stack{root};
   std::vector<FuncId> result;
   seen[root] = true;

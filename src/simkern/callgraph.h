@@ -28,19 +28,17 @@ class CallGraph {
 
   bool Contains(const std::string& name) const;
   xbase::Result<FuncId> Find(const std::string& name) const;
-  const std::string& NameOf(FuncId id) const;
 
   // Number of unique nodes in the call graph rooted at `name`, counting the
   // root itself — the Figure 3 metric.
   xbase::Result<xbase::usize> ReachableCount(const std::string& name) const;
   std::vector<FuncId> ReachableSet(FuncId root) const;
 
-  xbase::usize node_count() const { return names_.size(); }
+  xbase::usize node_count() const { return adjacency_.size(); }
   xbase::usize edge_count() const { return edge_count_; }
 
  private:
   std::map<std::string, FuncId> ids_;
-  std::vector<std::string> names_;
   std::vector<std::vector<FuncId>> adjacency_;
   xbase::usize edge_count_ = 0;
 };

@@ -7,6 +7,8 @@ namespace simkern {
 
 namespace {
 constexpr xbase::usize kDmesgCapacity = 1024;
+// Seeds the simulated subsystem call graph every kernel boots with.
+constexpr xbase::u64 kSubsystemSeed = 0x5eed;
 }  // namespace
 
 Kernel::Kernel(const KernelConfig& config) : config_(config) {
@@ -24,9 +26,7 @@ Kernel::Kernel(const KernelConfig& config) : config_(config) {
   for (xbase::u32 cpu = 0; cpu < config_.num_cpus; ++cpu) {
     runqueues_.push_back(std::make_unique<RunQueue>());
   }
-  if (config_.build_subsystem_graph) {
-    BuildSubsystems(callgraph_, DefaultSubsystems(), config_.subsystem_seed);
-  }
+  BuildSubsystems(callgraph_, DefaultSubsystems(), kSubsystemSeed);
   Printk(xbase::StrFormat(
       "Linux-sim %s booting (unprivileged_bpf_disabled=%d nr_cpus=%u)",
       config_.version.ToString().c_str(),

@@ -47,8 +47,6 @@ enum class KernelState : xbase::u8 {
 struct KernelConfig {
   KernelVersion version = kV5_18;
   bool unprivileged_bpf_disabled = true;  // the v5.15+ default the paper cites
-  bool build_subsystem_graph = true;
-  xbase::u64 subsystem_seed = 0x5eed;
   // Simulated SMP width, clamped to [1, kMaxCpus]. Default matches the
   // retired compile-time constant so per-CPU map layouts and existing
   // experiments are unchanged.
@@ -143,7 +141,6 @@ class Kernel {
   // per fire.
   void BeginExtensionScope(const std::string& label);
   xbase::u32 EndExtensionScope();
-  bool InExtensionScope() const { return scopes_[current_cpu()].open; }
   const std::string& extension_scope() const {
     return scopes_[current_cpu()].label;
   }

@@ -60,7 +60,6 @@ class RcuState {
   void CheckStall(const SimClock& clock);
 
   const std::vector<RcuStall>& stalls() const { return stalls_; }
-  void ClearStalls() { stalls_.clear(); }
 
   // Grace period: KernelFault if the caller is inside its own read-side
   // section (would deadlock — preemption-off semantics). Otherwise blocks

@@ -58,11 +58,6 @@ void CpuPool::Submit(xbase::u32 cpu, std::function<void()> fn) {
   }
 }
 
-void CpuPool::SubmitAny(std::function<void()> fn) {
-  Submit(next_cpu_.fetch_add(1, std::memory_order_relaxed) % num_cpus_,
-         std::move(fn));
-}
-
 bool CpuPool::TakeTask(xbase::u32 cpu, std::function<void()>& out) {
   {
     CpuQueue& own = *queues_[cpu];

@@ -1,10 +1,9 @@
 // The SMP substrate: N real OS threads, each bound to one simulated CPU
 // (see cpu.h). Work — hook fires, sched ticks, map churn — is submitted to
-// a target CPU's queue or round-robin across the machine; an idle CPU
-// steals from the back of a loaded sibling's queue, so a storm of fires
-// spreads across the machine the way softirq load does. Drain() is the
-// quiescence barrier every aggregate read (clocks, counters, dmesg)
-// happens behind.
+// a target CPU's queue; an idle CPU steals from the back of a loaded
+// sibling's queue, so a storm of fires spreads across the machine the way
+// softirq load does. Drain() is the quiescence barrier every aggregate
+// read (clocks, counters, dmesg) happens behind.
 #pragma once
 
 #include <array>
@@ -37,8 +36,6 @@ class CpuPool {
   // Enqueue work for a specific CPU (it may still be stolen by an idle
   // sibling — affinity is a preference, not a pin).
   void Submit(xbase::u32 cpu, std::function<void()> fn);
-  // Round-robin across CPUs.
-  void SubmitAny(std::function<void()> fn);
 
   // Blocks until every submitted task has finished executing. The barrier
   // the harnesses put between a storm burst and its invariant checks.
@@ -77,7 +74,6 @@ class CpuPool {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<xbase::u64> pending_{0};
-  std::atomic<xbase::u32> next_cpu_{0};
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   std::mutex drain_mu_;

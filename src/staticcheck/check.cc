@@ -59,7 +59,7 @@ xbase::Result<Report> RunChecks(const ebpf::Program& prog,
   DataflowResult dataflow = RunDataflow(prog, cfg, opts, report.findings);
   report.analysis_complete = dataflow.complete;
   report.dataflow_iterations = dataflow.iterations;
-  RunTermination(prog, cfg, opts, report.findings);
+  RunTermination(prog, cfg, report.findings);
   RunLocks(prog, cfg, opts, report.findings);
 
   std::sort(report.findings.begin(), report.findings.end(),

@@ -64,12 +64,6 @@ struct CheckOptions {
   const ebpf::MapTable* maps = nullptr;
   const ebpf::HelperRegistry* helpers = nullptr;
   const simkern::CallGraph* callgraph = nullptr;
-  // Statically-derived total loop iteration count above which the
-  // termination pass reports a runtime-budget finding.
-  u64 runtime_budget_iters = 1u << 20;
-  // Helpers whose kernel call graph reaches at least this many functions
-  // are treated as deadlock-capable when invoked under a held spin lock.
-  xbase::usize lock_reach_threshold = 30;
   // When set, the dataflow pass records its per-instruction register range
   // claims here (for diffcheck/rangefuzz cross-checking against the
   // verifier's trace).

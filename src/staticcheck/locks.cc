@@ -16,6 +16,9 @@ using xbase::s32;
 using xbase::StrFormat;
 
 constexpr u32 kMaxDepth = 4;  // nesting deeper than this is saturated
+// Helpers whose kernel call graph reaches at least this many functions are
+// treated as deadlock-capable when invoked under a held spin lock.
+constexpr xbase::usize kLockReachThreshold = 30;
 
 struct LockState {
   bool valid = false;
@@ -79,7 +82,7 @@ void LockPass::HelperUnderLock(u32 pc, s32 helper_id) {
       }
     }
   }
-  if (reach_known && reach >= opts_.lock_reach_threshold) {
+  if (reach_known && reach >= kLockReachThreshold) {
     Report(Severity::kError, pc, "helper-under-lock",
            StrFormat("%s (reaches %zu kernel functions) is called while a "
                      "spin lock may be held",

@@ -15,6 +15,10 @@ using ebpf::Insn;
 using xbase::s32;
 using xbase::StrFormat;
 
+// Statically-derived total loop iteration count above which the pass
+// reports a runtime-budget finding.
+constexpr u64 kRuntimeBudgetIters = 1u << 20;
+
 void AddFinding(std::vector<Finding>& findings, Severity severity, u32 pc,
                 std::string rule, std::string message) {
   Finding finding;
@@ -207,7 +211,6 @@ u64 NestedIters(const std::map<u32, std::vector<LoopSite>>& by_entry,
 }
 
 void CheckBpfLoops(const ebpf::Program& prog, const Cfg& cfg,
-                   const CheckOptions& opts,
                    std::vector<Finding>& findings) {
   // Collect call sites with a block-local backward scan for the constant
   // count (R1) and the callback reference (R2).
@@ -261,23 +264,21 @@ void CheckBpfLoops(const ebpf::Program& prog, const Cfg& cfg,
   }
 
   const u64 total = NestedIters(by_entry, entry_pcs.front(), 0);
-  if (total > opts.runtime_budget_iters) {
+  if (total > kRuntimeBudgetIters) {
     AddFinding(findings, Severity::kWarning, 0, "loop-budget",
                StrFormat("statically-estimated bpf_loop iterations (%llu) "
                          "exceed the runtime budget of %llu",
                          static_cast<unsigned long long>(total),
-                         static_cast<unsigned long long>(
-                             opts.runtime_budget_iters)));
+                         static_cast<unsigned long long>(kRuntimeBudgetIters)));
   }
 }
 
 }  // namespace
 
 void RunTermination(const ebpf::Program& prog, const Cfg& cfg,
-                    const CheckOptions& opts,
                     std::vector<Finding>& findings) {
   CheckNaturalLoops(prog, cfg, findings);
-  CheckBpfLoops(prog, cfg, opts, findings);
+  CheckBpfLoops(prog, cfg, findings);
 }
 
 }  // namespace staticcheck

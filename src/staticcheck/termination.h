@@ -13,7 +13,6 @@
 namespace staticcheck {
 
 void RunTermination(const ebpf::Program& prog, const Cfg& cfg,
-                    const CheckOptions& opts,
                     std::vector<Finding>& findings);
 
 }  // namespace staticcheck

@@ -1,8 +1,8 @@
 // Fixed-size log-linear latency histogram: 64 linear sub-buckets per power
 // of two, so any value lands in a bucket at most 1/64 of its magnitude wide.
-// Bounded memory however long a run lasts, and quantiles interpolate
-// linearly inside the bucket they fall in. Not synchronized: a shared
-// histogram needs its owner's lock.
+// Bounded memory however long a run lasts, mergeable across CPUs, and
+// quantiles interpolate linearly inside the bucket they fall in. Not
+// synchronized: a shared histogram needs its owner's lock.
 #pragma once
 
 #include <array>
@@ -17,6 +17,14 @@ class Histogram {
   void Record(u64 value) {
     ++counts_[IndexOf(value)];
     ++count_;
+  }
+
+  // Adds every sample `other` recorded, as if recorded here.
+  void Merge(const Histogram& other) {
+    for (usize i = 0; i < kBuckets; ++i) {
+      counts_[i] += other.counts_[i];
+    }
+    count_ += other.count_;
   }
 
   u64 count() const { return count_; }

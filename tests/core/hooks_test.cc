@@ -263,11 +263,17 @@ TEST_F(HooksTest, DetachUnderSmpFireWaitsOutInFlightFires) {
 
   kernel_.StartCpus();
   simkern::CpuPool& pool = *kernel_.cpus();
+  const xbase::u32 cpus = kernel_.num_cpus();
+  // One report slot per executing CPU; a stolen fire reports on the thief.
+  std::vector<HookFireReport> reports(cpus);
+  auto fire = [this, &reports] {
+    hooks_->FireInto(HookPoint::kSyscallEnter, ctx_,
+                     reports[kernel_.current_cpu()]);
+  };
   std::atomic<bool> stop{false};
   std::thread feeder([&] {
     for (xbase::u32 i = 0; !stop.load(); ++i) {
-      hooks_->FireAsyncOn(pool, i % kernel_.num_cpus(),
-                          HookPoint::kSyscallEnter, ctx_);
+      pool.Submit(i % cpus, fire);
       if (i % 8 == 7) {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
@@ -296,24 +302,28 @@ TEST_F(HooksTest, DetachUnderSmpFireWaitsOutInFlightFires) {
   pool.Drain();
   EXPECT_EQ(begun.load(), begun_at_detach) << "a fire ran after Detach";
 
-  // One more round, so every CPU that reports below fired after Detach.
-  std::vector<xbase::u64> fires_before;
-  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
-    fires_before.push_back(hooks_->fires_on(cpu));
-  }
-  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
-    hooks_->FireAsyncOn(pool, cpu, HookPoint::kSyscallEnter, ctx_);
+  // One more round, into fresh slots, so every report below comes from a
+  // fire after Detach; each fire also counts what it served.
+  std::vector<HookFireReport> after(cpus);
+  std::vector<xbase::u32> served(cpus);
+  for (xbase::u32 cpu = 0; cpu < cpus; ++cpu) {
+    pool.Submit(cpu, [this, &after, &served] {
+      const xbase::u32 self = kernel_.current_cpu();
+      hooks_->FireInto(HookPoint::kSyscallEnter, ctx_, after[self]);
+      served[self] += after[self].served;
+    });
   }
   pool.Drain();
-  for (xbase::u32 cpu = 0; cpu < kernel_.num_cpus(); ++cpu) {
-    if (hooks_->fires_on(cpu) == fires_before[cpu]) {
+  xbase::u32 served_total = 0;
+  for (xbase::u32 cpu = 0; cpu < cpus; ++cpu) {
+    served_total += served[cpu];
+    if (served[cpu] == 0) {
       continue;  // another CPU stole this one's fire
     }
-    const HookFireReport& report = hooks_->async_report_on(cpu);
-    ASSERT_EQ(report.verdicts.size(), 1u) << "cpu " << cpu;
-    EXPECT_EQ(report.verdicts[0].attachment_id, kept.value());
-    EXPECT_EQ(report.served, 1u);
+    ASSERT_EQ(after[cpu].verdicts.size(), 1u) << "cpu " << cpu;
+    EXPECT_EQ(after[cpu].verdicts[0].attachment_id, kept.value());
   }
+  EXPECT_EQ(served_total, cpus) << "every fire serves the kept attachment";
   EXPECT_EQ(hooks_->AttachedCountTotal(), 1u);
   kernel_.StopCpus();
 }

@@ -76,7 +76,7 @@ TEST(CpuBindingTest, WorkersExecuteWithTheirOwnBinding) {
   std::atomic<int> torn{0};
   for (int i = 0; i < kTasks; ++i) {
     std::atomic<u32>* slot = &seen[i];
-    pool.SubmitAny([&kernel, slot, &torn] {
+    pool.Submit(i % kernel.num_cpus(), [&kernel, slot, &torn] {
       const u32 first = kernel.current_cpu();
       SleepMs(1);
       if (kernel.current_cpu() != first) {

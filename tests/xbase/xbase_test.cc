@@ -1,6 +1,6 @@
 // Unit tests for the foundation library: Status/Result plumbing, the
-// deterministic PRNG, byte encoding, formatting, id allocation and the
-// striped reader-writer lock.
+// deterministic PRNG, byte encoding, formatting, id allocation, the
+// striped reader-writer lock and the latency histogram.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "src/xbase/bytes.h"
 #include "src/xbase/ids.h"
 #include "src/xbase/log.h"
+#include "src/xbase/metrics.h"
 #include "src/xbase/rand.h"
 #include "src/xbase/rwlock.h"
 #include "src/xbase/status.h"
@@ -309,6 +310,35 @@ TEST(StripedRwLockTest, DisarmedGuardTakesNothing) {
   const RwLockStats stats = lock.stats();
   EXPECT_EQ(stats.writer_acquires, 1u);
   EXPECT_EQ(stats.writer_contended, 0u);
+}
+
+TEST(HistogramTest, MergeEqualsRecordingBothSampleSets) {
+  // Two CPUs' worth of latencies with different shapes: one tight around
+  // 300 ns, one spread over six orders of magnitude.
+  Rng rng(7);
+  Histogram first;
+  Histogram second;
+  Histogram both;
+  for (int i = 0; i < 5000; ++i) {
+    const u64 tight = 250 + rng.NextBelow(100);
+    const u64 spread = rng.NextBelow(u64{1} << rng.NextBelow(21));
+    first.Record(tight);
+    second.Record(spread);
+    both.Record(tight);
+    both.Record(spread);
+  }
+  Histogram merged;
+  merged.Merge(first);
+  merged.Merge(second);
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_EQ(merged.count(), 10000u);
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(merged.Quantile(q), both.Quantile(q)) << "q=" << q;
+  }
+  // Merging an empty histogram changes nothing.
+  merged.Merge(Histogram{});
+  EXPECT_EQ(merged.count(), both.count());
+  EXPECT_EQ(merged.Quantile(0.5), both.Quantile(0.5));
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 //   chaos --seed N             replay a specific seed
 //   chaos --ops M              number of randomized operations (default 10000)
 //   chaos --no-faults          leave the fault registry alone (calm mode)
-//   chaos --cpus N             cross-CPU storm: every fire op bursts one
-//                              fire per CPU on real CPU-bound threads,
-//                              fault toggles race the in-flight fires, and
-//                              invariants are asserted machine-wide at the
-//                              post-burst barrier
+//   chaos --cpus N             cross-CPU storm: every fire op bursts two
+//                              fires per CPU on real CPU-bound threads,
+//                              each tallied on its executing CPU, fault
+//                              toggles race the in-flight fires, and after
+//                              the post-burst Drain every fire must have
+//                              run and served + failed + skipped must equal
+//                              2·N·(attachments on the hook), alongside the
+//                              machine-wide invariants
 //   chaos --engine E           execution engine for hook fires:
 //                              threaded (default) or legacy
 //   chaos --quiet              print only the verdict line
