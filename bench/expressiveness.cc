@@ -33,7 +33,6 @@ std::string VerdictAt(safex::System& rig, const ebpf::Program& prog,
 
 int main() {
   safex::System rig;
-  const int fd = harness::MustCreateArrayMap(rig, "m", 8, 4);
 
   harness::Title("Expressiveness: verifier verdicts across versions vs "
                  "safex");

@@ -432,14 +432,6 @@ SchedStormReport RunSchedStorm(const SchedStormConfig& config) {
 
 namespace {
 
-safex::SupervisorConfig CheckSupervisorConfig() {
-  safex::SupervisorConfig config;
-  config.window_ns = 100 * simkern::kNsPerMs;
-  config.crash_budget = 3;
-  config.base_backoff_ns = 10 * simkern::kNsPerMs;
-  return config;
-}
-
 u64 KindCount(const SchedRig& rig, u32 attachment, safex::FailureKind kind) {
   const safex::ExtRecord* record = rig.supervisor->Find(attachment);
   if (record == nullptr) {
@@ -465,7 +457,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // stall-loop: the pick blows its watchdog deadline; the supervised tick
   // must still dispatch, and the deadline miss must be charged.
   {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     rig.bpf.faults().Inject(ebpf::kFaultSchedStallLoop);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickViaDefault());
     for (int i = 0; i < 40; ++i) {
@@ -489,7 +481,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // invalid-pid: the buggy peek serves a dead pid; validation must refuse
   // it, charge kInvalidPick, and fail over.
   {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     rig.bpf.faults().Inject(ebpf::kFaultSchedPickInvalidPid);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickFirst());
     for (int i = 0; i < 20; ++i) {
@@ -512,7 +504,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // runnable-filter: the hidden task must be flagged starving, the charge
   // must land, and quarantine fail-over must rescue it.
   {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     rig.bpf.faults().Inject(ebpf::kFaultSchedRunnableFilter);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickLongestWaiting());
     const std::vector<u32> pids = rig.kernel.tasks().Pids();
@@ -537,7 +529,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // crash-on-pick: the helper oopses mid-pick; the oops must be contained,
   // attributed to the extension, and the tick must still dispatch.
   {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     rig.bpf.faults().Inject(ebpf::kFaultSchedCrashOnPick);
     const u32 attachment = rig.AttachPolicy(BuildSchedPickLongestWaiting());
     for (int i = 0; i < 20; ++i) {
@@ -566,7 +558,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
   // double-pick: a policy-level attack (no helper defect) — the dequeued
   // victim must be detected as a non-runnable pick and reclaimed.
   {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     const u32 attachment = rig.AttachPolicy(BuildSchedDoublePick());
     for (int i = 0; i < 20; ++i) {
       (void)rig.sched->Tick();
@@ -601,7 +593,7 @@ std::vector<SchedFaultCheck> RunSchedFaultChecks() {
       {"clean.yield", BuildSchedYield},
   };
   for (const CleanLeg& leg : clean_legs) {
-    SchedRig rig(CheckSupervisorConfig());
+    SchedRig rig(safex::SupervisorConfig{});
     const u32 attachment = rig.AttachPolicy(leg.builder());
     for (int i = 0; i < 60; ++i) {
       (void)rig.sched->Tick();

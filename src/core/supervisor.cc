@@ -161,7 +161,7 @@ void Supervisor::RecordFailureLocked(ExtRecord& record, FailureKind kind,
   // A failure during a half-open trial re-trips immediately: the extension
   // has not earned its way back. Otherwise the sliding-window budget rules.
   if (health == ExtHealth::kProbation ||
-      record.window.size() >= config_.crash_budget) {
+      record.window.size() >= kCrashBudget) {
     Trip(record, now_ns);
   }
   Publish(record);
@@ -290,7 +290,7 @@ xbase::Status Supervisor::CheckConsistent(xbase::u64 now_ns) const {
       }
       prev = event.at_ns;
     }
-    if (record.window.size() > config_.crash_budget) {
+    if (record.window.size() > kCrashBudget) {
       return xbase::Internal(xbase::StrFormat(
           "supervisor: attachment %u window exceeds crash budget", id));
     }

@@ -53,11 +53,12 @@ enum class ExtHealth : xbase::u8 {
 
 std::string_view ExtHealthName(ExtHealth health);
 
+// Failures inside the sliding window that trip the breaker.
+inline constexpr xbase::u32 kCrashBudget = 3;
+
 struct SupervisorConfig {
-  // Failures inside this sliding simulated-time window that trip the
-  // breaker.
+  // The sliding simulated-time window kCrashBudget failures must fall in.
   xbase::u64 window_ns = 100 * simkern::kNsPerMs;
-  xbase::u32 crash_budget = 3;
   // Quarantine duration: base * 2^(trips-1), capped.
   xbase::u64 base_backoff_ns = 10 * simkern::kNsPerMs;
   xbase::u64 max_backoff_ns = 10 * simkern::kNsPerSec;

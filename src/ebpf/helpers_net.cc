@@ -423,7 +423,7 @@ xbase::Status RegisterNetHelpers(HelperWiring& wiring) {
       MakeSpec(kHelperGetSocketCookie, "bpf_get_socket_cookie", {4, 12},
                {kCtxA}, RetType::kInteger),
       {{"inet", 12}},
-      [](HelperCtx& ctx, const HelperArgs& a) -> xbase::Result<u64> {
+      [](HelperCtx&, const HelperArgs& a) -> xbase::Result<u64> {
         return xbase::Fnv1a(xbase::AsBytes(a[0]));
       }));
   XB_RETURN_IF_ERROR(def(

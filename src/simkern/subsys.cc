@@ -38,22 +38,19 @@ void BuildSubsystems(CallGraph& graph, const std::vector<SubsystemSpec>& specs,
                      xbase::u64 seed) {
   xbase::Rng rng(seed);
   for (const SubsystemSpec& spec : specs) {
-    std::vector<FuncId> ids;
-    ids.reserve(spec.function_count);
-    for (usize i = 0; i < spec.function_count; ++i) {
-      ids.push_back(graph.Intern(
-          xbase::StrFormat("%s.f%zu", spec.name.c_str(), i)));
-    }
+    const FuncId base = graph.AddRange(spec.name, spec.function_count);
+    const auto id = [base](usize i) { return base + static_cast<FuncId>(i); };
+    // Nodes in order, so every edge lands in the graph's flat array.
     for (usize i = 0; i + 1 < spec.function_count; ++i) {
       // Spine edge guarantees reach(f_k) == n - k.
-      graph.AddEdgeById(ids[i], ids[i + 1]);
+      graph.AddEdgeById(id(i), id(i + 1));
       // Extra forward edges give realistic fanout without changing
       // reachability counts.
       for (usize j = 0; j < spec.extra_fanout; ++j) {
         const usize span = spec.function_count - i - 1;
         if (span > 1) {
           const usize target = i + 1 + rng.NextBelow(span);
-          graph.AddEdgeById(ids[i], ids[target]);
+          graph.AddEdgeById(id(i), id(target));
         }
       }
     }

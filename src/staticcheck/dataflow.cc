@@ -189,13 +189,18 @@ DfState MergeState(const DfState& a, const DfState& b, bool widen) {
       WidenVal(out.regs[i], a.regs[i]);
     }
   }
+  // A byte is initialized only where both sides say so, so the shorter
+  // side bounds the result; a slot is non-empty where either side is.
+  out.stack_init.resize(std::min(a.stack_init.size(), b.stack_init.size()));
   for (xbase::usize i = 0; i < out.stack_init.size(); ++i) {
     out.stack_init[i] =
         static_cast<u8>(a.stack_init[i] != 0 && b.stack_init[i] != 0);
   }
-  for (int i = 0; i < kStackSlots; ++i) {
-    const StackSlot& sa = a.stack.slots[static_cast<xbase::usize>(i)];
-    const StackSlot& sb = b.stack.slots[static_cast<xbase::usize>(i)];
+  out.stack.slots.resize(
+      std::max(a.stack.slots.size(), b.stack.slots.size()));
+  for (int i = 0; i < static_cast<int>(out.stack.slots.size()); ++i) {
+    const StackSlot& sa = a.stack.At(i);
+    const StackSlot& sb = b.stack.At(i);
     StackSlot& so = out.stack.slots[static_cast<xbase::usize>(i)];
     if (sa.kind == SlotKind::kEmpty && sb.kind == SlotKind::kEmpty) {
       so = StackSlot{};
@@ -410,11 +415,14 @@ void Dataflow::MarkStackBytes(DfState& state, const AbsVal& base,
   if (base.var_off || base.off_min != base.off_max) {
     return;  // imprecise writes mark nothing (under-approximation)
   }
-  const s64 start = base.off_min + insn_off + kStackBytes;
   for (u32 i = 0; i < size; ++i) {
-    const s64 byte = start + i;
-    if (byte >= 0 && byte < kStackBytes) {
-      state.stack_init[static_cast<xbase::usize>(byte)] = 1;
+    const s64 off = base.off_min + insn_off + i;
+    if (off >= -kStackBytes && off < 0) {
+      const auto k = static_cast<xbase::usize>(-off - 1);
+      if (k >= state.stack_init.size()) {
+        state.stack_init.resize(k + 1, 0);
+      }
+      state.stack_init[k] = 1;
     }
   }
 }
@@ -424,13 +432,13 @@ void Dataflow::CheckStackInit(const DfState& state, const AbsVal& base,
   if (base.var_off || base.off_min != base.off_max) {
     return;
   }
-  const s64 start = base.off_min + kStackBytes;
   for (u32 i = 0; i < size; ++i) {
-    const s64 byte = start + i;
-    if (byte < 0 || byte >= kStackBytes) {
+    const s64 off = base.off_min + i;
+    if (off < -kStackBytes || off >= 0) {
       return;  // bounds reported separately
     }
-    if (state.stack_init[static_cast<xbase::usize>(byte)] == 0) {
+    const auto k = static_cast<xbase::usize>(-off - 1);
+    if (k >= state.stack_init.size() || state.stack_init[k] == 0) {
       Report(Severity::kWarning, pc, "stack-uninit-read",
              StrFormat("%.*s reads stack byte fp%lld which may be "
                        "uninitialized",
@@ -981,7 +989,7 @@ void Dataflow::StackStore(DfState& state, const AbsVal& base, s64 insn_off,
   }
   if (IsFullSlotAccess(off, size) && spilled != nullptr &&
       spilled->kind != VK::kUninit) {
-    state.stack.slots[static_cast<xbase::usize>(StackSlotIndex(off))] =
+    state.stack.Grow(StackSlotIndex(off)) =
         StackSlot{SlotKind::kSpill, *spilled};
     return;
   }
@@ -991,8 +999,7 @@ void Dataflow::StackStore(DfState& state, const AbsVal& base, s64 insn_off,
   for (s64 byte = off; byte < off + static_cast<s64>(size); ++byte) {
     const int idx = StackSlotIndex(byte);
     if (idx >= 0) {
-      state.stack.slots[static_cast<xbase::usize>(idx)] =
-          StackSlot{SlotKind::kMisc, AbsVal{}};
+      state.stack.Grow(idx) = StackSlot{SlotKind::kMisc, AbsVal{}};
     }
   }
 }
@@ -1087,8 +1094,7 @@ void Dataflow::ZoneTransfer(DfState& state, u32 pc) {
         const int slot_var = ZoneSlotVar(off);
         if (slot_var >= 0 && dst >= 0 &&
             IsFullSlotAccess(off, ebpf::SizeBytes(insn.Size())) &&
-            state.stack.slots[static_cast<xbase::usize>(StackSlotIndex(off))]
-                    .kind == SlotKind::kSpill) {
+            state.stack.At(StackSlotIndex(off)).kind == SlotKind::kSpill) {
           z.AssignCopy(dst, slot_var);  // fill restores the relation
           return;
         }
@@ -1188,9 +1194,7 @@ void Dataflow::Transfer(DfState& state, u32 pc) {
         // value — pointers survive a round trip through the stack.
         const s64 off = base.off_min + insn.off;
         if (opts_.enable_relational && IsFullSlotAccess(off, bytes)) {
-          const StackSlot& slot =
-              state.stack.slots[static_cast<xbase::usize>(
-                  StackSlotIndex(off))];
+          const StackSlot& slot = state.stack.At(StackSlotIndex(off));
           if (slot.kind == SlotKind::kSpill) {
             AbsVal restored = slot.val;
             WriteReg(state, insn.dst, std::move(restored), pc);

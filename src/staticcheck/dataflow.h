@@ -39,15 +39,20 @@ struct DfState {
   // is vacuous and would produce false range divergences.
   bool range_dead = false;
   std::array<AbsVal, ebpf::kNumRegs> regs;
-  // Per-byte init tracking of the 512-byte stack frame; index 0 is the
-  // deepest byte (R10-512), index 511 is R10-1.
-  std::array<u8, ebpf::kMaxStackBytes> stack_init = {};
+  // Per-byte init tracking of the stack frame: index k is byte R10-(k+1).
+  // Grows with the deepest write; a byte past the end is uninitialized.
+  std::vector<u8> stack_init;
   // Typed slot contents (spill/fill tracking); refines stack_init.
   StackDom stack;
   // Relational constraints over registers and tracked slots.
   Zone zone;
   std::vector<RefObligation> refs;  // sorted by id
-  bool operator==(const DfState&) const = default;
+  bool operator==(const DfState& other) const {
+    return valid == other.valid && range_dead == other.range_dead &&
+           regs == other.regs &&
+           EqualPadded(stack_init, other.stack_init, u8{0}) &&
+           stack == other.stack && zone == other.zone && refs == other.refs;
+  }
 };
 
 struct DataflowResult {

@@ -9,9 +9,8 @@
 // staticcheck header, this must not include any verifier header.
 #pragma once
 
-#include <array>
-#include <string>
-#include <string_view>
+#include <algorithm>
+#include <vector>
 
 #include "src/ebpf/prog.h"
 #include "src/staticcheck/range.h"
@@ -57,16 +56,14 @@ struct AbsVal {
 };
 
 // ---------------------------------------------------------------------------
-// Stack domain: 64 eight-byte slots over the 512-byte frame, each either
-// untouched, scribbled-on (kMisc: bytes written but no tracked value), or
-// holding a full 8-byte spill of an abstract value. A spill survives only
-// as an aligned 8-byte store; any narrower or misaligned overwrite
-// downgrades the slot to kMisc — precisely the invariant whose omission is
-// the spill-width-confusion fault class (kernel commit 27113c59b6d0).
+// Stack domain: up to 64 eight-byte slots over the 512-byte frame, each
+// either untouched, scribbled-on (kMisc: bytes written but no tracked
+// value), or holding a full 8-byte spill of an abstract value. A spill
+// survives only as an aligned 8-byte store; any narrower or misaligned
+// overwrite downgrades the slot to kMisc — precisely the invariant whose
+// omission is the spill-width-confusion fault class (kernel commit
+// 27113c59b6d0).
 // ---------------------------------------------------------------------------
-
-inline constexpr int kStackSlots =
-    static_cast<int>(ebpf::kMaxStackBytes / 8);
 
 enum class SlotKind : u8 {
   kEmpty = 0,  // never written
@@ -80,9 +77,39 @@ struct StackSlot {
   bool operator==(const StackSlot&) const = default;
 };
 
+// Equality of two vectors that stand for longer ones padded with `empty`.
+template <typename T>
+bool EqualPadded(const std::vector<T>& a, const std::vector<T>& b,
+                 const T& empty) {
+  const std::vector<T>& shorter = a.size() <= b.size() ? a : b;
+  const std::vector<T>& longer = a.size() <= b.size() ? b : a;
+  const auto tail =
+      longer.begin() + static_cast<std::ptrdiff_t>(shorter.size());
+  return std::equal(shorter.begin(), shorter.end(), longer.begin()) &&
+         std::all_of(tail, longer.end(),
+                     [&empty](const T& x) { return x == empty; });
+}
+
+// Slot i covers bytes [-8*(i+1), -8*i). The vector grows with the deepest
+// write; a slot past its end is kEmpty.
 struct StackDom {
-  std::array<StackSlot, kStackSlots> slots;
-  bool operator==(const StackDom&) const = default;
+  std::vector<StackSlot> slots;
+
+  const StackSlot& At(int i) const {
+    static const StackSlot kEmptySlot;
+    return static_cast<xbase::usize>(i) < slots.size()
+               ? slots[static_cast<xbase::usize>(i)]
+               : kEmptySlot;
+  }
+  StackSlot& Grow(int i) {
+    if (static_cast<xbase::usize>(i) >= slots.size()) {
+      slots.resize(static_cast<xbase::usize>(i) + 1);
+    }
+    return slots[static_cast<xbase::usize>(i)];
+  }
+  bool operator==(const StackDom& other) const {
+    return EqualPadded(slots, other.slots, StackSlot{});
+  }
 };
 
 // Slot index for a frame offset (off < 0, relative to R10); slot i covers
@@ -116,11 +143,5 @@ inline bool HasPacketPtrs(ebpf::ProgType type) {
       return false;
   }
 }
-
-std::string_view SlotKindName(SlotKind kind);
-std::string_view VKName(VK kind);
-// Human-readable dump of the non-empty slots, e.g. "fp-8=map_value
-// fp-16=misc"; for tests and xcheck output.
-std::string FormatStackDom(const StackDom& dom);
 
 }  // namespace staticcheck

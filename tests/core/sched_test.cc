@@ -152,7 +152,6 @@ TEST_F(SchedGatingTest, SchedExtRequiresPrivilegedLoader) {
 SupervisorConfig SchedSupConfig() {
   SupervisorConfig config;
   config.window_ns = 100 * kMs;
-  config.crash_budget = 3;
   config.base_backoff_ns = 10 * kMs;
   config.probation_successes = 3;
   config.max_trips = 4;

@@ -17,7 +17,6 @@ constexpr xbase::u64 kMs = 1'000'000ULL;
 SupervisorConfig TestConfig() {
   SupervisorConfig config;
   config.window_ns = 100 * kMs;
-  config.crash_budget = 3;
   config.base_backoff_ns = 10 * kMs;
   config.max_backoff_ns = 10'000 * kMs;
   config.probation_successes = 2;
@@ -61,7 +60,7 @@ TEST(SupervisorUnit, BackoffDoublesPerTripAndIsCapped) {
   xbase::u64 expected[] = {10 * kMs, 20 * kMs, 35 * kMs, 35 * kMs};
   for (const xbase::u64 backoff : expected) {
     (void)supervisor.Admit(1, now);
-    for (xbase::u32 i = 0; i < config.crash_budget; ++i) {
+    for (xbase::u32 i = 0; i < kCrashBudget; ++i) {
       supervisor.RecordFailure(1, FailureKind::kPanic, "x", now);
     }
     const ExtRecord* record = supervisor.Find(1);
@@ -365,7 +364,7 @@ TEST_F(SupervisedHooksTest, FallbackPoliciesAreFixedPerHookFamily) {
 TEST_F(SupervisedHooksTest, CrossCpuFailuresTripExactlyAtTheBudget) {
   // A failing and a healthy extension share a hook fired from 4 CPUs at
   // once. The failing one's window fills from every CPU, yet the breaker
-  // trips exactly once, at crash_budget failures: with max_trips 1 the trip
+  // trips exactly once, at kCrashBudget failures: with max_trips 1 the trip
   // evicts, and a failure still in flight on another CPU finds the record
   // evicted and is not counted. The healthy neighbour never notices.
   SupervisorConfig config = TestConfig();
@@ -411,8 +410,8 @@ TEST_F(SupervisedHooksTest, CrossCpuFailuresTripExactlyAtTheBudget) {
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->health.load(), ExtHealth::kEvicted);
   EXPECT_EQ(record->trips, 1u);
-  EXPECT_EQ(record->failures_total, config.crash_budget);
-  EXPECT_EQ(supervisor_->failures(), config.crash_budget);
+  EXPECT_EQ(record->failures_total, kCrashBudget);
+  EXPECT_EQ(supervisor_->failures(), kCrashBudget);
   EXPECT_EQ(supervisor_->trips(), 1u);
   EXPECT_EQ(supervisor_->evictions(), 1u);
   EXPECT_TRUE(
@@ -435,7 +434,7 @@ TEST_F(SupervisedHooksTest, CrossCpuFailuresTripExactlyAtTheBudget) {
   EXPECT_EQ(neighbour->health.load(), ExtHealth::kHealthy);
   EXPECT_EQ(neighbour->failures_total, 0u);
   EXPECT_EQ(neighbour->invocations.Sum(), 2 * kFiresPerBurst);
-  EXPECT_EQ(supervisor_->failures(), config.crash_budget);
+  EXPECT_EQ(supervisor_->failures(), kCrashBudget);
   EXPECT_TRUE(
       supervisor_->CheckConsistent(kernel_->clock().max_now_ns()).ok());
   kernel_->StopCpus();

@@ -2,6 +2,11 @@
 // RCU, locks, tasks, networking, call graph and the kernel façade.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "src/core/system.h"
 #include "src/simkern/kernel.h"
 
 namespace simkern {
@@ -408,6 +413,110 @@ TEST(SubsysTest, DefaultSubsystemsBuildDeterministically) {
   EXPECT_EQ(a.node_count(), b.node_count());
   EXPECT_EQ(a.edge_count(), b.edge_count());
   EXPECT_GT(a.node_count(), 9000u);  // the scale model is nontrivial
+}
+
+// The graph every kernel boots with, pinned: node and edge counts of a bare
+// kernel and of a full System, and each helper's and kfunc's Figure 3
+// reach. Any change to the generator, its seed or the representation that
+// moves one of these moves Figure 3.
+TEST(CallGraphGoldenTest, BootGraphCountsAndReach) {
+  Kernel bare;
+  EXPECT_EQ(bare.callgraph().node_count(), 9774u);
+  EXPECT_EQ(bare.callgraph().edge_count(), 35430u);
+
+  safex::System system;
+  ASSERT_TRUE(system.ok());
+  const CallGraph& graph = system.kernel.callgraph();
+  EXPECT_EQ(graph.node_count(), 9870u);
+  EXPECT_EQ(graph.edge_count(), 35543u);
+
+  const std::map<std::string, xbase::usize> kReach = {
+      {"bpf_cgroup_ancestor", 91}, {"bpf_cgrp_storage_get", 301},
+      {"bpf_clone_redirect", 901}, {"bpf_csum_diff", 7}, {"bpf_csum_level", 26},
+      {"bpf_current_task_under_cgroup", 131}, {"bpf_fib_lookup", 1001},
+      {"bpf_find_vma", 551}, {"bpf_get_cgroup_classid", 26},
+      {"bpf_get_current_comm", 5}, {"bpf_get_current_pid_tgid", 1},
+      {"bpf_get_current_task", 1}, {"bpf_get_current_task_btf", 1},
+      {"bpf_get_current_uid_gid", 4}, {"bpf_get_hash_recalc", 321},
+      {"bpf_get_numa_node_id", 1}, {"bpf_get_prandom_u32", 3},
+      {"bpf_get_route_realm", 16}, {"bpf_get_smp_processor_id", 1},
+      {"bpf_get_socket_cookie", 13}, {"bpf_get_socket_uid", 11},
+      {"bpf_get_stack", 541}, {"bpf_get_stackid", 551},
+      {"bpf_get_task_stack", 561}, {"bpf_ktime_get_boot_ns", 9},
+      {"bpf_ktime_get_ns", 9}, {"bpf_ktime_get_tai_ns", 9},
+      {"bpf_l3_csum_replace", 551}, {"bpf_l4_csum_replace", 561},
+      {"bpf_loop", 6}, {"bpf_lsm_audit", 528}, {"bpf_lsm_current_uid", 4},
+      {"bpf_lsm_inode_id", 4}, {"bpf_lsm_open_flags", 2},
+      {"bpf_lsm_ratelimit", 3}, {"bpf_lsm_read_path", 43},
+      {"bpf_map_delete_elem", 391}, {"bpf_map_lookup_elem", 281},
+      {"bpf_map_pop_elem", 256}, {"bpf_map_push_elem", 261},
+      {"bpf_map_update_elem", 561}, {"bpf_perf_event_output", 521},
+      {"bpf_perf_event_read", 301}, {"bpf_perf_event_read_value", 311},
+      {"bpf_probe_read", 21}, {"bpf_probe_read_str", 23},
+      {"bpf_probe_write_user", 201}, {"bpf_redirect", 701},
+      {"bpf_ringbuf_discard", 29}, {"bpf_ringbuf_output", 511},
+      {"bpf_ringbuf_reserve", 391}, {"bpf_ringbuf_submit", 31},
+      {"bpf_sched_dequeue", 5}, {"bpf_sched_enqueue", 5},
+      {"bpf_sched_nr_runnable", 3}, {"bpf_sched_peek_pid", 4},
+      {"bpf_sched_pick_default", 4}, {"bpf_sched_wait_ns", 4},
+      {"bpf_sched_yield", 2}, {"bpf_send_signal", 401}, {"bpf_set_hash", 2},
+      {"bpf_setsockopt", 701}, {"bpf_sk_lookup_tcp", 901},
+      {"bpf_sk_lookup_udp", 751}, {"bpf_sk_release", 21},
+      {"bpf_sk_storage_get", 511}, {"bpf_skb_adjust_room", 671},
+      {"bpf_skb_change_proto", 631}, {"bpf_skb_change_tail", 661},
+      {"bpf_skb_change_type", 3}, {"bpf_skb_get_tunnel_key", 201},
+      {"bpf_skb_load_bytes", 26}, {"bpf_skb_pull_data", 611},
+      {"bpf_skb_set_tunnel_key", 621}, {"bpf_skb_store_bytes", 601},
+      {"bpf_skb_summarize", 221}, {"bpf_skb_under_cgroup", 121},
+      {"bpf_skb_vlan_pop", 641}, {"bpf_skb_vlan_push", 651},
+      {"bpf_snprintf", 15}, {"bpf_spin_lock", 2}, {"bpf_spin_unlock", 2},
+      {"bpf_strncmp", 9}, {"bpf_strtol", 11}, {"bpf_strtoul", 11},
+      {"bpf_sys_bpf", 4801}, {"bpf_tail_call", 26}, {"bpf_task_acquire", 61},
+      {"bpf_task_release", 41}, {"bpf_task_storage_delete", 341},
+      {"bpf_task_storage_get", 521}, {"bpf_trace_printk", 421},
+      {"bpf_user_ringbuf_drain", 521}, {"bpf_xdp_adjust_head", 19},
+      {"bpf_xdp_adjust_meta", 16}, {"kfunc_find_vma", 421},
+  };
+  std::vector<std::string> entries;
+  for (const ebpf::HelperSpec* spec : system.bpf.helpers().AllSpecs()) {
+    entries.push_back(spec->entry_func);
+  }
+  for (const ebpf::KfuncSpec* spec : system.bpf.kfuncs().AllSpecs()) {
+    entries.push_back(spec->entry_func);
+  }
+  EXPECT_EQ(entries.size(), kReach.size());
+  for (const std::string& entry : entries) {
+    auto it = kReach.find(entry);
+    ASSERT_NE(it, kReach.end()) << entry;
+    EXPECT_EQ(graph.ReachableCount(entry).value(), it->second) << entry;
+  }
+}
+
+TEST(CallGraphGoldenTest, GeneratedNamesResolveOnlyInCanonicalForm) {
+  Kernel kernel;
+  CallGraph& graph = kernel.callgraph();
+  EXPECT_TRUE(graph.Contains("bpf_syscall.f0"));
+  EXPECT_EQ(graph.ReachableCount("bpf_syscall.f0").value(), 4800u);
+  EXPECT_TRUE(graph.Contains("util.f23"));
+  EXPECT_EQ(graph.ReachableCount("util.f23").value(), 1u);
+  for (const char* name : {"util.f24", "util.f07", "util.f", "nosuch.f1"}) {
+    EXPECT_EQ(graph.Find(name).status().code(), xbase::Code::kNotFound)
+        << name;
+  }
+
+  const xbase::usize nodes = graph.node_count();
+  EXPECT_EQ(graph.Intern("util.f5"), graph.Find("util.f5").value());
+  EXPECT_EQ(graph.node_count(), nodes);
+
+  // util.f5 already calls util.f6 (the spine); the duplicate is counted
+  // once, and so is a new edge added twice out of node order.
+  const xbase::usize edges = graph.edge_count();
+  graph.AddEdge("util.f5", "util.f6");
+  EXPECT_EQ(graph.edge_count(), edges);
+  graph.AddEdge("util.f5", "bpf_syscall.f4799");
+  graph.AddEdge("util.f5", "bpf_syscall.f4799");
+  EXPECT_EQ(graph.edge_count(), edges + 1);
+  EXPECT_EQ(graph.ReachableCount("util.f5").value(), 19u + 1u);
 }
 
 // ---- kernel façade --------------------------------------------------------------------
