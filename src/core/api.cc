@@ -331,15 +331,6 @@ u64 Ctx::KtimeNs() {
   return runtime_.kernel().clock().now_ns();
 }
 
-u32 Ctx::Prandom() {
-  (void)Charge(5);
-  // xorshift over the clock: deterministic per run, cheap, stateless.
-  u64 x = runtime_.kernel().clock().now_ns() * 0x9e3779b97f4a7c15ULL + 1;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  return static_cast<u32>(x >> 32);
-}
-
 u64 Ctx::PidTgid() {
   (void)Charge(5);
   const simkern::Task* task = runtime_.kernel().tasks().current(
@@ -472,9 +463,6 @@ xbase::Result<SockRef> Ctx::LookupSock(const simkern::SockTuple& tuple,
 
 xbase::Result<SockRef> Ctx::LookupTcp(const simkern::SockTuple& tuple) {
   return LookupSock(tuple, 6);
-}
-xbase::Result<SockRef> Ctx::LookupUdp(const simkern::SockTuple& tuple) {
-  return LookupSock(tuple, 17);
 }
 
 void Ctx::ReleaseSock(simkern::ObjectId id) {

@@ -210,7 +210,6 @@ class Ctx {
 
   // --- scalars & current task ------------------------------------------
   u64 KtimeNs();
-  u32 Prandom();
   u64 PidTgid();
   xbase::Result<TaskRef> CurrentTask();  // kTaskInspect
 
@@ -232,7 +231,6 @@ class Ctx {
 
   // --- sockets -----------------------------------------------------------------
   xbase::Result<SockRef> LookupTcp(const simkern::SockTuple& tuple);
-  xbase::Result<SockRef> LookupUdp(const simkern::SockTuple& tuple);
 
   // --- task storage (reference-typed owner: the §3.2 hardening) -----------------
   xbase::Result<Slice> TaskStorage(int fd, const TaskRef& task, bool create);

@@ -4,30 +4,6 @@
 
 namespace safex {
 
-std::string_view FailureKindName(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kPanic:
-      return "panic";
-    case FailureKind::kWatchdog:
-      return "watchdog";
-    case FailureKind::kStackOverflow:
-      return "stack_overflow";
-    case FailureKind::kOops:
-      return "oops";
-    case FailureKind::kResourceLeak:
-      return "resource_leak";
-    case FailureKind::kRuntimeError:
-      return "runtime_error";
-    case FailureKind::kDeadlineMiss:
-      return "deadline_miss";
-    case FailureKind::kInvalidPick:
-      return "invalid_pick";
-    case FailureKind::kStarvation:
-      return "starvation";
-  }
-  return "unknown";
-}
-
 std::string_view ExtHealthName(ExtHealth health) {
   switch (health) {
     case ExtHealth::kHealthy:

@@ -42,8 +42,6 @@ enum class FailureKind : xbase::u8 {
 };
 inline constexpr xbase::usize kFailureKindCount = 9;
 
-std::string_view FailureKindName(FailureKind kind);
-
 enum class ExtHealth : xbase::u8 {
   kHealthy,      // breaker closed, invocations flow
   kQuarantined,  // breaker open until quarantined_until_ns

@@ -6,17 +6,13 @@
 
 namespace safex {
 
-xbase::Status Toolchain::Audit(const ExtensionManifest& manifest) {
-  report_ = BuildReport{};
-
+xbase::Status Toolchain::Audit(const ExtensionManifest& manifest) const {
   // Check 1: identity must be meaningful.
-  ++report_.checks_run;
   if (manifest.name.empty() || manifest.version.empty()) {
     return xbase::Rejected("toolchain: manifest needs a name and version");
   }
 
   // Check 2: unsafe policy — the "only safe Rust" rule.
-  ++report_.checks_run;
   const bool wants_unsafe =
       manifest.uses_unsafe || HasCap(manifest.caps, Capability::kUnsafeRaw);
   if (wants_unsafe && !policy_.allow_unsafe) {
@@ -31,7 +27,6 @@ xbase::Status Toolchain::Audit(const ExtensionManifest& manifest) {
   }
 
   // Check 3: capability list sanity.
-  ++report_.checks_run;
   if (manifest.caps.size() > policy_.max_capabilities) {
     return xbase::Rejected("toolchain: too many capabilities requested");
   }
@@ -44,7 +39,6 @@ xbase::Status Toolchain::Audit(const ExtensionManifest& manifest) {
 
   // Check 4: every import must be a known kernel-crate symbol whose
   // required capability is declared.
-  ++report_.checks_run;
   for (const std::string& import : manifest.imports) {
     const auto it = KnownImports().find(import);
     if (it == KnownImports().end()) {
@@ -55,11 +49,6 @@ xbase::Status Toolchain::Audit(const ExtensionManifest& manifest) {
                              " requires undeclared capability " +
                              std::string(CapabilityName(it->second)));
     }
-  }
-
-  // Lints (non-fatal).
-  if (manifest.caps.empty()) {
-    report_.lints.push_back("extension declares no capabilities");
   }
   return xbase::Status::Ok();
 }

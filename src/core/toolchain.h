@@ -15,11 +15,6 @@ struct ToolchainPolicy {
   xbase::u32 max_capabilities = 12;
 };
 
-struct BuildReport {
-  xbase::u32 checks_run = 0;
-  std::vector<std::string> lints;
-};
-
 class Toolchain {
  public:
   Toolchain(crypto::SigningKey key, ToolchainPolicy policy = {})
@@ -32,14 +27,11 @@ class Toolchain {
                                       ExtensionFactory factory,
                                       std::span<const xbase::u8> code_identity);
 
-  const BuildReport& last_report() const { return report_; }
-
  private:
-  xbase::Status Audit(const ExtensionManifest& manifest);
+  xbase::Status Audit(const ExtensionManifest& manifest) const;
 
   crypto::SigningKey key_;
   ToolchainPolicy policy_;
-  BuildReport report_;
 };
 
 }  // namespace safex

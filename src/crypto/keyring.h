@@ -53,7 +53,6 @@ class Keyring {
 
   // Locks the keyring: no further enrollment (models end of secure boot).
   void Seal() { sealed_ = true; }
-  bool sealed() const { return sealed_; }
 
   xbase::Status Verify(std::span<const xbase::u8> message,
                        const Signature& signature) const;

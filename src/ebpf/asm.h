@@ -152,8 +152,6 @@ class ProgramBuilder {
   // Binds `label` to the next instruction index.
   ProgramBuilder& Bind(const std::string& label);
 
-  u32 CurrentPc() const { return prog_.len(); }
-
   // Resolves all label fixups. Fails on unbound labels or offsets that do
   // not fit the 16-bit field.
   xbase::Result<Program> Build();

@@ -20,19 +20,14 @@ void LinkHelperCallGraph(
     simkern::Kernel& kernel, const std::string& entry,
     std::initializer_list<std::pair<const char*, usize>> links) {
   simkern::CallGraph& graph = kernel.callgraph();
-  graph.Intern(entry);
+  const simkern::FuncId caller = graph.Intern(entry);
   for (const auto& [subsys, reach] : links) {
-    usize count = 0;
-    for (const simkern::SubsystemSpec& spec : simkern::DefaultSubsystems()) {
-      if (spec.name == subsys) {
-        count = spec.function_count;
-        break;
-      }
-    }
-    if (count == 0 || reach == 0) {
+    if (reach == 0) {
       continue;
     }
-    graph.AddEdge(entry, simkern::SubsystemEntry(subsys, count, reach));
+    if (const auto callee = simkern::SubsystemEntry(graph, subsys, reach)) {
+      graph.AddEdgeById(caller, *callee);
+    }
   }
 }
 

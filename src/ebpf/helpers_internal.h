@@ -45,8 +45,9 @@ xbase::Status RegisterLsmHelpers(HelperWiring& wiring);
 // Shared utilities -----------------------------------------------------------
 
 // Links a helper's entry function into the kernel call graph: creates the
-// entry node and an edge to the given subsystem node (named per
-// simkern::SubsystemEntry). `links` pairs are (subsystem, reach).
+// entry node and an edge to the subsystem node simkern::SubsystemEntry
+// picks. `links` pairs are (subsystem, reach); a reach of 0 or an unknown
+// subsystem adds no edge.
 void LinkHelperCallGraph(simkern::Kernel& kernel, const std::string& entry,
                          std::initializer_list<std::pair<const char*,
                                                          xbase::usize>>

@@ -31,14 +31,6 @@ xbase::Result<ExecResult> Execution::Run(Addr ctx_addr) {
         kernel_.mem().Map(kStackBytes, simkern::MemPerm::kReadWrite,
                           simkern::RegionKind::kExtensionStack, "bpf-stack"));
   }
-  // kCpuInherit runs on the calling thread's bound CPU; an explicit cpu
-  // rebinds the thread for the duration of the run (and restores after, so
-  // harnesses that pin executions to a CPU keep their thread's binding).
-  const bool rebind = opts_.cpu != kCpuInherit;
-  const u32 prev_cpu = rebind ? kernel_.current_cpu() : 0;
-  if (rebind) {
-    kernel_.set_current_cpu(opts_.cpu);
-  }
   // Resolve the bound CPU's clock cell once; Charge() runs per dispatched
   // micro-op and must not pay the TLS resolution every time.
   clock_cell_ = &kernel_.clock().BoundCell();
@@ -54,9 +46,6 @@ xbase::Result<ExecResult> Execution::Run(Addr ctx_addr) {
                     : RunThreaded(0, regs, /*depth=*/0);
 
   (void)kernel_.rcu().ReadUnlock();
-  if (rebind) {
-    kernel_.set_current_cpu(prev_cpu);
-  }
   if (!result.ok()) {
     return result.status();
   }

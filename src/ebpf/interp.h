@@ -36,11 +36,6 @@ enum class ExecEngine {
   kLegacy,
 };
 
-// ExecOptions::cpu sentinel: run on whatever CPU the calling thread is
-// bound to (cpu0 for the main thread, the worker's CPU on a CpuPool
-// thread). Explicit values rebind the thread for the duration of the run.
-inline constexpr u32 kCpuInherit = 0xffff'ffffu;
-
 struct ExecOptions {
   // Harness safety net (NOT a kernel mechanism): abort after this many
   // interpreted instructions. Defaults high enough that every legitimate
@@ -54,12 +49,6 @@ struct ExecOptions {
   InsnTracer* tracer = nullptr;
   // Executor selection (see ExecEngine).
   ExecEngine engine = ExecEngine::kThreaded;
-  // Simulated CPU this execution runs on; visible to helpers
-  // (bpf_get_smp_processor_id) and to per-CPU map addressing. Must be
-  // < the kernel's KernelConfig::num_cpus when explicit; the default
-  // inherits the calling thread's binding so pool-dispatched fires run on
-  // their worker's CPU.
-  u32 cpu = kCpuInherit;
 };
 
 struct ExecStats {

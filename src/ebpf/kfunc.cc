@@ -58,13 +58,10 @@ namespace {
 
 void LinkKfunc(simkern::Kernel& kernel, const std::string& entry,
                const char* subsys, xbase::usize reach) {
-  kernel.callgraph().Intern(entry);
-  for (const simkern::SubsystemSpec& spec : simkern::DefaultSubsystems()) {
-    if (spec.name == subsys) {
-      kernel.callgraph().AddEdge(
-          entry, simkern::SubsystemEntry(subsys, spec.function_count, reach));
-      return;
-    }
+  simkern::CallGraph& graph = kernel.callgraph();
+  const simkern::FuncId caller = graph.Intern(entry);
+  if (const auto callee = simkern::SubsystemEntry(graph, subsys, reach)) {
+    graph.AddEdgeById(caller, *callee);
   }
 }
 

@@ -20,24 +20,6 @@ using xbase::StrFormat;
 using xbase::u16;
 using xbase::usize;
 
-std::string_view MapTypeName(MapType type) {
-  switch (type) {
-    case MapType::kArray:
-      return "array";
-    case MapType::kHash:
-      return "hash";
-    case MapType::kPercpuArray:
-      return "percpu_array";
-    case MapType::kProgArray:
-      return "prog_array";
-    case MapType::kRingBuf:
-      return "ringbuf";
-    case MapType::kTaskStorage:
-      return "task_storage";
-  }
-  return "unknown";
-}
-
 xbase::Status Map::CheckKeySize(std::span<const u8> key) const {
   if (key.size() != spec_.key_size) {
     return xbase::InvalidArgument(

@@ -35,8 +35,6 @@ enum class MapType : u8 {
   kTaskStorage,  // per-task local storage
 };
 
-std::string_view MapTypeName(MapType type);
-
 // Update flags, as the kernel defines them.
 inline constexpr u64 kBpfAny = 0;
 inline constexpr u64 kBpfNoExist = 1;

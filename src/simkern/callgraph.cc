@@ -24,10 +24,20 @@ FuncId CallGraph::Intern(const std::string& name) {
 
 FuncId CallGraph::AddRange(const std::string& prefix, usize count) {
   const FuncId base = node_count_;
-  ranges_.push_back(Range{prefix, base, static_cast<FuncId>(count)});
+  ranges_.push_back(Range{prefix, IdRange{base, static_cast<FuncId>(count)}});
   node_count_ += static_cast<FuncId>(count);
   edge_offsets_.reserve(node_count_);
   return base;
+}
+
+std::optional<CallGraph::IdRange> CallGraph::FindRange(
+    std::string_view prefix) const {
+  for (const Range& range : ranges_) {
+    if (range.prefix == prefix) {
+      return range.ids;
+    }
+  }
+  return std::nullopt;
 }
 
 void CallGraph::AddEdge(const std::string& caller, const std::string& callee) {
@@ -81,11 +91,9 @@ std::optional<FuncId> CallGraph::Lookup(std::string_view name) const {
     for (const char c : digits) {
       k = k * 10 + static_cast<FuncId>(c - '0');
     }
-    const std::string_view prefix = name.substr(0, dot);
-    for (const Range& range : ranges_) {
-      if (range.prefix == prefix && k < range.count) {
-        return range.base + k;
-      }
+    const std::optional<IdRange> range = FindRange(name.substr(0, dot));
+    if (range && k < range->count) {
+      return range->base + k;
     }
   }
   auto it = ids_.find(name);

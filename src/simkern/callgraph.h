@@ -39,6 +39,13 @@ class CallGraph {
   // name inside it is interned; a prefix is registered at most once.
   FuncId AddRange(const std::string& prefix, xbase::usize count);
 
+  // The range registered under `prefix`: the id of its f0 and its size.
+  struct IdRange {
+    FuncId base;
+    FuncId count;
+  };
+  std::optional<IdRange> FindRange(std::string_view prefix) const;
+
   // Declares caller → callee. Both are interned on demand; a duplicate
   // edge is ignored.
   void AddEdge(const std::string& caller, const std::string& callee);
@@ -58,8 +65,7 @@ class CallGraph {
  private:
   struct Range {
     std::string prefix;
-    FuncId base;
-    FuncId count;
+    IdRange ids;
   };
 
   // Canonical "<prefix>.f<k>" of a registered range (decimal k < count, no

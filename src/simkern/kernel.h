@@ -141,22 +141,15 @@ class Kernel {
   // per fire.
   void BeginExtensionScope(const std::string& label);
   xbase::u32 EndExtensionScope();
-  const std::string& extension_scope() const {
-    return scopes_[current_cpu()].label;
-  }
 
   // --- CPU affinity -------------------------------------------------------
   // Which simulated CPU the calling thread is executing as. Helpers
   // (bpf_get_smp_processor_id) and per-CPU map addressing read this. The
-  // binding is thread-local: CpuPool workers bind at startup, the executor
-  // rebinds for the duration of a run when ExecOptions::cpu is explicit,
-  // and foreign threads resolve to cpu0.
+  // binding is thread-local (ThisThreadCpuBinding): CpuPool workers bind
+  // at startup, and every other thread resolves to cpu0 unless it binds
+  // itself.
   xbase::u32 current_cpu() const {
     return BoundCpuFor(this, config_.num_cpus);
-  }
-  void set_current_cpu(xbase::u32 cpu) {
-    ThisThreadCpuBinding() =
-        CpuBinding{this, cpu < config_.num_cpus ? cpu : 0};
   }
 
   // --- dmesg -------------------------------------------------------------

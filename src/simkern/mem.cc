@@ -13,30 +13,6 @@ using xbase::u64;
 using xbase::u8;
 using xbase::usize;
 
-std::string_view RegionKindName(RegionKind kind) {
-  switch (kind) {
-    case RegionKind::kKernelText:
-      return "kernel_text";
-    case RegionKind::kKernelData:
-      return "kernel_data";
-    case RegionKind::kTaskStruct:
-      return "task_struct";
-    case RegionKind::kSockStruct:
-      return "sock";
-    case RegionKind::kSkBuff:
-      return "sk_buff";
-    case RegionKind::kMapData:
-      return "map_data";
-    case RegionKind::kExtensionStack:
-      return "ext_stack";
-    case RegionKind::kExtensionPool:
-      return "ext_pool";
-    case RegionKind::kPerCpu:
-      return "percpu";
-  }
-  return "unknown";
-}
-
 std::string_view FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNullDeref:
@@ -102,7 +78,6 @@ xbase::Result<Addr> SimMemory::Map(usize size, MemPerm perm, RegionKind kind,
   }
   region.base = base;
   regions_.emplace(base, std::move(region));
-  total_mapped_ += size;
   return base;
 }
 
@@ -117,7 +92,6 @@ xbase::Status SimMemory::Unmap(Addr base) {
           xbase::StrFormat("no region mapped at 0x%llx",
                            static_cast<unsigned long long>(base)));
     }
-    total_mapped_ -= it->second.size;
     unmapped = regions_.extract(it);
   }
   return xbase::Status::Ok();

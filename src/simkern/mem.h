@@ -57,8 +57,6 @@ enum class RegionKind : xbase::u8 {
   kPerCpu,
 };
 
-std::string_view RegionKindName(RegionKind kind);
-
 struct Region {
   Addr base = 0;
   xbase::usize size = 0;
@@ -179,13 +177,8 @@ class SimMemory {
   // Last fault, if any; cleared on read. The kernel turns pending faults
   // into an oops.
   std::optional<MemFault> TakeFault();
-  bool has_fault() const {
-    std::lock_guard<std::mutex> guard(fault_mu_);
-    return fault_.has_value();
-  }
 
   xbase::usize region_count() const { return regions_.size(); }
-  xbase::u64 total_mapped_bytes() const { return total_mapped_; }
   xbase::RwLockStats table_lock_stats() const { return table_lock_.stats(); }
 
  private:
@@ -203,11 +196,10 @@ class SimMemory {
   // Keyed by base address.
   std::map<Addr, Region> regions_;
   Addr next_base_ = kKernelBase + 0x10000;
-  xbase::u64 total_mapped_ = 0;
   std::atomic<xbase::u64> unchecked_wild_reads_{0};
   std::atomic<xbase::u64> unchecked_wild_writes_{0};
   std::atomic<bool> concurrent_{false};
-  // Guards regions_, next_base_ and total_mapped_ (not region bytes).
+  // Guards regions_ and next_base_ (not region bytes).
   xbase::StripedRwLock table_lock_;
   mutable std::mutex fault_mu_;
   mutable std::optional<MemFault> fault_;

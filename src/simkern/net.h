@@ -78,8 +78,6 @@ class NetState {
   xbase::Result<SkBuff> CreateSkBuff(SimMemory& mem,
                                      std::span<const xbase::u8> payload);
 
-  xbase::usize sock_count() const { return socks_.size(); }
-
  private:
   std::map<SockTuple, Sock> socks_;
   std::vector<SkBuff> skbs_;

@@ -7,24 +7,6 @@ namespace simkern {
 using xbase::s64;
 using xbase::usize;
 
-std::string_view ObjectTypeName(ObjectType type) {
-  switch (type) {
-    case ObjectType::kTask:
-      return "task";
-    case ObjectType::kSock:
-      return "sock";
-    case ObjectType::kRequestSock:
-      return "request_sock";
-    case ObjectType::kMap:
-      return "map";
-    case ObjectType::kStack:
-      return "stack";
-    case ObjectType::kOther:
-      return "object";
-  }
-  return "object";
-}
-
 void ObjectTable::Configure(const void* owner, xbase::u32 num_cpus) {
   owner_ = owner;
   num_cpus_ =
@@ -159,17 +141,6 @@ const std::vector<RefJournalEvent>& ObjectTable::EndRefJournal() {
   JournalSlot& slot = journals_[Bound()];
   slot.active = false;
   return slot.events;
-}
-
-usize ObjectTable::live_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  usize count = 0;
-  for (const auto& [_, object] : objects_) {
-    if (!object.freed) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace simkern

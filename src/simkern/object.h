@@ -29,8 +29,6 @@ enum class ObjectType : xbase::u8 {
   kOther,
 };
 
-std::string_view ObjectTypeName(ObjectType type);
-
 struct KObject {
   ObjectId id = 0;
   ObjectType type = ObjectType::kOther;
@@ -99,8 +97,6 @@ class ObjectTable {
   // Stops recording and returns the events since BeginRefJournal on this
   // CPU. The reference stays valid until this CPU's next BeginRefJournal.
   const std::vector<RefJournalEvent>& EndRefJournal();
-
-  xbase::usize live_count() const;
 
  private:
   // One CPU's journal; only the thread bound to that CPU touches it.

@@ -1,7 +1,8 @@
 #include "src/simkern/subsys.h"
 
+#include <algorithm>
+
 #include "src/xbase/rand.h"
-#include "src/xbase/strfmt.h"
 
 namespace simkern {
 
@@ -57,15 +58,14 @@ void BuildSubsystems(CallGraph& graph, const std::vector<SubsystemSpec>& specs,
   }
 }
 
-std::string SubsystemEntry(const std::string& subsys, usize function_count,
-                           usize reach) {
-  if (reach < 1) {
-    reach = 1;
+std::optional<FuncId> SubsystemEntry(const CallGraph& graph,
+                                     std::string_view subsys, usize reach) {
+  const std::optional<CallGraph::IdRange> range = graph.FindRange(subsys);
+  if (!range || range->count == 0) {
+    return std::nullopt;
   }
-  if (reach > function_count) {
-    reach = function_count;
-  }
-  return xbase::StrFormat("%s.f%zu", subsys.c_str(), function_count - reach);
+  reach = std::clamp<usize>(reach, 1, range->count);
+  return range->base + static_cast<FuncId>(range->count - reach);
 }
 
 }  // namespace simkern

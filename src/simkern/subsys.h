@@ -12,7 +12,9 @@
 // (500+ callees: networking, and bpf_sys_bpf at 4845 nodes).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/simkern/callgraph.h"
@@ -36,9 +38,11 @@ const std::vector<SubsystemSpec>& DefaultSubsystems();
 void BuildSubsystems(CallGraph& graph, const std::vector<SubsystemSpec>& specs,
                      xbase::u64 seed);
 
-// Name of the node in `subsys` whose reachable set has exactly `reach`
-// nodes (reach must be in [1, function_count]).
-std::string SubsystemEntry(const std::string& subsys,
-                           xbase::usize function_count, xbase::usize reach);
+// Id of the node in `subsys` whose reachable set has exactly `reach` nodes,
+// reach clamped to [1, function_count]; nullopt when `graph` has no
+// nonempty subsystem of that name.
+std::optional<FuncId> SubsystemEntry(const CallGraph& graph,
+                                     std::string_view subsys,
+                                     xbase::usize reach);
 
 }  // namespace simkern

@@ -4,6 +4,9 @@
 // (bpf_strtol vs ParseInt, bpf_strncmp vs StrCmp) on randomized inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/core/loader.h"
 #include "src/core/toolchain.h"
 #include "src/ebpf/runtime.h"
@@ -236,6 +239,39 @@ TEST_F(CrateApiTest, PacketWithoutSkbHookIsCleanError) {
       {Capability::kPacketAccess});
   EXPECT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.ret, 0u);
+}
+
+// ---- signals -----------------------------------------------------------------
+
+// SendSignal is the one runtime check of kSignal: granted, the signal is
+// logged against the current task; withheld, the extension is killed.
+TEST_F(CrateApiTest, SendSignalRequiresSignalCapability) {
+  const auto send = [](Ctx& ctx) -> xbase::Result<u64> {
+    XB_RETURN_IF_ERROR(ctx.SendSignal(9));
+    return u64{0};
+  };
+  const simkern::Task* task = kernel_.tasks().current(kernel_.current_cpu());
+  ASSERT_NE(task, nullptr);
+  const std::string line =
+      "safex: signal 9 to pid " + std::to_string(task->pid);
+  // dmesg lines carry a timestamp prefix.
+  const auto signal_lines = [&] {
+    return std::ranges::count_if(kernel_.dmesg(), [&](const std::string& l) {
+      return l.ends_with(line);
+    });
+  };
+
+  const auto granted = Run(send, {Capability::kSignal});
+  EXPECT_TRUE(granted.status.ok()) << granted.status.ToString();
+  EXPECT_EQ(signal_lines(), 1);
+
+  const auto withheld = Run(send, {Capability::kTracing});
+  EXPECT_TRUE(withheld.panicked);
+  EXPECT_EQ(withheld.status.code(), xbase::Code::kTerminated);
+  EXPECT_NE(withheld.panic_reason.find("capability violation"),
+            std::string::npos)
+      << withheld.panic_reason;
+  EXPECT_EQ(signal_lines(), 1);
 }
 
 // ---- §3.2 retirement parity (property-based) -----------------------------------

@@ -321,8 +321,11 @@ TEST_F(InterpTest, PercpuSlotsDoNotAliasAcrossExecutingCpus) {
     for (u32 cpu = 0; cpu < kernel_.config().num_cpus; ++cpu) {
       ExecOptions opts;
       opts.engine = engine;
-      opts.cpu = cpu;
+      // A run executes on the CPU its thread is bound to.
+      const simkern::CpuBinding saved = simkern::ThisThreadCpuBinding();
+      simkern::ThisThreadCpuBinding() = simkern::CpuBinding{&kernel_, cpu};
       auto result = Execute(bpf_, *loaded.value(), ctx_, opts, &loader_);
+      simkern::ThisThreadCpuBinding() = saved;
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(result.value().r0, cpu + 1u);
     }

@@ -170,11 +170,12 @@ TEST_F(MapsTest, PercpuLookupAddrRoutesToExecutingCpu) {
   const int fd = Create(MapType::kPercpuArray, 4, 8, 2);
   auto* map = dynamic_cast<PercpuArrayMap*>(Find(fd));
   ASSERT_NE(map, nullptr);
-  kernel_.set_current_cpu(0);
+  const simkern::CpuBinding saved = simkern::ThisThreadCpuBinding();
+  simkern::ThisThreadCpuBinding() = simkern::CpuBinding{&kernel_, 0};
   const simkern::Addr cpu0_addr = map->LookupAddr(kernel_, Key32(1)).value();
-  kernel_.set_current_cpu(1);
+  simkern::ThisThreadCpuBinding() = simkern::CpuBinding{&kernel_, 1};
   const simkern::Addr cpu1_addr = map->LookupAddr(kernel_, Key32(1)).value();
-  kernel_.set_current_cpu(0);
+  simkern::ThisThreadCpuBinding() = saved;
   EXPECT_NE(cpu0_addr, cpu1_addr);
   EXPECT_EQ(cpu0_addr, map->LookupAddrForCpu(Key32(1), 0).value());
   EXPECT_EQ(cpu1_addr, map->LookupAddrForCpu(Key32(1), 1).value());

@@ -403,7 +403,11 @@ TEST(SubsysTest, SpineGuaranteesExactReach) {
   EXPECT_EQ(graph.ReachableCount("test.f0").value(), 100u);
   EXPECT_EQ(graph.ReachableCount("test.f50").value(), 50u);
   EXPECT_EQ(graph.ReachableCount("test.f99").value(), 1u);
-  EXPECT_EQ(SubsystemEntry("test", 100, 30), "test.f70");
+  EXPECT_EQ(SubsystemEntry(graph, "test", 30), graph.Find("test.f70").value());
+  // Reach clamps to [1, function_count].
+  EXPECT_EQ(SubsystemEntry(graph, "test", 0), graph.Find("test.f99").value());
+  EXPECT_EQ(SubsystemEntry(graph, "test", 101), graph.Find("test.f0").value());
+  EXPECT_EQ(SubsystemEntry(graph, "missing", 30), std::nullopt);
 }
 
 TEST(SubsysTest, DefaultSubsystemsBuildDeterministically) {

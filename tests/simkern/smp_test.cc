@@ -107,7 +107,7 @@ TEST(SmpClockTest, PerCpuClocksAdvanceIndependently) {
   EXPECT_EQ(kernel.clock().max_now_ns(), base + 250);
   // The no-argument overloads resolve to the calling thread's CPU.
   BindingSaver saver;
-  kernel.set_current_cpu(1);
+  ThisThreadCpuBinding() = CpuBinding{&kernel, 1};
   EXPECT_EQ(kernel.clock().now_ns(), base + 100);
   kernel.clock().Advance(7);
   EXPECT_EQ(kernel.clock().now_ns(1), base + 107);
