@@ -108,10 +108,6 @@ int main(int argc, char** argv) {
                     .c_str(),
                 point.report.ok ? "ok" : point.report.failure.c_str());
     const analysis::TrafficReport& report = point.report;
-    xbase::u64 stolen = 0;
-    for (const analysis::TrafficCpuStats& cpu : report.per_cpu) {
-      stolen += cpu.stolen;
-    }
     bench.Row({{"cpus", cpus},
                {"ok", report.ok},
                {"events_per_sim_ms", report.events_per_sim_ms},
@@ -125,7 +121,6 @@ int main(int argc, char** argv) {
                {"fire_p99_ns", report.fire_latency.p99},
                {"fire_p999_ns", report.fire_latency.p999},
                {"fires", report.fire_latency.samples},
-               {"stolen", stolen},
                {"tail_gated", TailGated(point)}});
     failed_points += report.ok ? 0 : 1;
     points.push_back(std::move(point));

@@ -407,8 +407,9 @@ ChaosReport RunChaos(const ChaosConfig& config) {
       u64 fires = 1;
       if (smp && rig.kernel.cpus() != nullptr) {
         // Cross-CPU burst: two fires per CPU run concurrently on the pool
-        // (idle CPUs steal), with a fault toggle racing the in-flight
-        // fires. Invariants are asserted after the Drain barrier.
+        // (each on the CPU it is submitted to), with a fault toggle racing
+        // the in-flight fires. Invariants are asserted after the Drain
+        // barrier.
         simkern::CpuPool& pool = *rig.kernel.cpus();
         fires = 2ULL * config.cpus;
         for (u32 i = 0; i < config.cpus; ++i) {

@@ -29,8 +29,8 @@ constexpr u64 kPacketPct = 70;
 constexpr u64 kSchedPct = 10;
 constexpr u64 kLsmPct = 10;  // remainder is map churn
 
-// Events submitted between Drain barriers. Small enough to bound queue
-// growth, large enough that the pool's work stealing has something to do.
+// Events submitted between Drain barriers: bounds how far the generator
+// runs ahead of the CPUs, so queue memory stays flat however long the run.
 constexpr u64 kBatchSize = 128;
 
 // Tasks available to the scheduler tenant (spread across the CPUs'
@@ -231,8 +231,8 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     sim_start[cpu] = rig.kernel.clock().now_ns(cpu);
   }
 
-  // Dispatch: on the pool in SMP mode (affinity is a preference — idle
-  // CPUs steal), inline single-threaded otherwise.
+  // Dispatch: placed on the target CPU's worker in SMP mode, inline
+  // single-threaded otherwise.
   auto dispatch = [&](u32 cpu, std::function<void()> fn) {
     if (pool != nullptr) {
       pool->Submit(cpu % num_cpus, std::move(fn));
@@ -257,7 +257,6 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   xbase::Rng rng(config.seed);
   const u64 wall_start = WallNowNs();
   u64 in_batch = 0;
-  u32 sched_used = 0;  // each core ticks at most once per batch
   u32 rr_cpu = 0;
   for (u64 event = 0; event < config.events; ++event) {
     const u64 dice = rng.NextBelow(100);
@@ -268,18 +267,9 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
         fire_timed(safex::HookPoint::kXdpIngress, pkt_ctx, false);
       });
     } else if (dice < kPacketPct + kSchedPct) {
-      // A core's per-instance state (ctx block, stats, watchdog) must not
-      // be entered twice concurrently; one tick per core per batch, and
-      // the barrier below separates batches.
-      if (sched_used == num_cpus) {
-        if (pool != nullptr) {
-          pool->Drain();
-        }
-        in_batch = 0;
-        sched_used = 0;
-      }
-      safex::SchedCore* core = cores[sched_used].get();
-      ++sched_used;
+      // Each CPU ticks its own core. One thread runs a CPU's work in
+      // order, so no core is entered twice at once.
+      safex::SchedCore* core = cores[cpu].get();
       ++report.sched_events;
       dispatch(cpu, [core] { (void)core->Tick(); });
     } else if (dice < kPacketPct + kSchedPct + kLsmPct) {
@@ -309,7 +299,6 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
         pool->Drain();
       }
       in_batch = 0;
-      sched_used = 0;
     }
   }
   if (pool != nullptr) {
@@ -327,7 +316,6 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     max_advance = std::max(max_advance, stats.sim_advanced_ns);
     if (pool != nullptr) {
       stats.executed = pool->executed_on(cpu);
-      stats.stolen = pool->stolen_by(cpu);
     }
     report.lsm_denies += aggs[cpu].lsm_denies;
   }

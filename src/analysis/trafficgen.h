@@ -1,7 +1,8 @@
 // Seeded SMP load generator: a mixed-tenant event stream — packet-counter
 // fires, scheduler ticks, LSM file-open decisions and map churn — submitted
 // across all simulated CPUs of one kernel and executed concurrently on the
-// CpuPool's real threads (idle CPUs steal, like softirq load spreading).
+// CpuPool's real threads, each event on the CPU it was submitted to (as RSS
+// steers a flow to one queue's CPU).
 //
 // This is the workload half of the tentpole's scaling claim: the same
 // seeded stream runs at any CPU count, throughput is measured in simulated
@@ -14,7 +15,9 @@
 // Correctness is asserted, not assumed: the packet program counts into a
 // per-CPU array map, so after the final Drain the cross-CPU sum must equal
 // the number of packet fires exactly — a lost update anywhere in the
-// per-CPU storage, dispatch path or work-stealing pool breaks the run.
+// per-CPU storage, dispatch path or CPU pool breaks the run. Every
+// simulated figure (clocks, per-CPU tasks, fires, counter slots) depends
+// only on the seed, the event count and the CPU count.
 #pragma once
 
 #include <string>
@@ -38,7 +41,6 @@ struct TrafficConfig {
 // Per-CPU accounting, read at the post-Drain quiescent point.
 struct TrafficCpuStats {
   xbase::u64 executed = 0;        // pool tasks that ran on this CPU
-  xbase::u64 stolen = 0;          // tasks this CPU took from a sibling
   xbase::u64 fires = 0;           // hook fires dispatched on this CPU
   xbase::u64 sim_advanced_ns = 0; // simulated time this CPU's clock moved
   xbase::u64 packet_count = 0;    // this CPU's slot of the per-CPU counter

@@ -162,10 +162,10 @@ class HookRegistry {
   // no lookup of the target or of its health record by id.
   //
   // Safe to call concurrently from any thread. SMP callers submit the fire
-  // to a CpuPool themselves, so it runs on the worker's bound CPU against
+  // to a CpuPool themselves, so it runs on the named CPU's worker against
   // that CPU's clock, percpu map slots and scratch, and pass a report slot
-  // indexed by the executing CPU (kernel.current_cpu(), which a stolen task
-  // reports as the thief's), read only after the pool's Drain.
+  // indexed by the executing CPU (kernel.current_cpu(), the CPU the fire
+  // was submitted to), read only after the pool's Drain.
   void FireInto(HookPoint hook, simkern::Addr ctx_addr,
                 HookFireReport& report);
 

@@ -40,10 +40,6 @@ std::optional<CallGraph::IdRange> CallGraph::FindRange(
   return std::nullopt;
 }
 
-void CallGraph::AddEdge(const std::string& caller, const std::string& callee) {
-  AddEdgeById(Intern(caller), Intern(callee));
-}
-
 void CallGraph::AddEdgeById(FuncId caller, FuncId callee) {
   const auto has = [callee](std::span<const FuncId> edges) {
     return std::ranges::find(edges, callee) != edges.end();

@@ -46,9 +46,7 @@ class CallGraph {
   };
   std::optional<IdRange> FindRange(std::string_view prefix) const;
 
-  // Declares caller → callee. Both are interned on demand; a duplicate
-  // edge is ignored.
-  void AddEdge(const std::string& caller, const std::string& callee);
+  // Declares caller → callee; a duplicate edge is ignored.
   void AddEdgeById(FuncId caller, FuncId callee);
 
   bool Contains(const std::string& name) const;

@@ -8,8 +8,8 @@
 // accounting) is resolved through the calling thread's CPU binding (cpu.h):
 // the main thread and any unbound thread execute as cpu0, so single-CPU
 // callers see exactly the historical behaviour. StartCpus() spins up a
-// CpuPool of real worker threads — one per simulated CPU, work-stealing —
-// that harnesses submit hook fires and ticks to.
+// CpuPool of real worker threads — one per simulated CPU — that harnesses
+// submit hook fires and ticks to; a task runs on the CPU it names.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,5 @@
 #include "src/simkern/smp.h"
 
-#include <chrono>
-
 namespace simkern {
 
 CpuPool::CpuPool(const void* owner, xbase::u32 num_cpus)
@@ -34,9 +32,9 @@ void CpuPool::Stop() {
   }
   Drain();
   stopping_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    wake_cv_.notify_all();
+  for (const std::unique_ptr<CpuQueue>& queue : queues_) {
+    std::lock_guard<std::mutex> lock(queue->mu);
+    queue->cv.notify_one();
   }
   for (std::thread& worker : workers_) {
     worker.join();
@@ -46,42 +44,15 @@ void CpuPool::Stop() {
 }
 
 void CpuPool::Submit(xbase::u32 cpu, std::function<void()> fn) {
-  const xbase::u32 target = cpu < num_cpus_ ? cpu : 0;
+  CpuQueue& queue = *queues_[cpu < num_cpus_ ? cpu : 0];
   pending_.fetch_add(1, std::memory_order_acq_rel);
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(fn));
-  }
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    wake_cv_.notify_one();
-  }
-}
-
-bool CpuPool::TakeTask(xbase::u32 cpu, std::function<void()>& out) {
-  {
-    CpuQueue& own = *queues_[cpu];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal from the back of a sibling's queue (classic work stealing:
-  // owner pops the front, thieves take the back).
-  for (xbase::u32 i = 1; i < num_cpus_; ++i) {
-    const xbase::u32 victim = (cpu + i) % num_cpus_;
-    CpuQueue& queue = *queues_[victim];
     std::lock_guard<std::mutex> lock(queue.mu);
-    if (!queue.tasks.empty()) {
-      out = std::move(queue.tasks.back());
-      queue.tasks.pop_back();
-      stats_[cpu].stolen.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+    queue.tasks.push_back(std::move(fn));
   }
-  return false;
+  // The worker tests its queue under the mutex before it sleeps, so a
+  // notify after the push cannot be lost.
+  queue.cv.notify_one();
 }
 
 void CpuPool::FinishTask() {
@@ -93,22 +64,24 @@ void CpuPool::FinishTask() {
 
 void CpuPool::WorkerMain(xbase::u32 cpu) {
   ThisThreadCpuBinding() = CpuBinding{owner_, cpu};
-  std::function<void()> task;
+  CpuQueue& queue = *queues_[cpu];
   while (true) {
-    if (TakeTask(cpu, task)) {
-      task();
-      task = nullptr;
-      stats_[cpu].executed.fetch_add(1, std::memory_order_relaxed);
-      FinishTask();
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(queue.mu);
+      queue.cv.wait(lock, [this, &queue] {
+        return !queue.tasks.empty() ||
+               stopping_.load(std::memory_order_acquire);
+      });
+      if (queue.tasks.empty()) {
+        return;
+      }
+      task = std::move(queue.tasks.front());
+      queue.tasks.pop_front();
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      return;
-    }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    // Timed wait: self-heals a wakeup that raced between the empty check
-    // above and this wait.
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    task();
+    queue.executed.fetch_add(1, std::memory_order_relaxed);
+    FinishTask();
   }
 }
 

@@ -1,16 +1,18 @@
 // The SMP substrate: N real OS threads, each bound to one simulated CPU
 // (see cpu.h). Work — hook fires, sched ticks, map churn — is submitted to
-// a target CPU's queue; an idle CPU steals from the back of a loaded
-// sibling's queue, so a storm of fires spreads across the machine the way
-// softirq load does. Drain() is the quiescence barrier every aggregate
-// read (clocks, counters, dmesg) happens behind.
+// a target CPU and runs there, in submission order, on that CPU's one
+// thread: placement, as RSS steers a flow to one RX queue that NAPI polls
+// on its own CPU. Nothing migrates, so what a CPU's clock and per-CPU
+// state see depends only on what was submitted to it. Drain() is the
+// quiescence barrier every aggregate read (clocks, counters, dmesg)
+// happens behind.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,8 +35,9 @@ class CpuPool {
   bool running() const { return running_.load(std::memory_order_acquire); }
   xbase::u32 num_cpus() const { return num_cpus_; }
 
-  // Enqueue work for a specific CPU (it may still be stolen by an idle
-  // sibling — affinity is a preference, not a pin).
+  // Runs `fn` on `cpu` (cpu0 if out of range), after everything submitted
+  // to that CPU before it. A task must not wait on work queued behind it
+  // on its own CPU.
   void Submit(xbase::u32 cpu, std::function<void()> fn);
 
   // Blocks until every submitted task has finished executing. The barrier
@@ -43,39 +46,30 @@ class CpuPool {
 
   // Per-CPU accounting (read at quiescent points).
   xbase::u64 executed_on(xbase::u32 cpu) const {
-    return stats_[cpu].executed.load(std::memory_order_relaxed);
+    return queues_[cpu]->executed.load(std::memory_order_relaxed);
   }
-  // Tasks this CPU took from another CPU's queue.
-  xbase::u64 stolen_by(xbase::u32 cpu) const {
-    return stats_[cpu].stolen.load(std::memory_order_relaxed);
-  }
+  // Always 0: Submit places work, so no CPU takes another's. Kept only
+  // because the repository benchmark still reports smp.stolen_share.
+  xbase::u64 stolen_by(xbase::u32 /*cpu*/) const { return 0; }
 
  private:
-  struct CpuQueue {
+  struct alignas(64) CpuQueue {
     std::mutex mu;
+    std::condition_variable cv;
     std::deque<std::function<void()>> tasks;
-  };
-  struct alignas(64) CpuStats {
     std::atomic<xbase::u64> executed{0};
-    std::atomic<xbase::u64> stolen{0};
   };
 
   void WorkerMain(xbase::u32 cpu);
-  // Pops one task: own queue front first, then steal from the back of the
-  // most loaded sibling. Returns false when nothing is runnable.
-  bool TakeTask(xbase::u32 cpu, std::function<void()>& out);
   void FinishTask();
 
   const void* owner_;
   xbase::u32 num_cpus_;
   std::vector<std::unique_ptr<CpuQueue>> queues_;
-  std::array<CpuStats, kMaxCpus> stats_;
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<xbase::u64> pending_{0};
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 };

@@ -13,6 +13,7 @@
 #include "src/analysis/growth.h"
 #include "src/analysis/matrix.h"
 #include "src/analysis/stormmain.h"
+#include "src/analysis/trafficgen.h"
 #include "src/analysis/workloads.h"
 #include "src/ebpf/bpf.h"
 #include "src/ebpf/verifier.h"
@@ -316,6 +317,32 @@ TEST(AdmitStormTest, ScheduleIsAPureFunctionOfTheConfig) {
   EXPECT_EQ(first.stats.bpf_submissions, second.stats.bpf_submissions);
   EXPECT_EQ(first.stats.ext_submissions, second.stats.ext_submissions);
   EXPECT_EQ(first.stats.fault_toggles, second.stats.fault_toggles);
+}
+
+TEST(TrafficTest, SimulatedResultsArePureFunctionsOfSeedAndCpus) {
+  // Every event runs on the CPU it was submitted to, so each CPU's clock,
+  // task, fire and counter figures replay exactly. Wall time and host-lock
+  // writer counts are host observations and are not compared.
+  TrafficConfig config;
+  config.seed = 1;
+  config.events = 5000;
+  config.cpus = 4;
+  const TrafficReport first = RunTraffic(config);
+  const TrafficReport second = RunTraffic(config);
+  ASSERT_TRUE(first.ok) << first.failure;
+  ASSERT_TRUE(second.ok) << second.failure;
+  EXPECT_EQ(first.sim_elapsed_ns, second.sim_elapsed_ns);
+  EXPECT_EQ(first.events_per_sim_ms, second.events_per_sim_ms);
+  ASSERT_EQ(first.per_cpu.size(), 4u);
+  ASSERT_EQ(second.per_cpu.size(), 4u);
+  for (std::size_t cpu = 0; cpu < first.per_cpu.size(); ++cpu) {
+    const TrafficCpuStats& a = first.per_cpu[cpu];
+    const TrafficCpuStats& b = second.per_cpu[cpu];
+    EXPECT_EQ(a.executed, b.executed) << "cpu " << cpu;
+    EXPECT_EQ(a.fires, b.fires) << "cpu " << cpu;
+    EXPECT_EQ(a.sim_advanced_ns, b.sim_advanced_ns) << "cpu " << cpu;
+    EXPECT_EQ(a.packet_count, b.packet_count) << "cpu " << cpu;
+  }
 }
 
 }  // namespace

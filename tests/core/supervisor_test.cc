@@ -418,7 +418,7 @@ TEST_F(SupervisedHooksTest, CrossCpuFailuresTripExactlyAtTheBudget) {
       supervisor_->CheckConsistent(kernel_->clock().max_now_ns()).ok());
 
   // After the eviction every fire skips the evicted extension and serves
-  // its neighbour, on whichever CPUs ran the burst (idle CPUs steal).
+  // its neighbour, on every CPU of the burst.
   burst();
   Tally total;
   for (const Tally& tally : tallies) {

@@ -380,10 +380,10 @@ TEST(NetTest, SkBuffLayout) {
 
 TEST(CallGraphTest, ReachabilityCountsUniqueNodes) {
   CallGraph graph;
-  graph.AddEdge("a", "b");
-  graph.AddEdge("a", "c");
-  graph.AddEdge("b", "c");
-  graph.AddEdge("c", "d");
+  graph.AddEdgeById(graph.Intern("a"), graph.Intern("b"));
+  graph.AddEdgeById(graph.Intern("a"), graph.Intern("c"));
+  graph.AddEdgeById(graph.Intern("b"), graph.Intern("c"));
+  graph.AddEdgeById(graph.Intern("c"), graph.Intern("d"));
   EXPECT_EQ(graph.ReachableCount("a").value(), 4u);
   EXPECT_EQ(graph.ReachableCount("c").value(), 2u);
   EXPECT_EQ(graph.ReachableCount("missing").status().code(),
@@ -392,8 +392,8 @@ TEST(CallGraphTest, ReachabilityCountsUniqueNodes) {
 
 TEST(CallGraphTest, DuplicateEdgesIgnored) {
   CallGraph graph;
-  graph.AddEdge("a", "b");
-  graph.AddEdge("a", "b");
+  graph.AddEdgeById(graph.Intern("a"), graph.Intern("b"));
+  graph.AddEdgeById(graph.Intern("a"), graph.Intern("b"));
   EXPECT_EQ(graph.edge_count(), 1u);
 }
 
@@ -515,10 +515,10 @@ TEST(CallGraphGoldenTest, GeneratedNamesResolveOnlyInCanonicalForm) {
   // util.f5 already calls util.f6 (the spine); the duplicate is counted
   // once, and so is a new edge added twice out of node order.
   const xbase::usize edges = graph.edge_count();
-  graph.AddEdge("util.f5", "util.f6");
+  graph.AddEdgeById(graph.Intern("util.f5"), graph.Intern("util.f6"));
   EXPECT_EQ(graph.edge_count(), edges);
-  graph.AddEdge("util.f5", "bpf_syscall.f4799");
-  graph.AddEdge("util.f5", "bpf_syscall.f4799");
+  graph.AddEdgeById(graph.Intern("util.f5"), graph.Intern("bpf_syscall.f4799"));
+  graph.AddEdgeById(graph.Intern("util.f5"), graph.Intern("bpf_syscall.f4799"));
   EXPECT_EQ(graph.edge_count(), edges + 1);
   EXPECT_EQ(graph.ReachableCount("util.f5").value(), 19u + 1u);
 }

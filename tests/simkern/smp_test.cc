@@ -1,6 +1,6 @@
 // Cross-CPU tests for the SMP substrate: per-thread CPU binding, per-CPU
 // clocks, genuine cross-CPU RCU grace periods, spinlock contention
-// accounting, work stealing, and genuinely per-CPU map storage. CI runs
+// accounting, task placement, and genuinely per-CPU map storage. CI runs
 // this suite under TSan — every test that spawns threads doubles as a data
 // race regression test for the machinery it touches (the shared
 // `Kernel::current_cpu_` field these tests replaced was itself a race).
@@ -228,33 +228,43 @@ TEST(SmpLockTest, SameCpuReacquireIsStillImmediateDeadlock) {
   EXPECT_EQ(kernel.locks().held_count_total(), 0);
 }
 
-// ---- work stealing ----------------------------------------------------------
+// ---- placement --------------------------------------------------------------
 
-TEST(SmpPoolTest, IdleCpusStealFromLoadedSiblings) {
+TEST(SmpPoolTest, SubmitRunsOnTheNamedCpu) {
   Kernel kernel(SmpConfig(4));
   kernel.StartCpus();
   CpuPool& pool = *kernel.cpus();
-  // Pile everything on cpu0's queue; the other workers are idle and must
-  // take from it. Each task burns a little wall time so cpu0 cannot drain
-  // its own queue before the siblings wake.
-  constexpr int kTasks = 200;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit(0, [&ran] {
-      SleepMs(1);
-      ran.fetch_add(1, std::memory_order_relaxed);
+  // Pile 200 tasks on cpu0, each burning a little wall time, and a few on
+  // every other CPU. The siblings go idle long before cpu0 is done, and
+  // still every task runs on the CPU it was submitted to.
+  constexpr u32 kPiled = 200;
+  constexpr u32 kPerSibling = 5;
+  std::vector<u32> submitted(kernel.num_cpus());
+  std::atomic<u32> misplaced{0};
+  auto submit = [&](u32 cpu, bool slow) {
+    ++submitted[cpu];
+    pool.Submit(cpu, [&kernel, &misplaced, cpu, slow] {
+      if (slow) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      if (kernel.current_cpu() != cpu) {
+        misplaced.fetch_add(1, std::memory_order_relaxed);
+      }
     });
+  };
+  for (u32 i = 0; i < kPiled; ++i) {
+    submit(0, true);
+  }
+  for (u32 cpu = 1; cpu < kernel.num_cpus(); ++cpu) {
+    for (u32 i = 0; i < kPerSibling; ++i) {
+      submit(cpu, false);
+    }
   }
   pool.Drain();
-  EXPECT_EQ(ran.load(), kTasks);
-  u64 executed_total = 0;
-  u64 stolen_total = 0;
+  EXPECT_EQ(misplaced.load(), 0u);
   for (u32 cpu = 0; cpu < kernel.num_cpus(); ++cpu) {
-    executed_total += pool.executed_on(cpu);
-    stolen_total += pool.stolen_by(cpu);
+    EXPECT_EQ(pool.executed_on(cpu), submitted[cpu]) << "cpu " << cpu;
   }
-  EXPECT_EQ(executed_total, static_cast<u64>(kTasks));
-  EXPECT_GT(stolen_total, 0u);
   kernel.StopCpus();
 }
 
@@ -314,16 +324,15 @@ TEST(SmpMapTest, PercpuArraySlotsAccumulateIndependentlyAcrossCpus) {
   pool.Drain();
   kernel.StopCpus();
 
-  // Tasks may have been stolen across CPUs, but the *sum* over slots must
-  // be exact: same-CPU accesses are serialized by the worker thread, and
+  // Each task ran on the CPU it was submitted to, so every slot is exact:
+  // same-CPU accesses are serialized by that CPU's one worker thread, and
   // distinct CPUs write distinct slots.
-  u64 sum = 0;
   for (u32 cpu = 0; cpu < kernel.num_cpus(); ++cpu) {
-    sum += kernel.mem().ReadU64(map->LookupAddrForCpu(key, cpu).value())
-               .value();
+    EXPECT_EQ(
+        kernel.mem().ReadU64(map->LookupAddrForCpu(key, cpu).value()).value(),
+        static_cast<u64>(kTasksPerCpu) * kIncrementsPerTask)
+        << "cpu " << cpu;
   }
-  EXPECT_EQ(sum, static_cast<u64>(kernel.num_cpus()) * kTasksPerCpu *
-                     kIncrementsPerTask);
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 // The stream is a mixed-tenant mix — ~70% packet-counter fires, ~10%
 // scheduler ticks, ~10% LSM file-open decisions, ~10% map churn — submitted
 // round-robin across the CPUs and executed concurrently on the kernel's
-// CpuPool (idle CPUs steal). The event sequence is a pure function of
-// --seed/--events, so runs replay; only intra-batch interleaving varies.
+// CpuPool, each event on the CPU it was submitted to. The event sequence
+// and each CPU's share of it are pure functions of --seed/--events/--cpus,
+// so the simulated figures replay; only cross-CPU interleaving varies.
 // Exit status: 0 all end-of-run invariants held (including the per-CPU
 // counter sum matching the packet fire count exactly), 1 one broke,
 // 2 usage error.
@@ -62,10 +63,9 @@ void PrintStats(const analysis::TrafficReport& report) {
   }
   for (xbase::usize cpu = 0; cpu < report.per_cpu.size(); ++cpu) {
     const analysis::TrafficCpuStats& stats = report.per_cpu[cpu];
-    std::printf("  cpu%-2zu                 %llu tasks (%llu stolen), "
+    std::printf("  cpu%-2zu                 %llu tasks, "
                 "%llu fires, %llu pkts, %.3f sim ms\n",
                 cpu, static_cast<unsigned long long>(stats.executed),
-                static_cast<unsigned long long>(stats.stolen),
                 static_cast<unsigned long long>(stats.fires),
                 static_cast<unsigned long long>(stats.packet_count),
                 static_cast<double>(stats.sim_advanced_ns) / 1e6);
