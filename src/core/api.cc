@@ -305,25 +305,23 @@ xbase::Status Ctx::RequireCap(Capability cap) {
 }
 
 xbase::Status Ctx::DomainRead(Addr addr, std::span<u8> out) {
-  xbase::Status status = runtime_.kernel().mem().ReadChecked(
-      addr, out, runtime_.config().protection_key);
-  if (!status.ok()) {
-    // A domain fault is contained: consume the pending fault and panic the
-    // extension instead of oopsing the kernel.
-    (void)runtime_.kernel().mem().TakeFault();
+  if (auto fault = runtime_.kernel().mem().ReadChecked(
+          addr, out, runtime_.config().protection_key)) {
+    // A domain fault is contained: panic the extension instead of oopsing
+    // the kernel.
     Panic("memory domain violation on read");
+    return fault->ToStatus();
   }
-  return status;
+  return xbase::Status::Ok();
 }
 
 xbase::Status Ctx::DomainWrite(Addr addr, std::span<const u8> data) {
-  xbase::Status status = runtime_.kernel().mem().WriteChecked(
-      addr, data, runtime_.config().protection_key);
-  if (!status.ok()) {
-    (void)runtime_.kernel().mem().TakeFault();
+  if (auto fault = runtime_.kernel().mem().WriteChecked(
+          addr, data, runtime_.config().protection_key)) {
     Panic("memory domain violation on write");
+    return fault->ToStatus();
   }
-  return status;
+  return xbase::Status::Ok();
 }
 
 u64 Ctx::KtimeNs() {
@@ -624,21 +622,16 @@ xbase::Result<u64> Ctx::UnsafeReadKernel(Addr addr) {
   XB_RETURN_IF_ERROR(RequireCap(Capability::kUnsafeRaw));
   XB_RETURN_IF_ERROR(Charge(10));
   u8 buf[8];
-  xbase::Status status = runtime_.kernel().mem().ReadChecked(
-      addr, buf, runtime_.config().protection_key);
-  if (!status.ok()) {
-    auto fault = runtime_.kernel().mem().TakeFault();
-    if (fault.has_value() &&
-        fault->kind == simkern::FaultKind::kProtectionKey) {
+  if (auto fault = runtime_.kernel().mem().ReadChecked(
+          addr, buf, runtime_.config().protection_key)) {
+    if (fault->kind == simkern::FaultKind::kProtectionKey) {
       // §4: the hardware domain contains even unsafe code — the extension
       // dies, the kernel does not.
       Panic("pkey violation in unsafe block: " + fault->ToString());
+      return fault->ToStatus();
     }
     // Without a protection key the wild access is a genuine kernel fault.
-    if (fault.has_value()) {
-      runtime_.kernel().Oops(fault->ToString());
-    }
-    return status;
+    return runtime_.kernel().Route(fault->ToStatus());
   }
   return xbase::LoadLe64(buf);
 }

@@ -34,16 +34,18 @@ void LinkHelperCallGraph(
 xbase::Result<std::vector<u8>> ReadMem(simkern::Kernel& kernel, Addr addr,
                                        usize size) {
   std::vector<u8> out(size);
-  xbase::Status status = kernel.mem().ReadChecked(addr, out, 0);
-  if (!status.ok()) {
-    return kernel.Route(std::move(status));
+  if (auto fault = kernel.mem().ReadChecked(addr, out, 0)) {
+    return kernel.Route(fault->ToStatus());
   }
   return out;
 }
 
 xbase::Status WriteMem(simkern::Kernel& kernel, Addr addr,
                        std::span<const u8> data) {
-  return kernel.Route(kernel.mem().WriteChecked(addr, data, 0));
+  if (auto fault = kernel.mem().WriteChecked(addr, data, 0)) {
+    return kernel.Route(fault->ToStatus());
+  }
+  return xbase::Status::Ok();
 }
 
 xbase::Result<Map*> ResolveMapArg(HelperCtx& ctx, u64 arg) {
@@ -857,10 +859,9 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
           return NegErrno(kEInval);
         }
         u8 pid_bytes[4];
-        const xbase::Status read_status = ctx.kernel.mem().ReadChecked(
-            a[1] + simkern::TaskLayout::kPid, pid_bytes, 0);
-        if (!read_status.ok()) {
-          return ctx.kernel.Route(read_status);
+        if (auto fault = ctx.kernel.mem().ReadChecked(
+                a[1] + simkern::TaskLayout::kPid, pid_bytes, 0)) {
+          return ctx.kernel.Route(fault->ToStatus());
         }
         const xbase::Status status = map->Delete(ctx.kernel, pid_bytes);
         return status.ok() ? u64{0} : NegErrno(kENoEnt);
@@ -972,10 +973,9 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
             const u64 insns_ptr =
                 xbase::LoadLe64(attr.data() + kSysBpfAttrInsnsPtrOff);
             u8 first_insn[8];
-            const xbase::Status status =
-                ctx.kernel.mem().ReadChecked(insns_ptr, first_insn, 0);
-            if (!status.ok()) {
-              return ctx.kernel.Route(status);  // oops
+            if (auto fault =
+                    ctx.kernel.mem().ReadChecked(insns_ptr, first_insn, 0)) {
+              return ctx.kernel.Route(fault->ToStatus());  // oops
             }
             ctx.kernel.Printk("bpf_sys_bpf: nested prog_load accepted");
             return 0;

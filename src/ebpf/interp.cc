@@ -211,9 +211,7 @@ xbase::Result<u64> Execution::RunFrom(u32 pc, u64* regs, u32 depth) {
             return RuntimeFault(
                 xbase::KernelFault("bpf: unsupported atomic op at runtime"));
           }
-          XB_ASSIGN_OR_RETURN(const u64 old_value, ReadSized(addr, size));
-          XB_RETURN_IF_ERROR(
-              WriteSized(addr, size, old_value + regs[insn.src]));
+          XB_RETURN_IF_ERROR(AddSized(addr, size, regs[insn.src]));
           ++pc;
           break;
         }

@@ -109,39 +109,39 @@ class Execution final : public RuntimeHooks {
     return kernel_.Route(std::move(status));
   }
 
-  xbase::Result<u64> ReadSized(simkern::Addr addr, u32 size) {
-    u8 buf[8] = {};
-    xbase::Status status =
-        kernel_.mem().ReadChecked(addr, {buf, size}, /*access_key=*/0);
-    if (!status.ok()) {
-      return RuntimeFault(std::move(status));
-    }
-    switch (size) {
-      case 1:
-        return static_cast<u64>(buf[0]);
-      case 2:
-        return static_cast<u64>(xbase::LoadLe16(buf));
-      case 4:
-        return static_cast<u64>(xbase::LoadLe32(buf));
-      default:
-        return xbase::LoadLe64(buf);
-    }
+  // The engines' checked sized accesses, on the program's behalf (key 0):
+  // one resolve, then one relaxed load, store or fetch_add of the host word
+  // (xbase::LoadRelaxed and friends). A fault becomes the kernel's oops.
+  template <typename Fn>
+  xbase::Status AccessSized(simkern::Addr addr, u32 size,
+                            simkern::MemPerm need, Fn&& fn) {
+    auto fault = kernel_.mem().AccessChecked(addr, size, need, 0, fn);
+    return fault ? RuntimeFault(fault->ToStatus()) : xbase::Status::Ok();
   }
-
+  xbase::Result<u64> ReadSized(simkern::Addr addr, u32 size) {
+    u64 value = 0;
+    XB_RETURN_IF_ERROR(AccessSized(addr, size, simkern::MemPerm::kRead,
+                                   [&](const u8* p) {
+                                     value = xbase::LoadRelaxed(p, size);
+                                   }));
+    return value;
+  }
   xbase::Status WriteSized(simkern::Addr addr, u32 size, u64 value) {
-    u8 buf[8];
-    xbase::StoreLe64(buf, value);
-    xbase::Status status =
-        kernel_.mem().WriteChecked(addr, {buf, size}, /*access_key=*/0);
-    if (!status.ok()) {
-      return RuntimeFault(std::move(status));
-    }
-    return xbase::Status::Ok();
+    return AccessSized(addr, size, simkern::MemPerm::kWrite, [&](u8* p) {
+      xbase::StoreRelaxed(p, size, value);
+    });
+  }
+  // BPF_ATOMIC add, the only atomic op: concurrent adds from other CPUs
+  // are never lost.
+  xbase::Status AddSized(simkern::Addr addr, u32 size, u64 value) {
+    return AccessSized(addr, size, simkern::MemPerm::kReadWrite, [&](u8* p) {
+      xbase::AddRelaxed(p, size, value);
+    });
   }
 
   // ---- Elided-check memory path ---------------------------------------
   // The unchecked (`...U`) micro-ops resolve addresses through a small
-  // ring of direct region windows instead of ReadChecked/WriteChecked:
+  // ring of direct region windows instead of AccessChecked:
   // the static layers proved the access in bounds, so the runtime skips
   // NULL-guard/permission/key enforcement and fault recording entirely.
   // Region byte storage is stable between helper calls, and helpers are
@@ -185,29 +185,28 @@ class Execution final : public RuntimeHooks {
     }
   }
 
-  // A wild elided read observes a deterministic poison pattern (masked to
-  // the access width); a wild elided write vanishes. Both engines with
-  // checks would have oopsed here — the counters are the only witness.
-  u64 WildRead(u32 size) {
+  // The elided sized accesses. A wild read observes a deterministic poison
+  // pattern (masked to the access width); a wild write vanishes. Both
+  // engines with checks would have oopsed here — the counters are the only
+  // witness. Forced inline: every unchecked handler and the superblock loop
+  // expand them, and a call per access would cost more than the access.
+  [[gnu::always_inline]] u64 LoadUnchecked(simkern::Addr addr, u32 size) {
+    if (const u8* p = DirectPtr(addr, size)) {
+      return xbase::LoadRelaxed(p, size);
+    }
     kernel_.mem().NoteWildRead();
     const u64 poison = 0xdeadbeefdeadbeefULL;
     return size >= 8 ? poison : poison & ((u64{1} << (size * 8)) - 1);
   }
 
-  void WildWrite() { kernel_.mem().NoteWildWrite(); }
-
-  // Inline cache for map lookups on the helper fast path: one entry keyed
-  // by (map identity, generation, key bytes). The map pointer is compared
-  // against the live Find() result and never dereferenced, and the
-  // generation is a process-global monotonic stamp bumped on every
-  // mutation, so destroyed/recreated maps and updated entries both miss.
-  struct LookupCache {
-    const void* map = nullptr;
-    u64 gen = 0;
-    u64 key = 0;
-    u32 key_size = 0;
-    simkern::Addr addr = 0;
-  };
+  [[gnu::always_inline]] void StoreUnchecked(simkern::Addr addr, u32 size,
+                                             u64 value) {
+    if (u8* p = DirectPtr(addr, size)) {
+      xbase::StoreRelaxed(p, size, value);
+    } else {
+      kernel_.mem().NoteWildWrite();
+    }
+  }
 
   // Returns the program's lowered form, decoding on the spot for programs
   // that never went through JitCompile (hand-built test fixtures). The
@@ -260,7 +259,6 @@ class Execution final : public RuntimeHooks {
   std::optional<u32> pending_tail_call_;
   simkern::SimMemory::DirectWindow windows_[kDirectWindows] = {};
   u32 window_next_ = 0;
-  LookupCache lookup_cache_;
   u64 wild_writes_at_entry_ = 0;
 };
 

@@ -27,38 +27,6 @@ using xbase::StrFormat;
 
 namespace {
 constexpr u64 kScratchPoison = 0xdead2bad00000000ULL;
-
-// Width-dispatched little-endian access for the elided-check memory ops.
-// Every call site passes a constant width, so the switch folds away.
-inline u64 DirectLoad(const u8* p, u32 bytes) {
-  switch (bytes) {
-    case 1:
-      return p[0];
-    case 2:
-      return xbase::LoadLe16(p);
-    case 4:
-      return xbase::LoadLe32(p);
-    default:
-      return xbase::LoadLe64(p);
-  }
-}
-
-inline void DirectStore(u8* p, u32 bytes, u64 value) {
-  switch (bytes) {
-    case 1:
-      p[0] = static_cast<u8>(value);
-      break;
-    case 2:
-      xbase::StoreLe16(p, static_cast<xbase::u16>(value));
-      break;
-    case 4:
-      xbase::StoreLe32(p, static_cast<u32>(value));
-      break;
-    default:
-      xbase::StoreLe64(p, value);
-      break;
-  }
-}
 }  // namespace
 
 #if defined(UNTENABLE_SWITCH_DISPATCH) || \
@@ -109,8 +77,8 @@ inline void DirectStore(u8* p, u32 bytes, u64 value) {
 // The byte offset of a memory micro-op ((u32)(s32)insn.off at decode time),
 // widened back so address arithmetic wraps exactly like the legacy
 // `regs[x] + static_cast<s64>(insn.off)`.
-#define EBPF_MEM_OFF() \
-  static_cast<u64>(static_cast<s64>(static_cast<s32>(op.jump)))
+#define EBPF_MEM_OFF(Op) \
+  static_cast<u64>(static_cast<s64>(static_cast<s32>((Op).jump)))
 
 // ---- handler body generators ----------------------------------------------
 // EXPR64 sees u64 v (current dst value) and u64 s (operand); EXPR32 sees
@@ -185,7 +153,7 @@ inline void DirectStore(u8* p, u32 bytes, u64 value) {
 #define EBPF_LDX_CASE(Sz, Bytes)                                      \
   EBPF_CASE(Ldx##Sz) {                                                \
     EBPF_SYNC();                                                      \
-    auto loaded = ReadSized(regs[op.src] + EBPF_MEM_OFF(), Bytes);    \
+    auto loaded = ReadSized(regs[op.src] + EBPF_MEM_OFF(op), Bytes);  \
     if (!loaded.ok()) {                                               \
       return loaded.status();                                         \
     }                                                                 \
@@ -194,40 +162,12 @@ inline void DirectStore(u8* p, u32 bytes, u64 value) {
     EBPF_NEXT();                                                      \
   }
 
-#define EBPF_STX_CASE(Sz, Bytes)                                      \
-  EBPF_CASE(Stx##Sz) {                                                \
+// The checked stores and the BPF_ATOMIC add: Fn is WriteSized or AddSized.
+#define EBPF_CHECKED_CASE(Name, Bytes, Fn, Value)                     \
+  EBPF_CASE(Name) {                                                   \
     EBPF_SYNC();                                                      \
     xbase::Status stored =                                            \
-        WriteSized(regs[op.dst] + EBPF_MEM_OFF(), Bytes, regs[op.src]); \
-    if (!stored.ok()) {                                               \
-      return stored;                                                  \
-    }                                                                 \
-    ++pc;                                                             \
-    EBPF_NEXT();                                                      \
-  }
-
-#define EBPF_ST_CASE(Sz, Bytes)                                       \
-  EBPF_CASE(St##Sz) {                                                 \
-    EBPF_SYNC();                                                      \
-    xbase::Status stored =                                            \
-        WriteSized(regs[op.dst] + EBPF_MEM_OFF(), Bytes, op.imm);     \
-    if (!stored.ok()) {                                               \
-      return stored;                                                  \
-    }                                                                 \
-    ++pc;                                                             \
-    EBPF_NEXT();                                                      \
-  }
-
-#define EBPF_ATOMIC_CASE(Sz, Bytes)                                   \
-  EBPF_CASE(AtomicAdd##Sz) {                                          \
-    EBPF_SYNC();                                                      \
-    const Addr addr = regs[op.dst] + EBPF_MEM_OFF();                  \
-    auto old_value = ReadSized(addr, Bytes);                          \
-    if (!old_value.ok()) {                                            \
-      return old_value.status();                                      \
-    }                                                                 \
-    xbase::Status stored =                                            \
-        WriteSized(addr, Bytes, old_value.value() + regs[op.src]);    \
+        Fn(regs[op.dst] + EBPF_MEM_OFF(op), Bytes, Value);            \
     if (!stored.ok()) {                                               \
       return stored;                                                  \
     }                                                                 \
@@ -246,32 +186,14 @@ inline void DirectStore(u8* p, u32 bytes, u64 value) {
 // an oops. When the proof was wrong, this is the paper's silent corruption.
 #define EBPF_LDXU_CASE(Sz, Bytes)                                     \
   EBPF_CASE(Ldx##Sz##U) {                                             \
-    const u8* p = DirectPtr(regs[op.src] + EBPF_MEM_OFF(), Bytes);    \
-    regs[op.dst] = p != nullptr ? DirectLoad(p, Bytes) : WildRead(Bytes); \
+    regs[op.dst] = LoadUnchecked(regs[op.src] + EBPF_MEM_OFF(op), Bytes); \
     ++pc;                                                             \
     EBPF_NEXT();                                                      \
   }
 
-#define EBPF_STXU_CASE(Sz, Bytes)                                     \
-  EBPF_CASE(Stx##Sz##U) {                                             \
-    u8* p = DirectPtr(regs[op.dst] + EBPF_MEM_OFF(), Bytes);          \
-    if (p != nullptr) {                                               \
-      DirectStore(p, Bytes, regs[op.src]);                            \
-    } else {                                                          \
-      WildWrite();                                                    \
-    }                                                                 \
-    ++pc;                                                             \
-    EBPF_NEXT();                                                      \
-  }
-
-#define EBPF_STU_CASE(Sz, Bytes)                                      \
-  EBPF_CASE(St##Sz##U) {                                              \
-    u8* p = DirectPtr(regs[op.dst] + EBPF_MEM_OFF(), Bytes);          \
-    if (p != nullptr) {                                               \
-      DirectStore(p, Bytes, op.imm);                                  \
-    } else {                                                          \
-      WildWrite();                                                    \
-    }                                                                 \
+#define EBPF_STOREU_CASE(Name, Bytes, Value)                          \
+  EBPF_CASE(Name) {                                                   \
+    StoreUnchecked(regs[op.dst] + EBPF_MEM_OFF(op), Bytes, Value);    \
     ++pc;                                                             \
     EBPF_NEXT();                                                      \
   }
@@ -383,35 +305,35 @@ dispatch_op:
   EBPF_LDX_CASE(W, 4)
   EBPF_LDX_CASE(Dw, 8)
 
-  EBPF_STX_CASE(B, 1)
-  EBPF_STX_CASE(H, 2)
-  EBPF_STX_CASE(W, 4)
-  EBPF_STX_CASE(Dw, 8)
+  EBPF_CHECKED_CASE(StxB, 1, WriteSized, regs[op.src])
+  EBPF_CHECKED_CASE(StxH, 2, WriteSized, regs[op.src])
+  EBPF_CHECKED_CASE(StxW, 4, WriteSized, regs[op.src])
+  EBPF_CHECKED_CASE(StxDw, 8, WriteSized, regs[op.src])
 
-  EBPF_ST_CASE(B, 1)
-  EBPF_ST_CASE(H, 2)
-  EBPF_ST_CASE(W, 4)
-  EBPF_ST_CASE(Dw, 8)
+  EBPF_CHECKED_CASE(StB, 1, WriteSized, op.imm)
+  EBPF_CHECKED_CASE(StH, 2, WriteSized, op.imm)
+  EBPF_CHECKED_CASE(StW, 4, WriteSized, op.imm)
+  EBPF_CHECKED_CASE(StDw, 8, WriteSized, op.imm)
 
-  EBPF_ATOMIC_CASE(B, 1)
-  EBPF_ATOMIC_CASE(H, 2)
-  EBPF_ATOMIC_CASE(W, 4)
-  EBPF_ATOMIC_CASE(Dw, 8)
+  EBPF_CHECKED_CASE(AtomicAddB, 1, AddSized, regs[op.src])
+  EBPF_CHECKED_CASE(AtomicAddH, 2, AddSized, regs[op.src])
+  EBPF_CHECKED_CASE(AtomicAddW, 4, AddSized, regs[op.src])
+  EBPF_CHECKED_CASE(AtomicAddDw, 8, AddSized, regs[op.src])
 
   EBPF_LDXU_CASE(B, 1)
   EBPF_LDXU_CASE(H, 2)
   EBPF_LDXU_CASE(W, 4)
   EBPF_LDXU_CASE(Dw, 8)
 
-  EBPF_STXU_CASE(B, 1)
-  EBPF_STXU_CASE(H, 2)
-  EBPF_STXU_CASE(W, 4)
-  EBPF_STXU_CASE(Dw, 8)
+  EBPF_STOREU_CASE(StxBU, 1, regs[op.src])
+  EBPF_STOREU_CASE(StxHU, 2, regs[op.src])
+  EBPF_STOREU_CASE(StxWU, 4, regs[op.src])
+  EBPF_STOREU_CASE(StxDwU, 8, regs[op.src])
 
-  EBPF_STU_CASE(B, 1)
-  EBPF_STU_CASE(H, 2)
-  EBPF_STU_CASE(W, 4)
-  EBPF_STU_CASE(Dw, 8)
+  EBPF_STOREU_CASE(StBU, 1, op.imm)
+  EBPF_STOREU_CASE(StHU, 2, op.imm)
+  EBPF_STOREU_CASE(StWU, 4, op.imm)
+  EBPF_STOREU_CASE(StDwU, 8, op.imm)
 
   // ---- fused superops (see FusePairs in jit.cc for the field packing).
   // Each executes head-then-tail semantics in one dispatch; the tail slot
@@ -472,8 +394,7 @@ dispatch_op:
 
   // dst = *(u32*)(src + off); dst += imm. jump keeps the memory offset.
   EBPF_CASE(FuseLdxWUAddImm) {
-    const u8* p = DirectPtr(regs[op.src] + EBPF_MEM_OFF(), 4);
-    regs[op.dst] = p != nullptr ? xbase::LoadLe32(p) : WildRead(4);
+    regs[op.dst] = LoadUnchecked(regs[op.src] + EBPF_MEM_OFF(op), 4);
     EBPF_FUSE_STEP2(pc + 1);
     regs[op.dst] += op.imm;
     pc += 2;
@@ -482,8 +403,7 @@ dispatch_op:
 
   // dst = *(u64*)(src + off); dst += imm.
   EBPF_CASE(FuseLdxDwUAddImm) {
-    const u8* p = DirectPtr(regs[op.src] + EBPF_MEM_OFF(), 8);
-    regs[op.dst] = p != nullptr ? xbase::LoadLe64(p) : WildRead(8);
+    regs[op.dst] = LoadUnchecked(regs[op.src] + EBPF_MEM_OFF(op), 8);
     EBPF_FUSE_STEP2(pc + 1);
     regs[op.dst] += op.imm;
     pc += 2;
@@ -579,44 +499,25 @@ dispatch_op:
         case UOp::kAlu32MovReg:
           regs[b.dst] = static_cast<u32>(regs[b.src]);
           break;
+        // The unchecked memory ops; the width is 1 << (handler - B form).
         case UOp::kLdxBU: case UOp::kLdxHU: case UOp::kLdxWU:
-        case UOp::kLdxDwU: {
-          const u32 bytes = 1u << (b.handler - static_cast<u16>(UOp::kLdxBU));
-          const u8* p = DirectPtr(
-              regs[b.src] +
-                  static_cast<u64>(static_cast<s64>(static_cast<s32>(b.jump))),
-              bytes);
-          regs[b.dst] = p != nullptr ? DirectLoad(p, bytes) : WildRead(bytes);
+        case UOp::kLdxDwU:
+          regs[b.dst] = LoadUnchecked(
+              regs[b.src] + EBPF_MEM_OFF(b),
+              1u << (b.handler - static_cast<u16>(UOp::kLdxBU)));
           break;
-        }
         case UOp::kStxBU: case UOp::kStxHU: case UOp::kStxWU:
-        case UOp::kStxDwU: {
-          const u32 bytes = 1u << (b.handler - static_cast<u16>(UOp::kStxBU));
-          u8* p = DirectPtr(
-              regs[b.dst] +
-                  static_cast<u64>(static_cast<s64>(static_cast<s32>(b.jump))),
-              bytes);
-          if (p != nullptr) {
-            DirectStore(p, bytes, regs[b.src]);
-          } else {
-            WildWrite();
-          }
+        case UOp::kStxDwU:
+          StoreUnchecked(regs[b.dst] + EBPF_MEM_OFF(b),
+                         1u << (b.handler - static_cast<u16>(UOp::kStxBU)),
+                         regs[b.src]);
           break;
-        }
         case UOp::kStBU: case UOp::kStHU: case UOp::kStWU:
-        case UOp::kStDwU: {
-          const u32 bytes = 1u << (b.handler - static_cast<u16>(UOp::kStBU));
-          u8* p = DirectPtr(
-              regs[b.dst] +
-                  static_cast<u64>(static_cast<s64>(static_cast<s32>(b.jump))),
-              bytes);
-          if (p != nullptr) {
-            DirectStore(p, bytes, b.imm);
-          } else {
-            WildWrite();
-          }
+        case UOp::kStDwU:
+          StoreUnchecked(regs[b.dst] + EBPF_MEM_OFF(b),
+                         1u << (b.handler - static_cast<u16>(UOp::kStBU)),
+                         b.imm);
           break;
-        }
         default:
           break;  // unreachable: BlockableOp gates admission at lowering
       }
@@ -709,46 +610,13 @@ dispatch_op:
         return map.status();
       }
       const u32 key_size = map.value()->spec().key_size;
-      u8 key_buf[64];
+      alignas(8) u8 key_buf[64];
       if (key_size <= sizeof(key_buf)) {
-        xbase::Status read = kernel_.mem().ReadChecked(
-            regs[R2], {key_buf, key_size}, /*access_key=*/0);
-        if (!read.ok()) {
-          return kernel_.Route(std::move(read));
+        if (auto fault = kernel_.mem().ReadChecked(
+                regs[R2], {key_buf, key_size}, /*access_key=*/0)) {
+          return kernel_.Route(fault->ToStatus());
         }
-        Map* m = map.value();
-        const MapType mtype = m->spec().type;
-        // Lookup inline cache: one entry keyed by (map identity, global
-        // generation stamp, key bytes). Array and hash only — percpu
-        // lookups depend on current_cpu, and the other types aren't value
-        // lookups. Misses are cached too (addr 0); an Update that later
-        // inserts the key bumps the generation and invalidates. The
-        // cached map pointer is only ever *compared* against the live
-        // Find() result, never dereferenced first, so a destroyed map
-        // can't dangle, and the process-global stamp kills ABA reuse.
-        if (key_size <= 8 &&
-            (mtype == MapType::kArray || mtype == MapType::kHash)) {
-          u64 key_word = 0;
-          std::memcpy(&key_word, key_buf, key_size);
-          if (lookup_cache_.map == m &&
-              lookup_cache_.gen == m->generation() &&
-              lookup_cache_.key_size == key_size &&
-              lookup_cache_.key == key_word) {
-            regs[R0] = lookup_cache_.addr;
-          } else {
-            auto addr = m->LookupAddr(kernel_, {key_buf, key_size});
-            const Addr value_addr = addr.ok() ? addr.value() : 0;
-            lookup_cache_ = {m, m->generation(), key_word, key_size,
-                             value_addr};
-            regs[R0] = value_addr;  // NULL on miss
-          }
-          for (int r = R1; r <= R5; ++r) {
-            regs[r] = kScratchPoison + static_cast<u64>(r);
-          }
-          ++pc;
-          EBPF_NEXT();
-        }
-        auto addr = m->LookupAddr(kernel_, {key_buf, key_size});
+        auto addr = map.value()->LookupAddr(kernel_, {key_buf, key_size});
         regs[R0] = addr.ok() ? addr.value() : 0;  // NULL on miss
         for (int r = R1; r <= R5; ++r) {
           regs[r] = kScratchPoison + static_cast<u64>(r);

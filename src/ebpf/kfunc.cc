@@ -171,10 +171,9 @@ xbase::Status RegisterDefaultKfuncs(KfuncRegistry& registry,
         spec, [](HelperCtx& ctx, const HelperArgs& a) -> xbase::Result<u64> {
           // Walks task->stack_ptr without any validation of a[0].
           xbase::u8 buf[8];
-          xbase::Status status = ctx.kernel.mem().ReadChecked(
-              a[0] + simkern::TaskLayout::kStackPtr, buf, 0);
-          if (!status.ok()) {
-            return ctx.kernel.Route(std::move(status));  // oops
+          if (auto fault = ctx.kernel.mem().ReadChecked(
+                  a[0] + simkern::TaskLayout::kStackPtr, buf, 0)) {
+            return ctx.kernel.Route(fault->ToStatus());  // oops
           }
           const Addr stack = xbase::LoadLe64(buf);
           const Addr addr = a[1];

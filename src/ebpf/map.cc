@@ -1,6 +1,5 @@
 #include "src/ebpf/map.h"
 
-#include <atomic>
 #include <cstring>
 #include <mutex>
 
@@ -8,11 +7,6 @@
 #include "src/xbase/strfmt.h"
 
 namespace ebpf {
-
-u64 Map::NextGeneration() {
-  static std::atomic<u64> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 using simkern::MemPerm;
 using simkern::RegionKind;
@@ -78,7 +72,7 @@ xbase::Result<Addr> ArrayMap::LookupAddr(simkern::Kernel& kernel,
   return values_base_ + static_cast<u64>(index) * spec().value_size;
 }
 
-xbase::Status ArrayMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status ArrayMap::Update(simkern::Kernel& kernel,
                                std::span<const u8> key,
                                std::span<const u8> value, u64 flags) {
   XB_RETURN_IF_ERROR(CheckValueSize(value));
@@ -89,7 +83,7 @@ xbase::Status ArrayMap::DoUpdate(simkern::Kernel& kernel,
   return kernel.mem().Write(addr, value);
 }
 
-xbase::Status ArrayMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status ArrayMap::Delete(simkern::Kernel& kernel,
                                std::span<const u8> key) {
   (void)kernel;
   (void)key;
@@ -119,7 +113,7 @@ xbase::Result<Addr> HashMap::LookupAddr(simkern::Kernel& kernel,
   return it->second;
 }
 
-xbase::Status HashMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status HashMap::Update(simkern::Kernel& kernel,
                               std::span<const u8> key,
                               std::span<const u8> value, u64 flags) {
   XB_RETURN_IF_ERROR(CheckKeySize(key));
@@ -150,7 +144,7 @@ xbase::Status HashMap::DoUpdate(simkern::Kernel& kernel,
   return xbase::Status::Ok();
 }
 
-xbase::Status HashMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status HashMap::Delete(simkern::Kernel& kernel,
                               std::span<const u8> key) {
   XB_RETURN_IF_ERROR(CheckKeySize(key));
   std::lock_guard<std::mutex> lock(mu_);
@@ -211,7 +205,7 @@ xbase::Result<Addr> PercpuArrayMap::LookupAddr(simkern::Kernel& kernel,
   return LookupAddrForCpu(key, kernel.current_cpu());
 }
 
-xbase::Status PercpuArrayMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status PercpuArrayMap::Update(simkern::Kernel& kernel,
                                      std::span<const u8> key,
                                      std::span<const u8> value, u64 flags) {
   XB_RETURN_IF_ERROR(CheckValueSize(value));
@@ -222,7 +216,7 @@ xbase::Status PercpuArrayMap::DoUpdate(simkern::Kernel& kernel,
   return kernel.mem().Write(addr, value);
 }
 
-xbase::Status PercpuArrayMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status PercpuArrayMap::Delete(simkern::Kernel& kernel,
                                      std::span<const u8> key) {
   (void)kernel;
   (void)key;
@@ -251,7 +245,7 @@ xbase::Result<Addr> ProgArrayMap::LookupAddr(simkern::Kernel& kernel,
   return xbase::PermissionDenied("prog array values are not readable");
 }
 
-xbase::Status ProgArrayMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status ProgArrayMap::Update(simkern::Kernel& kernel,
                                    std::span<const u8> key,
                                    std::span<const u8> value, u64 flags) {
   (void)kernel;
@@ -267,7 +261,7 @@ xbase::Status ProgArrayMap::DoUpdate(simkern::Kernel& kernel,
   return xbase::Status::Ok();
 }
 
-xbase::Status ProgArrayMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status ProgArrayMap::Delete(simkern::Kernel& kernel,
                                    std::span<const u8> key) {
   (void)kernel;
   XB_RETURN_IF_ERROR(CheckKeySize(key));
@@ -323,7 +317,7 @@ xbase::Result<Addr> RingBufMap::LookupAddr(simkern::Kernel& kernel,
   return xbase::PermissionDenied("ringbuf has no direct lookup");
 }
 
-xbase::Status RingBufMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status RingBufMap::Update(simkern::Kernel& kernel,
                                  std::span<const u8> key,
                                  std::span<const u8> value, u64 flags) {
   (void)kernel;
@@ -333,7 +327,7 @@ xbase::Status RingBufMap::DoUpdate(simkern::Kernel& kernel,
   return xbase::PermissionDenied("ringbuf has no direct update");
 }
 
-xbase::Status RingBufMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status RingBufMap::Delete(simkern::Kernel& kernel,
                                  std::span<const u8> key) {
   (void)kernel;
   (void)key;
@@ -438,7 +432,7 @@ xbase::Result<Addr> TaskStorageMap::LookupAddr(simkern::Kernel& kernel,
   return it->second;
 }
 
-xbase::Status TaskStorageMap::DoUpdate(simkern::Kernel& kernel,
+xbase::Status TaskStorageMap::Update(simkern::Kernel& kernel,
                                      std::span<const u8> key,
                                      std::span<const u8> value, u64 flags) {
   (void)flags;
@@ -459,7 +453,7 @@ xbase::Status TaskStorageMap::DoUpdate(simkern::Kernel& kernel,
   return kernel.mem().Write(it->second, value);
 }
 
-xbase::Status TaskStorageMap::DoDelete(simkern::Kernel& kernel,
+xbase::Status TaskStorageMap::Delete(simkern::Kernel& kernel,
                                      std::span<const u8> key) {
   XB_RETURN_IF_ERROR(CheckKeySize(key));
   const u32 pid = xbase::LoadLe32(key.data());
@@ -479,9 +473,11 @@ xbase::Result<Addr> TaskStorageMap::GetForTask(simkern::Kernel& kernel,
   // task pointer faults here, which is CVE-2021-xxxx (commit 1a9c72ad4c26)
   // when the helper forgets to check for NULL first.
   xbase::u8 pid_bytes[4];
-  XB_RETURN_IF_ERROR(
-      kernel.mem().ReadChecked(task_addr + simkern::TaskLayout::kPid,
-                               pid_bytes, /*access_key=*/0));
+  if (auto fault = kernel.mem().ReadChecked(
+          task_addr + simkern::TaskLayout::kPid, pid_bytes,
+          /*access_key=*/0)) {
+    return fault->ToStatus();
+  }
   const u32 pid = xbase::LoadLe32(pid_bytes);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(pid);

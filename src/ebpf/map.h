@@ -5,7 +5,6 @@
 // address whose use faults — the use-after-free shape of Table 1.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -62,44 +61,20 @@ class Map {
   // back from bpf_map_lookup_elem.
   virtual xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                          std::span<const u8> key) = 0;
-  // Mutations funnel through these non-virtual wrappers so every one
-  // advances the generation stamp the engines' lookup inline caches key
-  // on. The stamp comes from a process-global monotonic counter (not a
-  // per-map ++), so a map destroyed and recreated at the same address can
-  // never resurrect a cached entry (no ABA).
-  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
-                       std::span<const u8> value, u64 flags) {
-    generation_.store(NextGeneration(), std::memory_order_release);
-    return DoUpdate(kernel, key, value, flags);
-  }
-  xbase::Status Delete(simkern::Kernel& kernel, std::span<const u8> key) {
-    generation_.store(NextGeneration(), std::memory_order_release);
-    return DoDelete(kernel, key);
-  }
-  u64 generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
+  virtual xbase::Status Update(simkern::Kernel& kernel,
+                               std::span<const u8> key,
+                               std::span<const u8> value, u64 flags) = 0;
+  virtual xbase::Status Delete(simkern::Kernel& kernel,
+                               std::span<const u8> key) = 0;
   virtual u32 entry_count() const = 0;
 
  protected:
-  virtual xbase::Status DoUpdate(simkern::Kernel& kernel,
-                                 std::span<const u8> key,
-                                 std::span<const u8> value, u64 flags) = 0;
-  virtual xbase::Status DoDelete(simkern::Kernel& kernel,
-                                 std::span<const u8> key) = 0;
-
   xbase::Status CheckKeySize(std::span<const u8> key) const;
   xbase::Status CheckValueSize(std::span<const u8> value) const;
 
  private:
-  static u64 NextGeneration();
-
   int fd_;
   MapSpec spec_;
-  // Atomic: cross-CPU fires stamp and read it concurrently; the inline
-  // lookup caches only need a monotonic "something changed" witness.
-  std::atomic<u64> generation_{NextGeneration()};
 };
 
 // ---- array ------------------------------------------------------------------
@@ -110,10 +85,10 @@ class ArrayMap : public Map {
 
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override { return spec().max_entries; }
 
   // Injectable defect (CVE-2022-xxxx class, commit 87ac0d600943): compute
@@ -135,10 +110,10 @@ class HashMap : public Map {
 
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<u32>(entries_.size());
@@ -161,10 +136,10 @@ class PercpuArrayMap : public Map {
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
   xbase::Result<Addr> LookupAddrForCpu(std::span<const u8> key, u32 cpu);
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override { return spec().max_entries; }
 
   u32 num_cpus() const { return num_cpus_; }
@@ -184,10 +159,10 @@ class ProgArrayMap : public Map {
 
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override;
 
   std::optional<u32> ProgIdAt(u32 index) const;
@@ -207,10 +182,10 @@ class RingBufMap : public Map {
 
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override {
     std::lock_guard<std::mutex> lock(mu_);
     return pending_;
@@ -261,10 +236,10 @@ class TaskStorageMap : public Map {
   // Keyed by pid (u32 key).
   xbase::Result<Addr> LookupAddr(simkern::Kernel& kernel,
                                  std::span<const u8> key) override;
-  xbase::Status DoUpdate(simkern::Kernel& kernel, std::span<const u8> key,
-                         std::span<const u8> value, u64 flags) override;
-  xbase::Status DoDelete(simkern::Kernel& kernel,
-                         std::span<const u8> key) override;
+  xbase::Status Update(simkern::Kernel& kernel, std::span<const u8> key,
+                       std::span<const u8> value, u64 flags) override;
+  xbase::Status Delete(simkern::Kernel& kernel,
+                       std::span<const u8> key) override;
   u32 entry_count() const override {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<u32>(entries_.size());

@@ -1,6 +1,5 @@
 #include "src/simkern/mem.h"
 
-#include <cstring>
 #include <iterator>
 
 #include "src/xbase/bytes.h"
@@ -35,6 +34,10 @@ std::string MemFault::ToString() const {
                           is_write ? "write" : "read",
                           static_cast<unsigned long long>(addr),
                           detail.c_str());
+}
+
+xbase::Status MemFault::ToStatus() const {
+  return xbase::KernelFault(ToString());
 }
 
 xbase::Result<Addr> SimMemory::Map(usize size, MemPerm perm, RegionKind kind,
@@ -111,94 +114,74 @@ const Region* SimMemory::Locate(Addr addr, usize size) const {
   return &region;
 }
 
-xbase::Status SimMemory::Fault(FaultKind kind, Addr addr, bool is_write,
-                               std::string detail) {
-  MemFault fault{kind, addr, is_write, std::move(detail)};
-  const std::string text = fault.ToString();
-  {
-    std::lock_guard<std::mutex> guard(fault_mu_);
-    fault_ = std::move(fault);
+MemFault SimMemory::Describe(const Resolved& resolved, Addr addr,
+                             MemPerm need) {
+  // A read-modify-write faults as its read would, unless only the write
+  // is refused.
+  const bool write =
+      !PermAllowsRead(need) || (resolved.fault == FaultKind::kPermission &&
+                                PermAllowsRead(resolved.region->perm));
+  const char* verb = write ? "write" : "read";
+  std::string detail;
+  switch (resolved.fault) {
+    case FaultKind::kNullDeref:
+      detail = xbase::StrFormat("%s through NULL", verb);
+      break;
+    case FaultKind::kPermission:
+      detail = (write ? "write to read-only region "
+                      : "read of non-readable region ") +
+               resolved.region->name;
+      break;
+    case FaultKind::kProtectionKey:
+      detail = "pkey mismatch on region " + resolved.region->name;
+      break;
+    default:
+      detail = xbase::StrFormat("%s of unmapped kernel address", verb);
   }
-  return xbase::KernelFault(text);
+  return {resolved.fault, addr, write, std::move(detail)};
 }
 
 xbase::Status SimMemory::Read(Addr addr, std::span<u8> out) const {
   const auto table_guard = ReadTable();
-  const Region* region = Locate(addr, out.size());
-  if (region == nullptr) {
+  const Resolved resolved =
+      Resolve(addr, out.size(), MemPerm::kRead, /*check=*/false, 0);
+  if (resolved.bytes == nullptr) {
     return xbase::OutOfRange(
         xbase::StrFormat("trusted read of unmapped 0x%llx+%zu",
                          static_cast<unsigned long long>(addr), out.size()));
   }
-  std::memcpy(out.data(), region->bytes.data() + (addr - region->base),
-              out.size());
+  xbase::CopyRelaxed(out.data(), resolved.bytes, out.size());
   return xbase::Status::Ok();
 }
 
 xbase::Status SimMemory::Write(Addr addr, std::span<const u8> data) {
   const auto table_guard = ReadTable();
-  const Region* region = Locate(addr, data.size());
-  if (region == nullptr) {
+  const Resolved resolved =
+      Resolve(addr, data.size(), MemPerm::kWrite, /*check=*/false, 0);
+  if (resolved.bytes == nullptr) {
     return xbase::OutOfRange(
         xbase::StrFormat("trusted write of unmapped 0x%llx+%zu",
                          static_cast<unsigned long long>(addr), data.size()));
   }
-  // Locate returns const; regions_ is ours, so the const_cast is local.
-  Region* mut = const_cast<Region*>(region);
-  std::memcpy(mut->bytes.data() + (addr - region->base), data.data(),
-              data.size());
+  xbase::CopyRelaxed(resolved.bytes, data.data(), data.size());
   return xbase::Status::Ok();
 }
 
-xbase::Status SimMemory::ReadChecked(Addr addr, std::span<u8> out,
-                                     u32 access_key) {
-  const auto table_guard = ReadTable();
-  if (addr < kNullGuardSize) {
-    return Fault(FaultKind::kNullDeref, addr, false, "read through NULL");
-  }
-  const Region* region = Locate(addr, out.size());
-  if (region == nullptr) {
-    return Fault(FaultKind::kUnmapped, addr, false,
-                 "read of unmapped kernel address");
-  }
-  if (!PermAllowsRead(region->perm)) {
-    return Fault(FaultKind::kPermission, addr, false,
-                 "read of non-readable region " + region->name);
-  }
-  if (region->protection_key != 0 && access_key != 0 &&
-      region->protection_key != access_key) {
-    return Fault(FaultKind::kProtectionKey, addr, false,
-                 "pkey mismatch on region " + region->name);
-  }
-  std::memcpy(out.data(), region->bytes.data() + (addr - region->base),
-              out.size());
-  return xbase::Status::Ok();
+std::optional<MemFault> SimMemory::ReadChecked(Addr addr, std::span<u8> out,
+                                               u32 access_key) {
+  return AccessChecked(addr, out.size(), MemPerm::kRead, access_key,
+                       [&](const u8* bytes) {
+                         xbase::CopyRelaxed(out.data(), bytes, out.size());
+                       });
 }
 
-xbase::Status SimMemory::WriteChecked(Addr addr, std::span<const u8> data,
-                                      u32 access_key) {
-  const auto table_guard = ReadTable();
-  if (addr < kNullGuardSize) {
-    return Fault(FaultKind::kNullDeref, addr, true, "write through NULL");
-  }
-  const Region* region = Locate(addr, data.size());
-  if (region == nullptr) {
-    return Fault(FaultKind::kUnmapped, addr, true,
-                 "write of unmapped kernel address");
-  }
-  if (!PermAllowsWrite(region->perm)) {
-    return Fault(FaultKind::kPermission, addr, true,
-                 "write to read-only region " + region->name);
-  }
-  if (region->protection_key != 0 && access_key != 0 &&
-      region->protection_key != access_key) {
-    return Fault(FaultKind::kProtectionKey, addr, true,
-                 "pkey mismatch on region " + region->name);
-  }
-  Region* mut = const_cast<Region*>(region);
-  std::memcpy(mut->bytes.data() + (addr - region->base), data.data(),
-              data.size());
-  return xbase::Status::Ok();
+std::optional<MemFault> SimMemory::WriteChecked(Addr addr,
+                                                std::span<const u8> data,
+                                                u32 access_key) {
+  return AccessChecked(addr, data.size(), MemPerm::kWrite, access_key,
+                       [&](u8* bytes) {
+                         xbase::CopyRelaxed(bytes, data.data(), data.size());
+                       });
 }
 
 xbase::Result<u64> SimMemory::ReadU64(Addr addr) const {
@@ -237,18 +220,17 @@ const Region* SimMemory::FindRegionContaining(Addr addr) const {
 }
 
 SimMemory::DirectWindow SimMemory::TranslateForUnchecked(Addr addr) {
-  // Pure region lookup — no NULL-guard, permission, key, or fault
-  // bookkeeping (see header). Region byte storage is stable for the
-  // region's lifetime, so the returned window stays valid until Unmap.
+  // Bounds only — no NULL-guard, permission, key, or fault bookkeeping (see
+  // header). Region byte storage is stable for the region's lifetime, so
+  // the returned window stays valid until Unmap.
   const auto table_guard = ReadTable();
-  const Region* region = Locate(addr, 1);
-  if (region == nullptr) {
+  const Resolved resolved =
+      Resolve(addr, 1, MemPerm::kReadWrite, /*check=*/false, 0);
+  if (resolved.bytes == nullptr) {
     return {};
   }
-  // Locate is const-qualified over our own regions_; the unchecked path
-  // needs mutable bytes for stores.
-  Region& mut = const_cast<Region&>(*region);
-  return {mut.base, static_cast<xbase::u64>(mut.size), mut.bytes.data()};
+  Region& region = *resolved.region;
+  return {region.base, static_cast<u64>(region.size), region.bytes.data()};
 }
 
 void SimMemory::SetRegionKey(Addr base, u32 key) {
@@ -257,13 +239,6 @@ void SimMemory::SetRegionKey(Addr base, u32 key) {
   if (it != regions_.end()) {
     it->second.protection_key = key;
   }
-}
-
-std::optional<MemFault> SimMemory::TakeFault() {
-  std::lock_guard<std::mutex> guard(fault_mu_);
-  std::optional<MemFault> fault = std::move(fault_);
-  fault_.reset();
-  return fault;
 }
 
 }  // namespace simkern

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -88,6 +87,8 @@ struct MemFault {
   std::string detail;
 
   std::string ToString() const;
+  // The KERNEL_FAULT status that Kernel::Route turns into an oops.
+  xbase::Status ToStatus() const;
 };
 
 class SimMemory {
@@ -104,19 +105,35 @@ class SimMemory {
   xbase::Status Unmap(Addr base);
 
   // Raw accessors used by trusted kernel code (helpers, map internals):
-  // still bounds-checked, but exempt from protection keys.
+  // still bounds-checked, but exempt from permissions and protection keys.
   xbase::Status Read(Addr addr, std::span<xbase::u8> out) const;
   xbase::Status Write(Addr addr, std::span<const xbase::u8> data);
 
-  // Checked accessors used on behalf of an extension, carrying its
-  // protection key. Key 0 is the supervisor: kernel code (and eBPF
+  // The checked access every extension load, store and atomic goes
+  // through: resolves `size` bytes at `addr` for `need` (kRead, kWrite, or
+  // kReadWrite for a read-modify-write) and runs fn(host bytes) while the
+  // region table is held. Key 0 is the supervisor: kernel code (and eBPF
   // programs, which have no domain of their own) bypass protection keys;
-  // nonzero keys must match the region's key. A failure produces a
-  // MemFault (fetch with TakeFault).
-  xbase::Status ReadChecked(Addr addr, std::span<xbase::u8> out,
-                            xbase::u32 access_key);
-  xbase::Status WriteChecked(Addr addr, std::span<const xbase::u8> data,
-                             xbase::u32 access_key);
+  // nonzero keys must match the region's key. A disallowed access returns
+  // its fault to this caller and nowhere else.
+  template <typename Fn>
+  std::optional<MemFault> AccessChecked(Addr addr, xbase::usize size,
+                                        MemPerm need, xbase::u32 access_key,
+                                        Fn&& fn) {
+    const auto table_guard = ReadTable();
+    const Resolved resolved =
+        Resolve(addr, size, need, /*check=*/true, access_key);
+    if (resolved.bytes == nullptr) {
+      return Describe(resolved, addr, need);
+    }
+    fn(resolved.bytes);
+    return std::nullopt;
+  }
+  std::optional<MemFault> ReadChecked(Addr addr, std::span<xbase::u8> out,
+                                      xbase::u32 access_key);
+  std::optional<MemFault> WriteChecked(Addr addr,
+                                       std::span<const xbase::u8> data,
+                                       xbase::u32 access_key);
 
   // Typed convenience (little-endian, as BPF defines).
   xbase::Result<xbase::u64> ReadU64(Addr addr) const;
@@ -131,8 +148,8 @@ class SimMemory {
 
   // Region translation for the elided-check execution path. When the JIT
   // has a static proof that an access is in bounds, the engine skips
-  // ReadChecked/WriteChecked entirely and caches {base, len, bytes}
-  // windows from this call. Deliberately performs NO permission,
+  // AccessChecked entirely and caches {base, len, bytes} windows from this
+  // call. Deliberately performs NO permission,
   // protection-key, or NULL-guard enforcement and records no MemFault:
   // if the proof was wrong (a buggy verifier), the access must *succeed
   // silently* against whatever memory is there — the paper's
@@ -166,25 +183,57 @@ class SimMemory {
   // access; Kernel::StartCpus flips it before any worker thread runs.
   // Writers (Map, Unmap, SetRegionKey) always lock.
   // Note the lock protects the region *table* (Map/Unmap vs lookups), not
-  // region byte contents — concurrent byte ownership is a workload-level
-  // contract (per-CPU map slots, per-CPU stacks, per-map mutexes).
+  // region byte contents: every byte access made through this class is a
+  // relaxed atomic one (xbase::CopyRelaxed and friends), so concurrent
+  // accesses never race, but a read-modify-write other than BPF_ATOMIC add
+  // can still lose an update another CPU made in between.
   void EnableConcurrentAccess() {
     concurrent_.store(true, std::memory_order_release);
   }
 
   void SetRegionKey(Addr base, xbase::u32 key);
 
-  // Last fault, if any; cleared on read. The kernel turns pending faults
-  // into an oops.
-  std::optional<MemFault> TakeFault();
-
   xbase::usize region_count() const { return regions_.size(); }
   xbase::RwLockStats table_lock_stats() const { return table_lock_.stats(); }
 
  private:
+  // Where an access lands: the host bytes at `addr` inside `region`, or
+  // (bytes null) the check it failed. The region is null when none holds
+  // the access.
+  struct Resolved {
+    Region* region = nullptr;
+    xbase::u8* bytes = nullptr;
+    FaultKind fault = FaultKind::kUnmapped;
+  };
+  // The one path from an address to region bytes. `check` adds the NULL
+  // guard, permission and key checks of an access on an extension's
+  // behalf; without it only the bounds are checked. Caller holds the
+  // table guard.
+  Resolved Resolve(Addr addr, xbase::usize size, MemPerm need, bool check,
+                   xbase::u32 access_key) const {
+    if (check && addr < kNullGuardSize) {
+      return {nullptr, nullptr, FaultKind::kNullDeref};
+    }
+    // Locate returns const; regions_ is ours, so the const_cast is local.
+    Region* region = const_cast<Region*>(Locate(addr, size));
+    if (region == nullptr) {
+      return {nullptr, nullptr, FaultKind::kUnmapped};
+    }
+    if (check && ((PermAllowsRead(need) && !PermAllowsRead(region->perm)) ||
+                  (PermAllowsWrite(need) && !PermAllowsWrite(region->perm)))) {
+      return {region, nullptr, FaultKind::kPermission};
+    }
+    if (check && region->protection_key != 0 && access_key != 0 &&
+        region->protection_key != access_key) {
+      return {region, nullptr, FaultKind::kProtectionKey};
+    }
+    return {region, region->bytes.data() + (addr - region->base)};
+  }
+  // The MemFault a failed checked Resolve stands for. Its text is built
+  // here, off the path of accesses that succeed. Caller holds the table
+  // guard, which keeps the region's name alive.
+  static MemFault Describe(const Resolved& resolved, Addr addr, MemPerm need);
   const Region* Locate(Addr addr, xbase::usize size) const;
-  xbase::Status Fault(FaultKind kind, Addr addr, bool is_write,
-                      std::string detail);
 
   // The reader side of the region table; a no-op until
   // EnableConcurrentAccess.
@@ -201,8 +250,6 @@ class SimMemory {
   std::atomic<bool> concurrent_{false};
   // Guards regions_ and next_base_ (not region bytes).
   xbase::StripedRwLock table_lock_;
-  mutable std::mutex fault_mu_;
-  mutable std::optional<MemFault> fault_;
 };
 
 }  // namespace simkern

@@ -144,8 +144,8 @@ TEST_F(MapsTest, DeletedHashEntryAddressFaults) {
   const simkern::Addr stale = map->LookupAddr(kernel_, Key32(1)).value();
   ASSERT_TRUE(map->Delete(kernel_, Key32(1)).ok());
   u8 buf[8];
-  EXPECT_EQ(kernel_.mem().ReadChecked(stale, buf, 0).code(),
-            xbase::Code::kKernelFault);
+  EXPECT_EQ(kernel_.mem().ReadChecked(stale, buf, 0)->kind,
+            simkern::FaultKind::kUnmapped);
 }
 
 // ---- per-CPU array ------------------------------------------------------------------

@@ -33,19 +33,17 @@ TEST(SimMemoryTest, RegionsGetGuardGaps) {
   EXPECT_GE(b - a, 64u + 0x1000u);
   // The gap faults.
   u8 buf[1];
-  EXPECT_EQ(mem.ReadChecked(a + 64, buf, 0).code(),
-            xbase::Code::kKernelFault);
+  EXPECT_EQ(mem.ReadChecked(a + 64, buf, 0)->kind, FaultKind::kUnmapped);
 }
 
 TEST(SimMemoryTest, NullGuardPage) {
   SimMemory mem;
   u8 buf[4];
-  const xbase::Status status = mem.ReadChecked(0, buf, 0);
-  EXPECT_EQ(status.code(), xbase::Code::kKernelFault);
-  const auto fault = mem.TakeFault();
+  const auto fault = mem.ReadChecked(0, buf, 0);
   ASSERT_TRUE(fault.has_value());
   EXPECT_EQ(fault->kind, FaultKind::kNullDeref);
-  EXPECT_FALSE(mem.TakeFault().has_value()) << "fault is consumed";
+  EXPECT_EQ(fault->ToStatus().code(), xbase::Code::kKernelFault);
+  EXPECT_EQ(fault->ToStatus().message(), fault->ToString());
 }
 
 TEST(SimMemoryTest, ReadOnlyRegionRejectsWrites) {
@@ -53,9 +51,10 @@ TEST(SimMemoryTest, ReadOnlyRegionRejectsWrites) {
   const Addr base =
       mem.Map(32, MemPerm::kRead, RegionKind::kTaskStruct, "ro").value();
   const u8 data[] = {1};
-  EXPECT_EQ(mem.WriteChecked(base, data, 0).code(),
-            xbase::Code::kKernelFault);
-  EXPECT_EQ(mem.TakeFault()->kind, FaultKind::kPermission);
+  const auto fault = mem.WriteChecked(base, data, 0);
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->kind, FaultKind::kPermission);
+  EXPECT_TRUE(fault->is_write);
   // Trusted kernel writes bypass the permission model.
   EXPECT_TRUE(mem.Write(base, data).ok());
 }
@@ -66,8 +65,7 @@ TEST(SimMemoryTest, CrossRegionAccessFaults) {
       mem.Map(16, MemPerm::kReadWrite, RegionKind::kKernelData, "r").value();
   u8 buf[8];
   // 8-byte read starting at the 12th byte crosses the region end.
-  EXPECT_EQ(mem.ReadChecked(base + 12, buf, 0).code(),
-            xbase::Code::kKernelFault);
+  EXPECT_EQ(mem.ReadChecked(base + 12, buf, 0)->kind, FaultKind::kUnmapped);
 }
 
 TEST(SimMemoryTest, ProtectionKeys) {
@@ -77,11 +75,11 @@ TEST(SimMemoryTest, ProtectionKeys) {
           .value();
   mem.SetRegionKey(base, 7);
   u8 buf[4];
-  EXPECT_TRUE(mem.ReadChecked(base, buf, 7).ok());   // matching key
-  EXPECT_TRUE(mem.ReadChecked(base, buf, 0).ok());   // supervisor
-  EXPECT_EQ(mem.ReadChecked(base, buf, 3).code(),    // foreign domain
-            xbase::Code::kKernelFault);
-  EXPECT_EQ(mem.TakeFault()->kind, FaultKind::kProtectionKey);
+  EXPECT_FALSE(mem.ReadChecked(base, buf, 7).has_value());  // matching key
+  EXPECT_FALSE(mem.ReadChecked(base, buf, 0).has_value());  // supervisor
+  const auto fault = mem.ReadChecked(base, buf, 3);         // foreign domain
+  ASSERT_TRUE(fault.has_value());
+  EXPECT_EQ(fault->kind, FaultKind::kProtectionKey);
 }
 
 TEST(SimMemoryTest, UnmapInvalidatesAddresses) {
@@ -90,8 +88,7 @@ TEST(SimMemoryTest, UnmapInvalidatesAddresses) {
       mem.Map(16, MemPerm::kReadWrite, RegionKind::kMapData, "m").value();
   ASSERT_TRUE(mem.Unmap(base).ok());
   u8 buf[4];
-  EXPECT_EQ(mem.ReadChecked(base, buf, 0).code(),
-            xbase::Code::kKernelFault);
+  EXPECT_EQ(mem.ReadChecked(base, buf, 0)->kind, FaultKind::kUnmapped);
   EXPECT_EQ(mem.Unmap(base).code(), xbase::Code::kNotFound);
 }
 
@@ -142,10 +139,10 @@ TEST(SimMemoryTest, OverlapWithEitherNeighbourRejectedTouchingAccepted) {
   ASSERT_TRUE(gap.ok()) << gap.status().ToString();
   EXPECT_EQ(mem.region_count(), 5u);
   u8 buf[1];
-  EXPECT_TRUE(mem.ReadChecked(0x100ff, buf, 0).ok());
-  EXPECT_TRUE(mem.ReadChecked(0x10100, buf, 0).ok());
-  EXPECT_TRUE(mem.ReadChecked(0x101ff, buf, 0).ok());
-  EXPECT_TRUE(mem.ReadChecked(0x10200, buf, 0).ok());
+  EXPECT_FALSE(mem.ReadChecked(0x100ff, buf, 0).has_value());
+  EXPECT_FALSE(mem.ReadChecked(0x10100, buf, 0).has_value());
+  EXPECT_FALSE(mem.ReadChecked(0x101ff, buf, 0).has_value());
+  EXPECT_FALSE(mem.ReadChecked(0x10200, buf, 0).has_value());
 }
 
 // ---- objects -------------------------------------------------------------------

@@ -11,7 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/ebpf/asm.h"
 #include "src/ebpf/bpf.h"
+#include "src/ebpf/interp.h"
+#include "src/ebpf/loader.h"
 #include "src/simkern/kernel.h"
 #include "src/xbase/bytes.h"
 
@@ -332,6 +335,79 @@ TEST(SmpMapTest, PercpuArraySlotsAccumulateIndependentlyAcrossCpus) {
         kernel.mem().ReadU64(map->LookupAddrForCpu(key, cpu).value()).value(),
         static_cast<u64>(kTasksPerCpu) * kIncrementsPerTask)
         << "cpu " << cpu;
+  }
+}
+
+// BPF_ATOMIC add is the kernel's documented way to count in a shared map:
+// a locked read-modify-write. Four CPUs fire one counting program at the
+// same one-slot array; an add made as a separate read and write loses the
+// updates another CPU makes in between, so only an exact sum passes.
+TEST(SmpMapTest, AtomicAddFromFourCpusIsExactOnBothEngines) {
+  using namespace ebpf;
+  constexpr int kAddsPerFire = 16;
+  for (const ExecEngine engine : {ExecEngine::kThreaded, ExecEngine::kLegacy}) {
+    Kernel kernel(SmpConfig(4));
+    Bpf bpf(kernel);
+    Loader loader(bpf);
+    MapSpec spec;
+    spec.type = MapType::kArray;
+    spec.key_size = 4;
+    spec.value_size = 8;
+    spec.max_entries = 1;
+    spec.name = "shared_counter";
+    const int fd = bpf.maps().Create(spec).value();
+    ProgramBuilder b("atomic_counter", ProgType::kSocketFilter);
+    b.Ins(StMemImm(BPF_W, R10, -4, 0))
+        .Ins(Mov64Reg(R2, R10))
+        .Ins(Alu64Imm(BPF_ADD, R2, -4))
+        .Ins(LdMapFd(R1, fd))
+        .Ins(CallHelper(kHelperMapLookupElem))
+        .JmpTo(BPF_JEQ, R0, 0, "out")
+        .Ins(Mov64Imm(R1, 1));
+    for (int i = 0; i < kAddsPerFire; ++i) {
+      b.Ins(AtomicAdd(BPF_DW, R0, R1, 0));
+    }
+    b.Bind("out")
+        .Ins(Mov64Imm(R0, 0))
+        .Ins(Exit());
+    const u32 id = loader.Load(b.Build().value()).value();
+    const LoadedProgram& prog = *loader.Find(id).value();
+    const simkern::Addr ctx =
+        kernel.mem()
+            .Map(64, MemPerm::kReadWrite, RegionKind::kKernelData, "ctx")
+            .value();
+
+    ExecOptions opts;
+    opts.engine = engine;
+    constexpr int kFiresPerCpu = 5000;
+    std::atomic<u32> started{0};
+    std::atomic<int> failed{0};
+    kernel.StartCpus();
+    CpuPool& pool = *kernel.cpus();
+    for (u32 cpu = 0; cpu < kernel.num_cpus(); ++cpu) {
+      pool.Submit(cpu, [&] {
+        // Start together, so the CPUs' fires overlap.
+        started.fetch_add(1);
+        while (started.load() < kernel.num_cpus()) {
+          std::this_thread::yield();
+        }
+        for (int i = 0; i < kFiresPerCpu; ++i) {
+          if (!Execute(bpf, prog, ctx, opts, &loader).ok()) {
+            failed.fetch_add(1);
+          }
+        }
+      });
+    }
+    pool.Drain();
+    kernel.StopCpus();
+
+    const std::vector<xbase::u8> key(4, 0);
+    const simkern::Addr slot =
+        bpf.maps().Find(fd).value()->LookupAddr(kernel, key).value();
+    EXPECT_EQ(failed.load(), 0);
+    EXPECT_EQ(kernel.mem().ReadU64(slot).value(),
+              u64{kernel.num_cpus()} * kFiresPerCpu * kAddsPerFire)
+        << (engine == ExecEngine::kLegacy ? "legacy" : "threaded");
   }
 }
 

@@ -135,6 +135,29 @@ TEST(BytesTest, LittleEndianRoundTrip) {
   EXPECT_EQ(LoadLe16(buf), 0xcafe);
 }
 
+// The relaxed accesses take the word path when aligned and the byte path
+// otherwise; both must read and write the same little-endian bytes.
+TEST(BytesTest, RelaxedAccessesAgreeWithLittleEndianAtEveryAlignment) {
+  for (u32 bytes : {1u, 2u, 4u, 8u}) {
+    for (usize off = 0; off < 8; ++off) {
+      alignas(8) u8 buf[16] = {};
+      const u64 mask = bytes == 8 ? ~u64{0} : (u64{1} << (8 * bytes)) - 1;
+      StoreRelaxed(buf + off, bytes, 0x1122334455667788ULL);
+      u8 expect[8] = {};
+      StoreLe64(expect, 0x1122334455667788ULL);
+      EXPECT_EQ(std::memcmp(buf + off, expect, bytes), 0) << bytes << off;
+      EXPECT_EQ(buf[off + bytes], 0) << "no byte past the access";
+      EXPECT_EQ(LoadRelaxed(buf + off, bytes), 0x1122334455667788ULL & mask);
+      AddRelaxed(buf + off, bytes, 0x0101010101010101ULL);
+      EXPECT_EQ(LoadRelaxed(buf + off, bytes), 0x1223344556677889ULL & mask);
+
+      alignas(8) u8 copy[16] = {};
+      CopyRelaxed(copy + off, buf + off, bytes);
+      EXPECT_EQ(std::memcmp(copy, buf, sizeof(buf)), 0) << bytes << off;
+    }
+  }
+}
+
 TEST(BytesTest, BigEndianRoundTrip) {
   u8 buf[8];
   StoreBe32(buf, 0x01020304);
