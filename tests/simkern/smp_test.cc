@@ -123,10 +123,12 @@ TEST(SmpRcuTest, RemoteReaderBlocksSynchronize) {
   Kernel kernel(SmpConfig(4));
   std::atomic<bool> reader_in{false};
   std::atomic<bool> release{false};
-  std::atomic<bool> reader_done{false};
+  std::atomic<bool> reader_leaving{false};
 
   // A genuine remote reader: a thread bound to cpu1 parks inside its
-  // read-side critical section until told to leave.
+  // read-side critical section until told to leave. It says it is leaving
+  // before it unlocks: once the unlock lets SynchronizeRcu return, the
+  // reader thread may not have run another instruction yet.
   std::thread reader([&] {
     ThisThreadCpuBinding() = CpuBinding{&kernel, 1};
     kernel.rcu().ReadLock(kernel.clock(), "cpu1-reader");
@@ -134,8 +136,8 @@ TEST(SmpRcuTest, RemoteReaderBlocksSynchronize) {
     while (!release.load(std::memory_order_acquire)) {
       SleepMs(1);
     }
+    reader_leaving.store(true, std::memory_order_release);
     ASSERT_TRUE(kernel.rcu().ReadUnlock().ok());
-    reader_done.store(true, std::memory_order_release);
   });
 
   while (!reader_in.load(std::memory_order_acquire)) {
@@ -146,13 +148,13 @@ TEST(SmpRcuTest, RemoteReaderBlocksSynchronize) {
 
   // Schedule the release strictly later, then block in the grace period.
   // If SynchronizeRcu failed to wait for the remote CPU it would return
-  // while reader_done is still false.
+  // while reader_leaving is still false.
   std::thread releaser([&] {
     SleepMs(50);
     release.store(true, std::memory_order_release);
   });
   ASSERT_TRUE(kernel.rcu().SynchronizeRcu().ok());
-  EXPECT_TRUE(reader_done.load(std::memory_order_acquire));
+  EXPECT_TRUE(reader_leaving.load(std::memory_order_acquire));
   EXPECT_EQ(kernel.rcu().grace_periods(), gp_before + 1);
   EXPECT_FALSE(kernel.rcu().AnyReader());
   reader.join();
