@@ -5,9 +5,9 @@
 #include <set>
 #include <vector>
 
+#include "src/analysis/storm.h"
 #include "src/analysis/workloads.h"
 #include "src/core/system.h"
-#include "src/core/toolchain.h"
 #include "src/service/admission.h"
 #include "src/xbase/rand.h"
 #include "src/xbase/strfmt.h"
@@ -32,23 +32,10 @@ struct CorpusEntry {
   ebpf::Program prog;
 };
 
-int MustArrayMap(safex::System& rig, const char* name, u32 value_size,
-                 u32 entries) {
-  ebpf::MapSpec spec;
-  spec.type = ebpf::MapType::kArray;
-  spec.key_size = 4;
-  spec.value_size = value_size;
-  spec.max_entries = entries;
-  spec.name = name;
-  auto fd = rig.bpf.maps().Create(spec);
-  return fd.ok() ? fd.value() : -1;
-}
-
 }  // namespace
 
 AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
   AdmitStormReport report;
-  report.seed = config.seed;
 
   // `rng` draws the submission schedule and nothing else, so the schedule
   // is a pure function of the config. The unload and probe choices depend
@@ -64,8 +51,10 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
     return report;
   }
 
-  const int arr_fd = MustArrayMap(rig, "storm-arr", 8, 4);
-  const int wide_fd = MustArrayMap(rig, "storm-wide", 64, 4);
+  const int arr_fd =
+      storm::MustMap(rig, ebpf::MapType::kArray, "storm-arr", 8, 4);
+  const int wide_fd =
+      storm::MustMap(rig, ebpf::MapType::kArray, "storm-wide", 64, 4);
   if (arr_fd < 0 || wide_fd < 0) {
     report.failure = "map setup failed";
     return report;
@@ -111,20 +100,12 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
     return report;
   }
 
-  safex::Toolchain toolchain(safex::System::VendorKey());
-  // Never enrolled: its artifacts must be turned away.
-  safex::Toolchain rogue_toolchain(
+  const auto nop = []() { return std::make_unique<NopExt>(); };
+  auto good_artifact = storm::SignArtifact("storm-nop", nop);
+  // Signed with a key no System enrolls: it must be turned away.
+  auto rogue_artifact = storm::SignArtifact(
+      "storm-rogue", nop,
       crypto::SigningKey::FromPassphrase("storm-rogue", "rogue"));
-  safex::ExtensionManifest manifest;
-  manifest.name = "storm-nop";
-  manifest.version = "1";
-  auto good_artifact = toolchain.Build(
-      manifest, []() { return std::make_unique<NopExt>(); },
-      std::span<const xbase::u8>());
-  manifest.name = "storm-rogue";
-  auto rogue_artifact = rogue_toolchain.Build(
-      manifest, []() { return std::make_unique<NopExt>(); },
-      std::span<const xbase::u8>());
   if (!good_artifact.ok() || !rogue_artifact.ok()) {
     report.failure = "artifact setup failed";
     return report;

@@ -65,7 +65,6 @@ struct AdmitStormStats {
 
 struct AdmitStormReport {
   bool ok = false;
-  xbase::u64 seed = 0;
   // On failure: which invariant broke, after which round's drain.
   std::string failure;
   xbase::u64 failed_at_round = 0;

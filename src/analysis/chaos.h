@@ -16,8 +16,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
+#include "src/analysis/storm.h"
 #include "src/ebpf/interp.h"
 #include "src/xbase/types.h"
 
@@ -41,8 +41,7 @@ struct ChaosConfig {
   ebpf::ExecEngine engine = ebpf::ExecEngine::kThreaded;
 };
 
-struct ChaosStats {
-  xbase::u64 ops_executed = 0;
+struct ChaosStats : storm::Stats {
   xbase::u64 fires = 0;
   xbase::u64 attachments_served = 0;
   xbase::u64 attachments_failed = 0;
@@ -50,26 +49,13 @@ struct ChaosStats {
   xbase::u64 loads_ok = 0;
   xbase::u64 loads_rejected = 0;
   xbase::u64 unloads = 0;
-  xbase::u64 attaches = 0;
-  xbase::u64 detaches = 0;
-  xbase::u64 fault_toggles = 0;
-  xbase::u64 clock_advances = 0;
-  xbase::u64 oopses_contained = 0;
-  xbase::u64 supervisor_failures = 0;
-  xbase::u64 supervisor_trips = 0;
-  xbase::u64 supervisor_evictions = 0;
-  xbase::u64 supervisor_readmissions = 0;
-  xbase::usize faults_ever_injected = 0;  // distinct defects enabled
   xbase::usize fault_catalog_size = 0;
-  xbase::u64 final_sim_time_ns = 0;
 };
 
 struct ChaosReport {
   bool ok = false;
-  xbase::u64 seed = 0;
   // On failure: which invariant broke, at which op, doing what.
   std::string failure;
-  xbase::u64 failed_at_op = 0;
   ChaosStats stats;
 
   bool all_faults_covered() const {

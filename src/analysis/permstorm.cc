@@ -72,7 +72,6 @@ FaultAdjustedModel ModelFor(const ebpf::HelperSpec& spec, ProgType type,
 
 PermStormReport RunPermStorm(const PermStormConfig& config) {
   PermStormReport report;
-  report.seed = config.seed;
 
   simkern::KernelConfig kconfig;
   kconfig.version = simkern::kV6_12;
@@ -107,9 +106,10 @@ PermStormReport RunPermStorm(const PermStormConfig& config) {
   std::set<std::string_view> ever_injected;
   xbase::usize next_fault = 0;
 
-  auto fail = [&](xbase::u64 op, std::string why) {
-    report.failure = std::move(why);
-    report.failed_at_op = op;
+  auto fail = [&](xbase::u64 op, const std::string& why) {
+    report.failure = StrFormat("op %llu: %s",
+                               static_cast<unsigned long long>(op),
+                               why.c_str());
   };
 
   for (xbase::u64 op = 0; op < config.ops; ++op) {

@@ -46,10 +46,8 @@ struct PermStormStats {
 
 struct PermStormReport {
   bool ok = false;
-  xbase::u64 seed = 0;
   // On failure: which cell diverged, at which op, what was expected.
   std::string failure;
-  xbase::u64 failed_at_op = 0;
   PermStormStats stats;
 };
 

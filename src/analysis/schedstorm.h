@@ -1,9 +1,10 @@
 // Deterministic scheduler chaos harness: drives randomized tick / attach /
 // detach / sched-fault-toggle / task-create / task-exit / clock-advance
-// sequences against a supervised SchedCore and asserts the scheduling
-// invariants after every single step — kernel alive, supervisor consistent,
-// runqueue entries live and duplicate-free, every supervised tick with
-// runnable tasks dispatching one, and no runnable task waiting unboundedly.
+// sequences against a supervised SchedCore and asserts after every single
+// step the storm kit's survival check (storm.h) plus the scheduling
+// invariants — runqueue entries live and duplicate-free, every supervised
+// tick with runnable tasks dispatching one, and no runnable task waiting
+// unboundedly.
 // Everything derives from one xbase::Rng seed, so any failure replays
 // bit-identically from the seed printed in the failure message
 // (`tools/schedstorm --seed N --ops M`).
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/storm.h"
 #include "src/xbase/types.h"
 
 namespace analysis {
@@ -39,8 +41,7 @@ struct SchedStormConfig {
   bool toggle_faults = true;
 };
 
-struct SchedStormStats {
-  xbase::u64 ops_executed = 0;
+struct SchedStormStats : storm::Stats {
   xbase::u64 ticks = 0;
   xbase::u64 dispatches = 0;
   xbase::u64 ext_picks = 0;
@@ -50,29 +51,15 @@ struct SchedStormStats {
   xbase::u64 deadline_misses = 0;
   xbase::u64 invalid_picks = 0;
   xbase::u64 starvation_events = 0;
-  xbase::u64 stalls = 0;
-  xbase::u64 attaches = 0;
-  xbase::u64 detaches = 0;
-  xbase::u64 fault_toggles = 0;
   xbase::u64 task_creates = 0;
   xbase::u64 task_exits = 0;
-  xbase::u64 clock_advances = 0;
-  xbase::u64 oopses_contained = 0;
-  xbase::u64 supervisor_failures = 0;
-  xbase::u64 supervisor_trips = 0;
-  xbase::u64 supervisor_evictions = 0;
-  xbase::u64 supervisor_readmissions = 0;
   xbase::u64 max_wait_seen_ns = 0;
-  xbase::usize faults_ever_injected = 0;  // distinct sched defects enabled
-  xbase::u64 final_sim_time_ns = 0;
 };
 
 struct SchedStormReport {
   bool ok = false;
-  xbase::u64 seed = 0;
   // On failure: which invariant broke, at which op, doing what.
   std::string failure;
-  xbase::u64 failed_at_op = 0;
   SchedStormStats stats;
 };
 

@@ -5,9 +5,9 @@
 #include <functional>
 #include <memory>
 
+#include "src/analysis/storm.h"
 #include "src/analysis/workloads.h"
 #include "src/core/sched.h"
-#include "src/core/system.h"
 #include "src/ebpf/asm.h"
 #include "src/simkern/lsm.h"
 #include "src/xbase/bytes.h"
@@ -36,14 +36,6 @@ constexpr u64 kBatchSize = 128;
 // Tasks available to the scheduler tenant (spread across the CPUs'
 // runqueues at setup).
 constexpr u32 kSchedTasks = 8;
-
-simkern::KernelConfig TrafficKernelConfig(u32 cpus) {
-  simkern::KernelConfig config;
-  config.version = simkern::kV6_12;  // LSM hook family needs >= 6.12
-  config.unprivileged_bpf_disabled = false;
-  config.num_cpus = cpus;
-  return config;
-}
 
 // Single-writer per-CPU aggregation: only the thread bound to `cpu`
 // touches slot `cpu` during the run; the main thread reads everything at
@@ -83,8 +75,7 @@ LatencyTailsNs MergeLatencies(const std::vector<CpuAgg>& aggs) {
 
 TrafficReport RunTraffic(const TrafficConfig& config) {
   TrafficReport report;
-  safex::System rig(TrafficKernelConfig(config.cpus),
-                    safex::SupervisorConfig{});
+  storm::Rig rig(simkern::kV6_12, config.cpus);  // LSM hooks need >= 6.12
   if (!rig.ok()) {
     report.failure = "rig construction failed";
     return report;
@@ -95,18 +86,14 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   // Packet tenant: an XDP counter over a *per-CPU* array map. Every fire
   // increments exactly one slot of key (protocol & 3) on the executing CPU,
   // so the cross-CPU sum at the end must equal the number of fires.
-  ebpf::MapSpec pkt_spec;
-  pkt_spec.type = ebpf::MapType::kPercpuArray;
-  pkt_spec.key_size = 4;
-  pkt_spec.value_size = 8;
-  pkt_spec.max_entries = 4;
-  pkt_spec.name = "tg_pkt";
-  auto pkt_fd = rig.bpf.maps().Create(pkt_spec);
-  if (!pkt_fd.ok()) {
+  constexpr u32 kPktKeys = 4;
+  const int pkt_fd = storm::MustMap(rig, ebpf::MapType::kPercpuArray,
+                                    "tg_pkt", 8, kPktKeys);
+  if (pkt_fd < 0) {
     report.failure = "percpu map create failed";
     return report;
   }
-  auto pkt_prog = BuildPacketCounter(pkt_fd.value());
+  auto pkt_prog = BuildPacketCounter(pkt_fd);
   if (!pkt_prog.ok()) {
     report.failure = "packet tenant setup failed";
     return report;
@@ -206,25 +193,18 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
   }
 
   // Churn tenant: control-plane update/delete traffic against a hash map.
-  ebpf::MapSpec churn_spec;
-  churn_spec.type = ebpf::MapType::kHash;
-  churn_spec.key_size = 4;
-  churn_spec.value_size = 8;
-  churn_spec.max_entries = 64;
-  churn_spec.name = "tg_churn";
-  auto churn_fd = rig.bpf.maps().Create(churn_spec);
-  if (!churn_fd.ok()) {
+  const int churn_fd =
+      storm::MustMap(rig, ebpf::MapType::kHash, "tg_churn", 8, 64);
+  if (churn_fd < 0) {
     report.failure = "churn map create failed";
     return report;
   }
-  ebpf::Map* churn_map = rig.bpf.maps().Find(churn_fd.value()).value();
+  ebpf::Map* churn_map = rig.bpf.maps().Find(churn_fd).value();
 
   // --- the stream -----------------------------------------------------------
-  const bool smp = num_cpus > 1;
-  if (smp) {
-    rig.kernel.StartCpus();
-  }
-  simkern::CpuPool* pool = smp ? rig.kernel.cpus() : nullptr;
+  // What the tenants hold from here on is theirs, not a leak.
+  rig.Rebaseline();
+  simkern::CpuPool* pool = rig.kernel.cpus();  // null on one CPU
   std::vector<CpuAgg> aggs(num_cpus);
   std::vector<u64> sim_start(num_cpus);
   for (u32 cpu = 0; cpu < num_cpus; ++cpu) {
@@ -333,8 +313,8 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
 
   // The per-CPU counter sum: read every CPU's slot of every key.
   auto* pkt_map = dynamic_cast<ebpf::PercpuArrayMap*>(
-      rig.bpf.maps().Find(pkt_fd.value()).value());
-  for (u32 key = 0; key < pkt_spec.max_entries; ++key) {
+      rig.bpf.maps().Find(pkt_fd).value());
+  for (u32 key = 0; key < kPktKeys; ++key) {
     std::vector<u8> key_bytes(4);
     xbase::StoreLe32(key_bytes.data(), key);
     for (u32 cpu = 0; cpu < num_cpus; ++cpu) {
@@ -349,21 +329,8 @@ TrafficReport RunTraffic(const TrafficConfig& config) {
     }
   }
 
-  if (smp) {
-    rig.kernel.StopCpus();
-  }
-
-  if (rig.kernel.state() != simkern::KernelState::kRunning) {
-    report.failure = "kernel not running after the stream";
-  } else if (rig.kernel.rcu().AnyReader()) {
-    report.failure = "RCU read-side critical section leaked";
-  } else if (rig.kernel.locks().held_count_total() != 0) {
-    report.failure = xbase::StrFormat(
-        "%d lock(s) still held", rig.kernel.locks().held_count_total());
-  } else if (!rig.supervisor
-                  ->CheckConsistent(rig.kernel.clock().max_now_ns())
-                  .ok()) {
-    report.failure = "supervisor state inconsistent";
+  if (std::string why = rig.Check(); !why.empty()) {
+    report.failure = std::move(why);
   } else if (rig.supervisor->failures() != 0) {
     report.failure = xbase::StrFormat(
         "honest tenants were charged %llu failure(s)",

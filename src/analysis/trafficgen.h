@@ -15,7 +15,8 @@
 // Correctness is asserted, not assumed: the packet program counts into a
 // per-CPU array map, so after the final Drain the cross-CPU sum must equal
 // the number of packet fires exactly — a lost update anywhere in the
-// per-CPU storage, dispatch path or CPU pool breaks the run. Every
+// per-CPU storage, dispatch path or CPU pool breaks the run, as does
+// anything the storm kit's survival check (storm.h) finds left behind. Every
 // simulated figure (clocks, per-CPU tasks, fires, counter slots) depends
 // only on the seed, the event count and the CPU count.
 #pragma once

@@ -22,8 +22,6 @@ std::string_view FaultKindName(FaultKind kind) {
       return "permission";
     case FaultKind::kProtectionKey:
       return "pkey";
-    case FaultKind::kOutOfBounds:
-      return "out-of-bounds";
   }
   return "unknown";
 }

@@ -75,7 +75,6 @@ enum class FaultKind : xbase::u8 {
   kUnmapped,
   kPermission,
   kProtectionKey,
-  kOutOfBounds,
 };
 
 std::string_view FaultKindName(FaultKind kind);
