@@ -12,6 +12,7 @@
 #include "src/analysis/callgraph.h"
 #include "src/analysis/growth.h"
 #include "src/analysis/matrix.h"
+#include "src/analysis/storm.h"
 #include "src/analysis/stormmain.h"
 #include "src/analysis/trafficgen.h"
 #include "src/analysis/workloads.h"
@@ -299,6 +300,63 @@ TEST(StormDriverTest, ParseRejectsWhatNoTableEntryAccepts) {
   AdmitStormConfig admit;
   std::vector<std::string_view> words = {"--cache"};
   EXPECT_FALSE(storm::Parse(storm::AdmitStormFlags(), std::span(words), admit));
+}
+
+// ---- storm kit: the rig and its survival check --------------------------
+
+TEST(StormRigTest, SurvivalCheckNamesWhatIsLeftBehind) {
+  storm::Rig rig(simkern::kV6_12, 1);
+  ASSERT_TRUE(rig.ok()) << rig.status.ToString();
+  EXPECT_EQ(rig.Check(), "");
+
+  const simkern::LockId lock = rig.kernel.locks().Create("planted");
+  ASSERT_TRUE(rig.kernel.locks().Acquire(lock, "test").ok());
+  EXPECT_EQ(rig.Check(), "1 lock(s) still held");
+  ASSERT_TRUE(rig.kernel.locks().Release(lock).ok());
+  EXPECT_EQ(rig.Check(), "");
+
+  rig.kernel.rcu().ReadLock(rig.kernel.clock(), "test");
+  EXPECT_EQ(rig.Check(), "RCU read-side critical section leaked");
+  ASSERT_TRUE(rig.kernel.rcu().ReadUnlock().ok());
+  EXPECT_EQ(rig.Check(), "");
+
+  const simkern::ObjectId object = rig.kernel.objects().Create(
+      simkern::ObjectType::kOther, "planted-object");
+  rig.Rebaseline();
+  EXPECT_EQ(rig.Check(), "");
+  ASSERT_TRUE(rig.kernel.objects().Acquire(object).ok());
+  EXPECT_EQ(rig.Check(), "1 refcount leak(s), first: planted-object");
+  ASSERT_TRUE(rig.kernel.objects().Release(object).ok());
+  EXPECT_EQ(rig.Check(), "");
+}
+
+TEST(StormRigTest, KernelHasExactlyTheCpusAsked) {
+  for (const xbase::u32 cpus : {1u, 4u}) {
+    storm::Rig rig(simkern::kV5_18, cpus);
+    ASSERT_TRUE(rig.ok()) << rig.status.ToString();
+    EXPECT_EQ(rig.kernel.num_cpus(), cpus);
+    // The pool runs exactly when there is more than one CPU.
+    EXPECT_EQ(rig.kernel.cpus() != nullptr, cpus > 1);
+  }
+}
+
+TEST(SchedStormDeterminism, SameSeedSameRun) {
+  SchedStormConfig config;
+  config.seed = 42;
+  config.ops = 1500;
+  const SchedStormReport a = RunSchedStorm(config);
+  const SchedStormReport b = RunSchedStorm(config);
+  ASSERT_TRUE(a.ok) << a.failure;
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.stats.ticks, b.stats.ticks);
+  EXPECT_EQ(a.stats.dispatches, b.stats.dispatches);
+  EXPECT_EQ(a.stats.fallback_picks, b.stats.fallback_picks);
+  EXPECT_EQ(a.stats.invalid_picks, b.stats.invalid_picks);
+  EXPECT_EQ(a.stats.starvation_events, b.stats.starvation_events);
+  EXPECT_EQ(a.stats.supervisor_trips, b.stats.supervisor_trips);
+  EXPECT_EQ(a.stats.supervisor_evictions, b.stats.supervisor_evictions);
+  EXPECT_EQ(a.stats.max_wait_seen_ns, b.stats.max_wait_seen_ns);
+  EXPECT_EQ(a.stats.final_sim_time_ns, b.stats.final_sim_time_ns);
 }
 
 TEST(AdmitStormTest, ScheduleIsAPureFunctionOfTheConfig) {
