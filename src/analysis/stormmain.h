@@ -26,6 +26,7 @@
 #include "src/analysis/permstorm.h"
 #include "src/analysis/rangefuzz.h"
 #include "src/analysis/schedstorm.h"
+#include "src/analysis/storm.h"
 #include "src/analysis/trafficgen.h"
 
 namespace analysis::storm {
@@ -263,6 +264,16 @@ int Main(const Tool<Config>& tool, int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), outcome.message.c_str());
   }
   return outcome.exit;
+}
+
+// The supervisor's closing tallies, as every storm prints them.
+inline void PrintSupervisor(const Stats& stats) {
+  std::printf("  supervisor            %llu failures, %llu trips, "
+              "%llu evictions, %llu readmissions\n",
+              static_cast<unsigned long long>(stats.supervisor_failures),
+              static_cast<unsigned long long>(stats.supervisor_trips),
+              static_cast<unsigned long long>(stats.supervisor_evictions),
+              static_cast<unsigned long long>(stats.supervisor_readmissions));
 }
 
 // ---- the six tools' flag tables -------------------------------------------

@@ -49,12 +49,7 @@ void PrintStats(const analysis::ChaosStats& stats) {
               stats.faults_ever_injected, stats.fault_catalog_size);
   std::printf("  oopses contained      %llu\n",
               static_cast<unsigned long long>(stats.oopses_contained));
-  std::printf("  supervisor            %llu failures, %llu trips, "
-              "%llu evictions, %llu readmissions\n",
-              static_cast<unsigned long long>(stats.supervisor_failures),
-              static_cast<unsigned long long>(stats.supervisor_trips),
-              static_cast<unsigned long long>(stats.supervisor_evictions),
-              static_cast<unsigned long long>(stats.supervisor_readmissions));
+  analysis::storm::PrintSupervisor(stats);
   std::printf("  simulated time        %.3f ms\n",
               static_cast<double>(stats.final_sim_time_ns) / 1e6);
 }

@@ -49,13 +49,7 @@ void PrintStats(const analysis::SchedStormStats& stats) {
   std::printf("  tasks                 %llu created, %llu exited\n",
               static_cast<unsigned long long>(stats.task_creates),
               static_cast<unsigned long long>(stats.task_exits));
-  std::printf("  supervisor            %llu failures, %llu trips, "
-              "%llu evictions, %llu readmissions\n",
-              static_cast<unsigned long long>(stats.supervisor_failures),
-              static_cast<unsigned long long>(stats.supervisor_trips),
-              static_cast<unsigned long long>(stats.supervisor_evictions),
-              static_cast<unsigned long long>(
-                  stats.supervisor_readmissions));
+  analysis::storm::PrintSupervisor(stats);
   std::printf("  max runnable wait     %.3f ms\n",
               static_cast<double>(stats.max_wait_seen_ns) / 1e6);
   std::printf("  simulated time        %.3f ms\n",
