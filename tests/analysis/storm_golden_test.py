@@ -4,8 +4,9 @@
 A 1-CPU storm is a pure function of its flags, so its printed stats pin
 the behaviour of everything under it: a change that moves one fire, pick
 or oops shows up here as a diff. Runs chaos, schedstorm and permstorm at
---seed 1 --ops 10000 and trafficgen at --seed 1 --events 20000 --cpus 1,
-drops trafficgen's wall-clock lines, and compares each output with
+--seed 1 --ops 10000, trafficgen at --seed 1 --events 20000 --cpus 1 and
+rangefuzz at --seed 1 --progs 100 --execs 16, drops trafficgen's
+wall-clock lines, and compares each output with
 tests/analysis/golden/TOOL.txt. On a mismatch it prints the diff and the
 command that regenerates the file; regenerate only when the change in
 the numbers is the point of the change.
@@ -28,6 +29,7 @@ RUNS = {
     "schedstorm": ["--seed", "1", "--ops", "10000"],
     "permstorm": ["--seed", "1", "--ops", "10000"],
     "trafficgen": ["--seed", "1", "--events", "20000", "--cpus", "1"],
+    "rangefuzz": ["--seed", "1", "--progs", "100", "--execs", "16"],
 }
 WALL_CLOCK_WORD = "wall"
 
