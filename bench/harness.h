@@ -4,7 +4,7 @@
 // means — checks the case's result once, and with `--json PATH` writes one
 // schema shared by every bench:
 //
-//   {"bench", "host": {nproc, compiler, build_type, dispatch},
+//   {"bench", "host": {nproc, compiler, build_type},
 //    "cases": [{name, iters, trials, min_ns, median_ns, p90_ns, counters}],
 //    "rows": [untimed count tables], "gates": [{name, stat, value, bound,
 //    pass}], "gate_passed"}
@@ -274,11 +274,6 @@ class Bench {
 
  private:
   static Fields Host() {
-#ifdef UNTENABLE_SWITCH_DISPATCH
-    const char* dispatch = "switch";
-#else
-    const char* dispatch = "computed-goto";
-#endif
 #ifdef __clang__
     const char* compiler = "clang " __clang_version__;
 #else
@@ -286,8 +281,7 @@ class Bench {
 #endif
     return {{"nproc", std::thread::hardware_concurrency()},
             {"compiler", compiler},
-            {"build_type", UNTENABLE_BUILD_TYPE},
-            {"dispatch", dispatch}};
+            {"build_type", UNTENABLE_BUILD_TYPE}};
   }
 
   static std::string List(const std::vector<Fields>& items) {

@@ -14,9 +14,11 @@
 #include "src/ebpf/bpf.h"
 #include "src/ebpf/disasm.h"
 #include "src/ebpf/interp.h"
+#include "src/ebpf/jit.h"
 #include "src/ebpf/loader.h"
 #include "src/ebpf/verifier.h"
 #include "src/staticcheck/check.h"
+#include "src/xbase/rand.h"
 #include "src/xbase/strfmt.h"
 
 namespace analysis {
@@ -36,12 +38,7 @@ using xbase::usize;
 struct Rng {
   u64 state;
   explicit Rng(u64 seed) : state(seed) {}
-  u64 Next() {
-    u64 z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  u64 Next() { return xbase::SplitMix64(state); }
   u64 Below(u64 n) { return n == 0 ? 0 : Next() % n; }
   bool Chance(u32 percent) { return Below(100) < percent; }
   template <typename T, usize N>
@@ -419,11 +416,19 @@ class ClaimChecker : public InsnTracer {
   std::set<u32> seen_verifier_rel_;
 };
 
-u64 ExecuteWithChecker(FuzzCell& cell, const Program& prog,
-                       ClaimChecker& checker) {
+// `prog` as Execute runs it, lowered once for all of its executions. The
+// image is the generated program itself: the engines resolve map-fd pseudo
+// loads at runtime.
+LoadedProgram ExecFixture(FuzzCell& cell, const Program& prog) {
   LoadedProgram loaded;
-  loaded.source = prog;
-  loaded.image = prog;  // interp resolves map-fd pseudo loads at runtime
+  loaded.image = prog;
+  loaded.decoded =
+      DecodeProgram(prog, &cell.bpf.helpers(), &cell.bpf.kfuncs());
+  return loaded;
+}
+
+u64 ExecuteWithChecker(FuzzCell& cell, const LoadedProgram& loaded,
+                       ClaimChecker& checker) {
   ExecOptions eopts;
   eopts.max_insns = 1u << 20;
   eopts.tracer = &checker;
@@ -553,6 +558,7 @@ xbase::Result<RangeFuzzReport> RunRangeFuzz(const RangeFuzzOptions& opts) {
 
     ClaimChecker checker(run.static_trace, run.verifier_trace,
                          &report.stats);
+    const LoadedProgram loaded = ExecFixture(cell, prog);
     for (u32 e = 0; e < opts.execs; ++e) {
       std::array<u8, kFuzzValueSize> value;
       for (u32 off = 0; off < kFuzzValueSize; off += 8) {
@@ -560,7 +566,7 @@ xbase::Result<RangeFuzzReport> RunRangeFuzz(const RangeFuzzOptions& opts) {
         std::memcpy(value.data() + off, &word, sizeof(word));
       }
       XB_RETURN_IF_ERROR(cell.SetValue(fd, value));
-      report.stats.exec_insns += ExecuteWithChecker(cell, prog, checker);
+      report.stats.exec_insns += ExecuteWithChecker(cell, loaded, checker);
       ++report.stats.executions;
     }
 
@@ -746,8 +752,9 @@ xbase::Result<std::vector<RangeFaultResult>> CheckRangeFaults(u32 execs) {
     std::memcpy(value.data(), &witness.value_word0,
                 sizeof(witness.value_word0));
     XB_RETURN_IF_ERROR(cell.SetValue(fd, value));
+    const LoadedProgram loaded = ExecFixture(cell, prog);
     for (u32 e = 0; e < std::max<u32>(execs, 1); ++e) {
-      ExecuteWithChecker(cell, prog, checker);
+      ExecuteWithChecker(cell, loaded, checker);
     }
     row.witness_unsound = !checker.verifier_escapes().empty();
     rows.push_back(std::move(row));
@@ -890,8 +897,9 @@ xbase::Result<std::vector<RelFaultResult>> CheckRelationalFaults(u32 execs) {
                   sizeof(witness.value_word1));
       XB_RETURN_IF_ERROR(cell.SetValue(fd, value));
     }
+    const LoadedProgram loaded = ExecFixture(cell, prog);
     for (u32 e = 0; e < std::max<u32>(execs, 1); ++e) {
-      ExecuteWithChecker(cell, prog, checker);
+      ExecuteWithChecker(cell, loaded, checker);
     }
     row.witness_unsound = !checker.verifier_escapes().empty() ||
                           !checker.verifier_rel_escapes().empty();

@@ -69,7 +69,6 @@ enum class UOp : u16 {
 #define EBPF_UOP_ENUM(Name) k##Name,
   EBPF_UOP_LIST(EBPF_UOP_ENUM)
 #undef EBPF_UOP_ENUM
-      kCount,
 };
 
 // One pre-decoded instruction slot, 16 bytes, semantics per handler:

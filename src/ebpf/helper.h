@@ -94,9 +94,6 @@ class RuntimeHooks {
   // Requests a tail call into the loaded program with this id; takes effect
   // when the current helper returns.
   virtual xbase::Status RequestTailCall(u32 prog_id) = 0;
-  // Reference bookkeeping for acquire/release helpers.
-  virtual void NoteAcquire(simkern::ObjectId id) = 0;
-  virtual void NoteRelease(simkern::ObjectId id) = 0;
   // Charges simulated time (helpers with real work charge more).
   virtual void Charge(u64 ns) = 0;
   // The context address the program was invoked with.

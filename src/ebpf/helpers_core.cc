@@ -470,9 +470,6 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
         // The helper pins the task while it walks the stack.
         XB_RETURN_IF_ERROR(
             ctx.kernel.Route(ctx.kernel.objects().Acquire(task->object_id)));
-        if (ctx.hooks != nullptr) {
-          ctx.hooks->NoteAcquire(task->object_id);
-        }
         const usize bytes = std::min<u64>(a[2], 64) & ~usize{7};
         if (bytes < 8) {
           // Error path. The injected defect models the real bug: the early
@@ -480,9 +477,6 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
           if (!ctx.faults.IsActive(kFaultHelperTaskStackLeak)) {
             XB_RETURN_IF_ERROR(ctx.kernel.Route(
                 ctx.kernel.objects().Release(task->object_id)));
-            if (ctx.hooks != nullptr) {
-              ctx.hooks->NoteRelease(task->object_id);
-            }
           }
           return NegErrno(kEFault);
         }
@@ -493,9 +487,6 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
         XB_RETURN_IF_ERROR(WriteMem(ctx.kernel, a[1], frames));
         XB_RETURN_IF_ERROR(
             ctx.kernel.Route(ctx.kernel.objects().Release(task->object_id)));
-        if (ctx.hooks != nullptr) {
-          ctx.hooks->NoteRelease(task->object_id);
-        }
         return bytes;
       }));
 
@@ -767,9 +758,6 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
           const simkern::ObjectId id = ctx.kernel.objects().Create(
               simkern::ObjectType::kOther, "ringbuf-record");
           ringbuf_recs->live.emplace(addr.value(), id);
-          if (ctx.hooks != nullptr) {
-            ctx.hooks->NoteAcquire(id);
-          }
           return addr.value();
         }));
   }
@@ -781,9 +769,6 @@ xbase::Status RegisterCoreHelpers(HelperWiring& wiring) {
     if (it == ringbuf_recs->live.end()) {
       return ctx.kernel.Route(
           xbase::KernelFault("ringbuf submit/discard of unknown record"));
-    }
-    if (ctx.hooks != nullptr) {
-      ctx.hooks->NoteRelease(it->second);
     }
     (void)ctx.kernel.objects().Release(it->second);
     // Locate the owning ringbuf by scanning maps (few maps per kernel).

@@ -102,9 +102,6 @@ xbase::Result<u64> SkLookup(HelperCtx& ctx, const HelperArgs& a,
   // The caller now owns a reference; the verifier (v4.20+) tracks it.
   XB_RETURN_IF_ERROR(
       ctx.kernel.Route(ctx.kernel.objects().Acquire(sock->object_id)));
-  if (ctx.hooks != nullptr) {
-    ctx.hooks->NoteAcquire(sock->object_id);
-  }
   if (ctx.faults.IsActive(kFaultHelperSkLookupLeak)) {
     // Commit 3046a827316c: the lookup path internally creates a
     // request_sock and forgets to put it. Invisible to the program and to
@@ -497,9 +494,6 @@ xbase::Status RegisterNetHelpers(HelperWiring& wiring) {
           }
           XB_RETURN_IF_ERROR(ctx.kernel.Route(
               ctx.kernel.objects().Release(sock.value().object_id)));
-          if (ctx.hooks != nullptr) {
-            ctx.hooks->NoteRelease(sock.value().object_id);
-          }
           return 0;
         }));
   }

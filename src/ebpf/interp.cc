@@ -49,7 +49,6 @@ xbase::Result<ExecResult> Execution::Run(Addr ctx_addr) {
   if (!result.ok()) {
     return result.status();
   }
-  stats_.open_refs_at_exit = open_refs_.size();
   ExecResult out;
   out.r0 = result.value();
   out.stats = stats_;
@@ -398,6 +397,12 @@ xbase::Result<u64> Execution::RunFrom(u32 pc, u64* regs, u32 depth) {
 xbase::Result<ExecResult> Execute(Bpf& bpf, const LoadedProgram& prog,
                                   Addr ctx_addr, const ExecOptions& options,
                                   const Loader* loader) {
+  if (prog.decoded.empty() && !prog.image.insns.empty()) {
+    return xbase::FailedPrecondition(
+        StrFormat("bpf: program '%s' has no decoded image (DecodeProgram it "
+                  "before Execute)",
+                  prog.image.name.c_str()));
+  }
   internal::Execution execution(bpf, prog, options, loader);
   return execution.Run(ctx_addr);
 }

@@ -25,9 +25,8 @@ class InsnTracer {
 };
 
 // Which executor runs the image. kThreaded is the production engine:
-// threaded dispatch over the pre-decoded micro-ops the JIT lowered
-// (computed-goto where available, dense switch behind
-// UNTENABLE_SWITCH_DISPATCH). kLegacy is the original decode-per-step
+// computed-goto threaded dispatch over the pre-decoded micro-ops the JIT
+// lowered. kLegacy is the original decode-per-step
 // interpreter, kept selectable so the differential tests and
 // bench/dispatch_hotpath can prove the engines observationally identical
 // and measure the gap.
@@ -57,7 +56,6 @@ struct ExecStats {
   u64 sim_time_charged_ns = 0;
   u32 tail_calls = 0;
   u32 max_frame_depth = 0;
-  u64 open_refs_at_exit = 0;  // acquired but never released in this run
 };
 
 struct ExecResult {
@@ -67,7 +65,10 @@ struct ExecResult {
 
 // Executes `prog` with r1 = ctx_addr. `loader` resolves tail-call targets
 // (may be null if the program cannot tail-call). Any kernel fault aborts
-// execution with the fault status after the oops is recorded.
+// execution with the fault status after the oops is recorded. `prog` must
+// carry the decoded image of its `image` (the loader's JIT lowers it; a
+// hand-built program calls DecodeProgram); a program with instructions but
+// no decoded image is refused with FailedPrecondition before it runs.
 xbase::Result<ExecResult> Execute(Bpf& bpf, const LoadedProgram& prog,
                                   simkern::Addr ctx_addr,
                                   const ExecOptions& options = {},

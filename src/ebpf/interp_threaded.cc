@@ -1,9 +1,9 @@
 // The threaded execution engine: dispatches over the JIT's pre-decoded
 // micro-ops (decoded.h) instead of re-decoding raw instruction words per
-// step. Dispatch is a computed goto through a label table generated from
-// the same X-macro as the UOp enum; defining UNTENABLE_SWITCH_DISPATCH (or
-// building with a compiler without the GNU labels-as-values extension)
-// selects a dense switch over the same handler bodies instead.
+// step. Dispatch is a computed goto (the GNU labels-as-values extension,
+// like the __builtin_expect and __atomic builtins src/xbase/bytes.h already
+// needs) through a label table generated from the same X-macro as the UOp
+// enum.
 //
 // Observational equivalence with the legacy interpreter (interp.cc) is the
 // contract — tests/ebpf/engine_equiv_test.cc enforces it over the fuzz
@@ -12,6 +12,7 @@
 // EBPF_SYNC — at every point where the difference could be observed: before
 // helper/kfunc invokes, memory accesses (a fault records an oops with a
 // clock timestamp), RCU stall checks, and every return.
+#include <algorithm>
 #include <cstring>
 
 #include "src/ebpf/interp_internal.h"
@@ -29,14 +30,6 @@ namespace {
 constexpr u64 kScratchPoison = 0xdead2bad00000000ULL;
 }  // namespace
 
-#if defined(UNTENABLE_SWITCH_DISPATCH) || \
-    !(defined(__GNUC__) || defined(__clang__))
-#define EBPF_COMPUTED_GOTO 0
-#else
-#define EBPF_COMPUTED_GOTO 1
-#endif
-
-#if EBPF_COMPUTED_GOTO
 #define EBPF_CASE(Name) lbl_##Name:
 // True threaded dispatch: every handler ends with its own copy of the
 // fetch/dispatch sequence, so each indirect jump site gets its own branch
@@ -56,10 +49,6 @@ constexpr u64 kScratchPoison = 0xdead2bad00000000ULL;
     }                                                                \
     goto* kDispatch[op.handler];                                     \
   } while (0)
-#else
-#define EBPF_CASE(Name) case UOp::k##Name:
-#define EBPF_NEXT() goto dispatch_top
-#endif
 
 // Flush the batched per-insn bookkeeping into the shared state the rest of
 // the simulation observes. The simulated-time charge is derived from the
@@ -247,7 +236,6 @@ xbase::Result<u64> Execution::RunThreaded(u32 pc, u64* regs, u32 depth) {
   u64 synced_insns = insns;
   MicroOp op;
 
-#if EBPF_COMPUTED_GOTO
   // Label table in UOp order — generated from the same X-macro as the enum,
   // so the indices can't drift.
   static const void* const kDispatch[] = {
@@ -255,15 +243,11 @@ xbase::Result<u64> Execution::RunThreaded(u32 pc, u64* regs, u32 depth) {
       EBPF_UOP_LIST(EBPF_UOP_LABEL)
 #undef EBPF_UOP_LABEL
   };
-#endif
 
-// Shared (non-replicated) dispatch preamble: the initial entry, the
-// switch-mode loop head, and the resume point after slow-path events. The
-// order of checks matches the legacy interpreter exactly: pc bounds →
-// count → RCU stall probe every 4096 insns → harness cap → fetch → trace.
-#if !EBPF_COMPUTED_GOTO
-dispatch_top:
-#endif
+// Shared (non-replicated) dispatch preamble: the initial entry and the
+// resume point after slow-path events. The order of checks matches the
+// legacy interpreter exactly: pc bounds → count → RCU stall probe every
+// 4096 insns → harness cap → fetch → trace.
   if (pc >= num_ops) {
     goto bad_pc;
   }
@@ -283,12 +267,7 @@ dispatch_fetch:
 // path re-enters here with the head's ORIGINAL op swapped in (EBPF_NEXT
 // already counted and traced that insn when it fetched the block head).
 dispatch_op:
-
-#if EBPF_COMPUTED_GOTO
   goto* kDispatch[op.handler];
-#else
-  switch (static_cast<UOp>(op.handler)) {
-#endif
 
   EBPF_CASE(LdImm64) {
     regs[op.dst] = op.imm;
@@ -795,16 +774,6 @@ dispatch_op:
   EBPF_JMP_CASES(Jsle, static_cast<s64>(d) <= static_cast<s64>(s),
                  static_cast<s32>(d) <= static_cast<s32>(s))
   EBPF_JMP_CASES(Jset, (d & s) != 0, (d & s) != 0)
-
-#if !EBPF_COMPUTED_GOTO
-    case UOp::kCount:
-      break;
-  }
-#endif
-  // Unreachable: the decoder emits a handler for every slot and the label
-  // table / switch covers every handler.
-  EBPF_SYNC();
-  return RuntimeFault(xbase::KernelFault("bpf: unhandled micro-op"));
 
   // ---- shared slow paths (reached only via goto from the dispatch
   // preambles above; never by fallthrough) -------------------------------

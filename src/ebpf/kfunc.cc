@@ -92,9 +92,6 @@ xbase::Status RegisterDefaultKfuncs(KfuncRegistry& registry,
           }
           XB_RETURN_IF_ERROR(ctx.kernel.Route(
               ctx.kernel.objects().Acquire(task.value()->object_id)));
-          if (ctx.hooks != nullptr) {
-            ctx.hooks->NoteAcquire(task.value()->object_id);
-          }
           return a[0];
         }));
   }
@@ -118,9 +115,6 @@ xbase::Status RegisterDefaultKfuncs(KfuncRegistry& registry,
           }
           XB_RETURN_IF_ERROR(ctx.kernel.Route(
               ctx.kernel.objects().Release(task.value()->object_id)));
-          if (ctx.hooks != nullptr) {
-            ctx.hooks->NoteRelease(task.value()->object_id);
-          }
           return 0;
         }));
   }

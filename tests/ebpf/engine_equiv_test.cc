@@ -171,9 +171,6 @@ TEST(EngineEquivalence, RangefuzzCorpusIsObservationallyIdentical) {
       ASSERT_EQ(threaded.stats.tail_calls, legacy.stats.tail_calls) << label;
       ASSERT_EQ(threaded.stats.max_frame_depth, legacy.stats.max_frame_depth)
           << label;
-      ASSERT_EQ(threaded.stats.open_refs_at_exit,
-                legacy.stats.open_refs_at_exit)
-          << label;
       ASSERT_EQ(threaded.map_end, legacy.map_end) << label;
       ASSERT_EQ(threaded.trace.size(), legacy.trace.size()) << label;
       for (xbase::usize i = 0; i < threaded.trace.size(); ++i) {
@@ -477,6 +474,7 @@ RawMemRun RunRawOnArena(const std::vector<Insn>& insns, u64 arena_bytes,
   raw.image.type = ProgType::kKprobe;
   raw.image.name = "memoff";
   raw.image.insns = insns;
+  raw.decoded = DecodeProgram(raw.image, &bpf.helpers(), &bpf.kfuncs());
   ExecOptions opts;
   opts.engine = engine;
   auto result = Execute(bpf, raw, arena.value(), opts, nullptr);

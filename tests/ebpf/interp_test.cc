@@ -270,6 +270,38 @@ TEST_F(InterpTest, RunsUnderRcuReadLock) {
       << "lock must be released after execution";
 }
 
+// Execute runs only a program that carries its decoded image: a hand-built
+// one without it is refused up front on both engines, before the threaded
+// engine could read past an empty micro-op table, and the kernel records no
+// oops.
+TEST_F(InterpTest, ProgramWithoutDecodedImageIsRefusedOnBothEngines) {
+  LoadedProgram raw;
+  raw.image.type = ProgType::kKprobe;
+  raw.image.name = "undecoded";
+  raw.image.insns = {Mov64Imm(R0, 7), Exit()};
+  for (const ExecEngine engine :
+       {ExecEngine::kThreaded, ExecEngine::kLegacy}) {
+    ExecOptions opts;
+    opts.engine = engine;
+    auto result = Execute(bpf_, raw, ctx_, opts, nullptr);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), xbase::Code::kFailedPrecondition)
+        << result.status().ToString();
+  }
+  EXPECT_TRUE(kernel_.oopses().empty());
+  EXPECT_FALSE(kernel_.crashed());
+
+  raw.decoded = DecodeProgram(raw.image, &bpf_.helpers(), &bpf_.kfuncs());
+  for (const ExecEngine engine :
+       {ExecEngine::kThreaded, ExecEngine::kLegacy}) {
+    ExecOptions opts;
+    opts.engine = engine;
+    auto result = Execute(bpf_, raw, ctx_, opts, nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().r0, 7u);
+  }
+}
+
 TEST_F(InterpTest, ExecStatsAreAccurate) {
   ProgramBuilder b("stats", ProgType::kKprobe);
   b.Ins(Mov64Imm(R0, 0))

@@ -92,9 +92,13 @@ TEST_P(JitDifferentialTest, ImageMatchesSourceSemantics) {
     }
     ++compared;
     auto loaded = loader.Find(id.value());
-    // The loader's image is the JIT output; build a "source image" too.
+    // The loader's image is the JIT output; build a "source image" too,
+    // with its own decoded form so the threaded engine runs the source and
+    // not the JIT's lowering of it.
     LoadedProgram source = *loaded.value();
     source.image = source.source;
+    source.decoded =
+        DecodeProgram(source.image, &bpf.helpers(), &bpf.kfuncs());
 
     auto ctx = kernel.mem().Map(64, simkern::MemPerm::kReadWrite,
                                 simkern::RegionKind::kKernelData, "c");
