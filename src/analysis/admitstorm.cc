@@ -228,10 +228,13 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
 
     // Invariant: settled-epoch verdict consistency. With no toggle in
     // flight, a service load (cache hit or fresh) must agree with a direct
-    // single-threaded Prepare — status and verification stats both.
+    // single-threaded Prepare — status, verification stats, and the
+    // installed lowering's counters against a Prepare without elision (the
+    // service lowers every program once, with every check in place).
     for (int probe = 0; probe < 2; ++probe) {
       const CorpusEntry& entry = corpus[churn_rng.NextBelow(corpus.size())];
       ebpf::LoadOptions options;  // privileged, no prepass, sync
+      options.elide_checks = false;
       auto direct = rig.loader.Prepare(entry.prog, options);
       auto via_service = svc.Wait(svc.Load(entry.prog, options));
       ++report.stats.bpf_submissions;
@@ -264,6 +267,21 @@ AdmitStormReport RunAdmitStorm(const AdmitStormConfig& config) {
               static_cast<unsigned long long>(direct_stats.insns_processed),
               static_cast<unsigned long long>(
                   direct_stats.states_explored)));
+          return report;
+        }
+        const ebpf::JitStats& service_jit = found.value()->jit;
+        const ebpf::JitStats& direct_jit = direct.value().jit;
+        if (service_jit.micro_ops != direct_jit.micro_ops ||
+            service_jit.call_sites_gate_denied !=
+                direct_jit.call_sites_gate_denied ||
+            service_jit.checks_elided != direct_jit.checks_elided) {
+          fail(xbase::StrFormat(
+              "lowering counters diverge on %s: service %u/%u/%u, direct "
+              "%u/%u/%u (micro-ops/gate-denied/elided)",
+              entry.name.c_str(), service_jit.micro_ops,
+              service_jit.call_sites_gate_denied, service_jit.checks_elided,
+              direct_jit.micro_ops, direct_jit.call_sites_gate_denied,
+              direct_jit.checks_elided));
           return report;
         }
         if (!rig.loader.Unload(id).ok()) {

@@ -11,7 +11,8 @@
 //     cache hits + misses == program submissions, every miss published;
 //   - at a settled fault epoch the (possibly cached) service verdict for a
 //     corpus program is identical to a direct single-threaded Prepare —
-//     status and verification stats both;
+//     status, verification stats, and the installed program's lowering
+//     counters against a Prepare without elision;
 //   - unload of unattached programs always succeeds; the kernel is alive.
 //
 // The submission schedule is a pure function of the seed, so a failed CI

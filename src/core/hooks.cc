@@ -72,12 +72,6 @@ xbase::Result<xbase::u32> HookRegistry::Attach(HookPoint hook, bool is_safex,
             "%s %u already attached to %s", kind, target_id, name.data()));
       }
     }
-    if (!is_safex) {
-      if (auto loaded = bpf_loader_.Find(target_id); loaded.ok()) {
-        XB_RETURN_IF_ERROR(
-            CheckOwner(hook, target_id, loaded.value()->source.type));
-      }
-    }
     // Ids are never 0 (HookFireReport::decider's "nobody") and never alias
     // a live attachment's supervisor record, even after the counter wraps.
     const auto in_use = [this](xbase::u32 candidate) {
@@ -107,11 +101,15 @@ xbase::Result<xbase::u32> HookRegistry::Attach(HookPoint hook, bool is_safex,
         .scope_label = xbase::StrFormat("%s:%u(%s)", is_safex ? "ext" : "bpf",
                                         target_id, name.data())};
     if (is_safex) {
-      XB_RETURN_IF_ERROR(ext_loader_.Pin(target_id));
-      attachment.extension = ext_loader_.Find(target_id).value();
+      XB_ASSIGN_OR_RETURN(attachment.extension, ext_loader_.Pin(target_id));
     } else {
-      XB_RETURN_IF_ERROR(bpf_loader_.Pin(target_id));
-      attachment.program = bpf_loader_.Find(target_id).value();
+      XB_ASSIGN_OR_RETURN(attachment.program, bpf_loader_.Pin(target_id));
+      if (xbase::Status owner =
+              CheckOwner(hook, target_id, attachment.program->source.type);
+          !owner.ok()) {
+        bpf_loader_.Unpin(target_id);
+        return owner;
+      }
     }
     if (config_.supervisor != nullptr) {
       attachment.record = &config_.supervisor->Track(id);

@@ -52,31 +52,11 @@ xbase::Result<PreparedExtension> ExtLoader::Prepare(
 }
 
 xbase::Result<xbase::u32> ExtLoader::Install(PreparedExtension prepared) {
-  LoadedExtension loaded;
-  loaded.manifest = std::move(prepared.manifest);
-  loaded.instance = std::move(prepared.instance);
-  loaded.relocations = prepared.relocations;
-  loaded.load_wall_ns = prepared.load_wall_ns;
-
-  const std::string name = loaded.manifest.name;
-  const std::string version = loaded.manifest.version;
-  const xbase::u32 relocations = loaded.relocations;
-
-  xbase::u32 id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::optional<xbase::u32> fresh =
-        ids_.Allocate(extensions_.size(), [this](xbase::u32 id) {
-          return extensions_.contains(id);
-        });
-    if (!fresh) {
-      return xbase::ResourceExhausted("extension id space exhausted");
-    }
-    id = *fresh;
-    loaded.id = id;
-    extensions_.emplace(id, std::move(loaded));
-  }
-
+  const std::string name = prepared.manifest.name;
+  const std::string version = prepared.manifest.version;
+  const xbase::u32 relocations = prepared.relocations;
+  XB_ASSIGN_OR_RETURN(const xbase::u32 id,
+                      extensions_.Insert(LoadedExtension{std::move(prepared)}));
   runtime_.kernel().Printk(xbase::StrFormat(
       "safex: extension %u (%s %s) loaded: signature ok, "
       "%u imports bound, no verifier involved",
@@ -94,69 +74,29 @@ xbase::Result<xbase::u32> ExtLoader::Load(const SignedArtifact& artifact) {
 }
 
 xbase::Result<const LoadedExtension*> ExtLoader::Find(xbase::u32 id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = extensions_.find(id);
-  if (it == extensions_.end()) {
-    return xbase::NotFound(xbase::StrFormat("no extension id %u", id));
-  }
-  return &it->second;
+  return extensions_.Find(id);
 }
 
 xbase::Status ExtLoader::Unload(xbase::u32 id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = extensions_.find(id);
-    if (it == extensions_.end()) {
-      return xbase::NotFound(xbase::StrFormat("no extension id %u", id));
-    }
-    if (it->second.attach_count > 0) {
-      return xbase::FailedPrecondition(xbase::StrFormat(
-          "extension %u has %u live attachment(s); detach before unload", id,
-          it->second.attach_count));
-    }
-    extensions_.erase(it);
-  }
+  XB_RETURN_IF_ERROR(extensions_.Erase(id));
   runtime_.kernel().Printk(
       xbase::StrFormat("safex: extension %u unloaded", id));
   return xbase::Status::Ok();
 }
 
-xbase::Status ExtLoader::Pin(xbase::u32 id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = extensions_.find(id);
-  if (it == extensions_.end()) {
-    return xbase::NotFound(xbase::StrFormat("no extension id %u", id));
-  }
-  ++it->second.attach_count;
-  return xbase::Status::Ok();
+xbase::Result<const LoadedExtension*> ExtLoader::Pin(xbase::u32 id) {
+  return extensions_.Pin(id);
 }
 
-void ExtLoader::Unpin(xbase::u32 id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = extensions_.find(id);
-  if (it != extensions_.end() && it->second.attach_count > 0) {
-    --it->second.attach_count;
-  }
-}
+void ExtLoader::Unpin(xbase::u32 id) { extensions_.Unpin(id); }
 
-xbase::usize ExtLoader::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return extensions_.size();
-}
+xbase::usize ExtLoader::size() const { return extensions_.size(); }
 
 xbase::Result<InvokeOutcome> ExtLoader::Invoke(xbase::u32 id,
                                                const InvokeOptions& options) {
-  const LoadedExtension* extension = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = extensions_.find(id);
-    if (it == extensions_.end()) {
-      return xbase::NotFound(xbase::StrFormat("no extension id %u", id));
-    }
-    // Map nodes are stable and Unload refuses while the extension is
-    // attached, so the entry outlives this invocation.
-    extension = &it->second;
-  }
+  // Unload refuses while the extension is attached, so the entry outlives
+  // this invocation.
+  XB_ASSIGN_OR_RETURN(const LoadedExtension* extension, extensions_.Find(id));
   return Invoke(*extension, options);
 }
 

@@ -19,15 +19,16 @@
 
 namespace ebpf {
 
-// Every micro-op handler. The X-macro keeps the enum, the computed-goto
-// label table and the switch fallback in lockstep: adding a handler here
-// adds it everywhere or the build breaks.
+// Every micro-op handler. The X-macro keeps the enum and the computed-goto
+// label table in lockstep: adding a handler here adds it to both or the
+// build breaks.
 //
-// The trailing groups are only ever emitted by analysis-driven lowering
-// (never straight decode): the `...U` variants are unchecked memory ops —
-// the runtime bounds check is elided because both the verifier and (when
-// run) staticcheck proved the access in bounds at that pc — and the
-// `Fuse...` superops execute two adjacent micro-ops in one dispatch. A
+// The trailing groups, from LdxBU on, are only ever emitted by
+// analysis-driven lowering (never straight decode): the `...U` variants are
+// unchecked memory ops — the runtime bounds check is elided because both the
+// verifier and (when run) staticcheck proved the access in bounds at that
+// pc — the `Fuse...` superops execute two adjacent micro-ops in one
+// dispatch, and `SuperBlock` heads an entry-charged straight-line run. A
 // fused head keeps its tail slot intact so mid-pair branch entries still
 // work; the packing of the second op's fields is described at each
 // handler in interp_threaded.cc.

@@ -101,7 +101,8 @@ class AdmissionService {
   void WorkerLoop();
   void ProcessProgram(Request& request);
   void ProcessExtension(Request& request);
-  Verdict RunProgramStages(const Request& request);
+  xbase::Result<ebpf::PreparedLoad> RunProgramStages(const Request& request);
+  xbase::Result<ebpf::PreparedLoad> AdmitProgram(Request& request);
   Ticket Submit(std::unique_ptr<Request> request, bool async);
   void Resolve(Request& request, xbase::Result<xbase::u32> result);
 

@@ -235,7 +235,13 @@ TEST_F(HooksTest, AttachProgramFollowsTheOwnerColumn) {
       if (!expected && !attached.ok()) {
         EXPECT_EQ(attached.status().code(), xbase::Code::kFailedPrecondition);
       }
+      if (attached.ok()) {
+        EXPECT_TRUE(hooks_->Detach(attached.value()).ok());
+      }
     }
+    // A refused attach drops the pin it took: the program still unloads.
+    EXPECT_TRUE(bpf_loader_.Unload(prog.value()).ok())
+        << ebpf::ProgTypeName(type);
   }
   // The two decision-maker rows, spelled out.
   EXPECT_EQ(FamilyOf(HookPoint::kSchedPickNext).owner,

@@ -1,9 +1,9 @@
 // Regression tests for the load-path correctness fixes that rode along with
 // the admission pipeline:
 //
-//   - Unload refuses while hook attachments reference the program (the
-//     use-after-unload bug: the registry used to erase the entry and leave
-//     the attachment dangling);
+//   - Unload refuses while hook attachments reference the program or
+//     extension (the use-after-unload bug: the registry used to erase the
+//     entry and leave the attachment dangling);
 //   - the staticcheck gate fails closed on an inconsistent Report (errors()
 //     counted > 0 but no finding carries Severity::kError);
 //   - FaultRegistry bumps its epoch on every membership change (the verdict
@@ -15,6 +15,7 @@
 #include <set>
 
 #include "src/core/system.h"
+#include "src/core/toolchain.h"
 #include "src/ebpf/asm.h"
 #include "src/ebpf/bpf.h"
 #include "src/ebpf/fault.h"
@@ -68,6 +69,30 @@ TEST_F(LoaderGuardTest, UnloadRefusesWhileAttached) {
   EXPECT_TRUE(hooks_.Detach(attachment).ok());
   EXPECT_TRUE(loader_.Unload(id).ok());
   EXPECT_FALSE(loader_.Find(id).ok());
+
+  // The same rule for a safex extension: refused while attached, OK after
+  // the detach drops the pin.
+  class ZeroExt : public safex::Extension {
+    xbase::Result<u64> Run(safex::Ctx&) override { return 0; }
+  };
+  safex::Toolchain toolchain(safex::System::VendorKey());
+  safex::ExtensionManifest manifest;
+  manifest.name = "guarded-ext";
+  manifest.version = "1";
+  auto artifact = toolchain.Build(
+      manifest, [] { return std::make_unique<ZeroExt>(); },
+      std::span<const u8>());
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  safex::ExtLoader& ext_loader = *sys_.ext_loader;
+  const u32 ext_id = ext_loader.Load(artifact.value()).value();
+  const u32 ext_attachment =
+      hooks_.AttachExtension(safex::HookPoint::kSyscallEnter, ext_id).value();
+  EXPECT_EQ(ext_loader.Unload(ext_id).code(),
+            xbase::Code::kFailedPrecondition);
+  EXPECT_TRUE(ext_loader.Find(ext_id).ok());
+  EXPECT_TRUE(hooks_.Detach(ext_attachment).ok());
+  EXPECT_TRUE(ext_loader.Unload(ext_id).ok());
+  EXPECT_FALSE(ext_loader.Find(ext_id).ok());
 }
 
 TEST_F(LoaderGuardTest, DoubleAttachCountsBothPins) {

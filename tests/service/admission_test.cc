@@ -283,5 +283,61 @@ TEST_F(AdmissionTest, ServiceAdmittedProgramKeepsTheDispatchGate) {
   }
 }
 
+// A service admission lowers each program once, with every check in place,
+// so the installed program's JIT counters describe its decoded image: on
+// the miss that installs Prepare's own lowering and on the hit that lowers
+// the cached verdict. The program is elide_test's proven map-value load
+// plus a straight run of adds, which Loader::Load elides, fuses and packs
+// into superblocks.
+TEST_F(AdmissionTest, ServiceAdmittedProgramCountsTheImageItInstalls) {
+  ebpf::MapSpec spec;
+  spec.type = ebpf::MapType::kArray;
+  spec.key_size = 4;
+  spec.value_size = 8;
+  spec.max_entries = 1;
+  spec.name = "counted";
+  const int fd = bpf_.maps().Create(spec).value();
+  ProgramBuilder b("proven", ebpf::ProgType::kKprobe);
+  b.Ins(ebpf::StMemImm(ebpf::BPF_W, ebpf::R10, -4, 0))
+      .Ins(ebpf::LdMapFd(ebpf::R1, fd))
+      .Ins(ebpf::Mov64Reg(ebpf::R2, ebpf::R10))
+      .Ins(ebpf::Alu64Imm(ebpf::BPF_ADD, ebpf::R2, -4))
+      .Ins(ebpf::CallHelper(ebpf::kHelperMapLookupElem))
+      .JmpTo(ebpf::BPF_JEQ, ebpf::R0, 0, "out")
+      .Ins(ebpf::LdxMem(ebpf::BPF_DW, ebpf::R0, ebpf::R0, 0));
+  for (int i = 0; i < 8; ++i) {
+    b.Ins(ebpf::Alu64Imm(ebpf::BPF_ADD, ebpf::R0, 1));
+  }
+  b.Bind("out").Ins(ebpf::Exit());
+  const ebpf::Program prog = b.Build().value();
+
+  auto direct = loader_.Load(prog);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  const ebpf::JitStats& elided = loader_.Find(direct.value()).value()->jit;
+  ASSERT_GT(elided.checks_elided, 0u);
+  ASSERT_GT(elided.pairs_fused, 0u);
+  ASSERT_GT(elided.superblocks, 0u);
+
+  AdmissionService svc(SmallConfig(1), bpf_, loader_);
+  for (int load = 0; load < 2; ++load) {
+    auto id = svc.Wait(svc.Load(prog));
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    const ebpf::LoadedProgram& loaded = *loader_.Find(id.value()).value();
+    EXPECT_EQ(loaded.jit.checks_elided, 0u) << "load " << load;
+    EXPECT_EQ(loaded.jit.pairs_fused, 0u) << "load " << load;
+    EXPECT_EQ(loaded.jit.superblocks, 0u) << "load " << load;
+    EXPECT_TRUE(loaded.decoded.sb_ops.empty()) << "load " << load;
+    for (const ebpf::MicroOp& op : loaded.decoded.ops) {
+      // The ...U, Fuse... and SuperBlock handlers, the trailing groups of
+      // EBPF_UOP_LIST from kLdxBU on, come only from a lowering with claims.
+      EXPECT_LT(op.handler, static_cast<xbase::u16>(ebpf::UOp::kLdxBU))
+          << "load " << load;
+    }
+  }
+  const CacheStats cache = svc.Metrics().cache;
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 1u);
+}
+
 }  // namespace
 }  // namespace service
