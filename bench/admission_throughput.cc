@@ -12,8 +12,13 @@
 // duplicate re-paid verification (the paper's B-VER tax, N times over).
 //
 // Every cell is one case: 3 trials of one batch after one warm-up batch,
-// each on a fresh rig + service; wall time is the case's min. `--json PATH`
-// also writes the BENCH_admission.json artifact.
+// each on a fresh rig + service; wall time is the case's min.
+//
+// Two more cases time the verdict cache alone: Acquire and Publish of a
+// fresh key into a full cache (every publish evicts) and into an empty one.
+// Eviction is O(1), so the gate holds the full cache to at most 4x the
+// empty one's cost, both measured in this run. `--json PATH` also writes
+// the BENCH_admission.json artifact.
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +35,12 @@ using xbase::usize;
 constexpr usize kMixedPrograms = 96;
 constexpr usize kDuplicatePrograms = 192;
 constexpr int kTrials = 3;
+// VerdictCache holds 16 x 1024 entries; this many distinct keys fill every
+// shard.
+constexpr usize kCacheFill = 20000;
+constexpr int kPublishTrials = 9;
+constexpr int kPublishIters = 1000;
+constexpr double kPublishFullOverEmptyBound = 4.0;
 
 // Distinct verifier-heavy programs: counted loops with distinct trip
 // counts, so verification cost is real (the verifier walks every
@@ -117,6 +128,57 @@ double Measure(harness::Bench& bench, const char* corpus_name,
   return programs_per_sec;
 }
 
+// A distinct cache key per index; the cache hashes the digest's first
+// eight bytes.
+service::VerdictKey IndexKey(u64 index) {
+  service::VerdictKey key;
+  for (usize i = 0; i < 8; ++i) {
+    key.content[i] = static_cast<xbase::u8>(index >> (8 * i));
+  }
+  return key;
+}
+
+// Times one Acquire + Publish of a fresh key into a cache that `fill` keys
+// were published into first; returns the case's min ns per publish.
+double MeasurePublish(harness::Bench& bench, const char* name, usize fill) {
+  service::VerdictCache cache;
+  for (usize i = 0; i < fill; ++i) {
+    (void)cache.Acquire(IndexKey(i));
+    cache.Publish(IndexKey(i), service::Verdict{}, /*cacheable=*/true);
+  }
+  const service::CacheStats before = cache.stats();
+  std::vector<service::VerdictKey> keys;
+  for (usize i = 0; i <= kPublishTrials * kPublishIters; ++i) {
+    keys.push_back(IndexKey(fill + i));
+  }
+  usize next = 0;
+  const harness::Stats stats = bench.Time(
+      name, kPublishTrials, kPublishIters,
+      [&] {
+        const service::VerdictKey& key = keys[next++];
+        (void)cache.Acquire(key);
+        cache.Publish(key, service::Verdict{}, /*cacheable=*/true);
+      },
+      [&](harness::Fields& counters, u64 calls) {
+        const service::CacheStats after = cache.stats();
+        const u64 misses = after.misses - before.misses;
+        const u64 evictions = after.evictions - before.evictions;
+        counters.emplace_back("entries", after.entries);
+        counters.emplace_back("evictions", evictions);
+        // A full cache evicts one entry per publish, an empty one none.
+        const u64 want_evictions = before.entries == 0 ? 0 : calls;
+        if (misses != calls || evictions != want_evictions) {
+          return xbase::Internal(xbase::StrFormat(
+              "%llu misses and %llu evictions for %llu publishes",
+              static_cast<unsigned long long>(misses),
+              static_cast<unsigned long long>(evictions),
+              static_cast<unsigned long long>(calls)));
+        }
+        return xbase::Status::Ok();
+      });
+  return stats.min_ns;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -148,6 +210,15 @@ int main(int argc, char** argv) {
 
   const double speedup_mixed = mixed_pps[4] / mixed_pps[1];
   const double speedup_duplicate = duplicate_pps[4] / uncached_pps;
+  const double publish_full_ns =
+      MeasurePublish(bench, "cache/publish-full", kCacheFill);
+  const double publish_empty_ns =
+      MeasurePublish(bench, "cache/publish-empty", 0);
+  const double publish_ratio = publish_full_ns / publish_empty_ns;
+  bench.Gate("cache_publish_full_over_empty", "min_ns", publish_ratio,
+             kPublishFullOverEmptyBound,
+             publish_ratio <= kPublishFullOverEmptyBound);
+
   bench.Row({{"mixed_4w_over_1w", speedup_mixed},
              {"duplicate_cached_4w_over_uncached_1w", speedup_duplicate}});
   harness::Rule();

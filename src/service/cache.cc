@@ -1,7 +1,5 @@
 #include "src/service/cache.h"
 
-#include <algorithm>
-
 #include "src/xbase/rand.h"
 
 namespace service {
@@ -62,21 +60,9 @@ VerdictCache::Shard& VerdictCache::ShardFor(const VerdictKey& key) {
 }
 
 void VerdictCache::EvictIfNeededLocked(Shard& shard) {
-  while (shard.map.size() > kCapacityPerShard) {
-    // FIFO over ready entries; pending entries are never evicted (waiters
-    // hold references into them).
-    auto victim = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second->ready &&
-          (victim == shard.map.end() ||
-           it->second->order < victim->second->order)) {
-        victim = it;
-      }
-    }
-    if (victim == shard.map.end()) {
-      return;  // everything pending; nothing evictable
-    }
-    shard.map.erase(victim);
+  while (shard.map.size() > kCapacityPerShard && !shard.fifo.empty()) {
+    shard.map.erase(shard.map.find(*shard.fifo.front()));
+    shard.fifo.pop_front();
     ++shard.evictions;
   }
 }
@@ -86,9 +72,7 @@ VerdictCache::Acquisition VerdictCache::Acquire(const VerdictKey& key) {
   std::unique_lock<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    auto entry = std::make_shared<Entry>();
-    entry->order = shard.next_order++;
-    shard.map.emplace(key, std::move(entry));
+    shard.map.emplace(key, std::make_shared<Entry>());
     ++shard.misses;
     Acquisition acq;
     acq.owner = true;
@@ -114,9 +98,6 @@ void VerdictCache::Publish(const VerdictKey& key, Verdict verdict,
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    return;  // entry evaporated (Clear between Acquire and Publish)
-  }
   std::shared_ptr<Entry> entry = it->second;
   entry->verdict = std::make_shared<const Verdict>(std::move(verdict));
   entry->ready = true;
@@ -128,6 +109,7 @@ void VerdictCache::Publish(const VerdictKey& key, Verdict verdict,
     shard.map.erase(it);
     ++shard.uncacheable;
   } else {
+    shard.fifo.push_back(&it->first);
     EvictIfNeededLocked(shard);
   }
   shard.ready_cv.notify_all();
@@ -146,19 +128,6 @@ CacheStats VerdictCache::stats() const {
     total.entries += shard.map.size();
   }
   return total;
-}
-
-void VerdictCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (it->second->ready) {
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 }  // namespace service

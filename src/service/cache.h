@@ -12,10 +12,19 @@
 // other's locks; lookups for a key another worker is currently computing
 // coalesce (block until the owner publishes) so a thundering herd of
 // duplicate loads verifies exactly once.
+//
+// Eviction is FIFO by publish order and O(1): each shard queues its ready,
+// cacheable entries as they are published and, while it holds more than
+// kCapacityPerShard entries, drops the oldest-published one. Pending
+// entries are never queued, so they are never evicted (their waiters block
+// on them); uncacheable verdicts are never queued either. Two entries whose
+// verifications overlapped leave in the order they were published, not
+// the order they were acquired.
 #pragma once
 
 #include <array>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -96,9 +105,6 @@ class VerdictCache {
 
   CacheStats stats() const;
 
-  // Drops every ready entry (pending computations are left alone).
-  void Clear();
-
  private:
   struct KeyHash {
     xbase::usize operator()(const VerdictKey& key) const;
@@ -107,14 +113,16 @@ class VerdictCache {
   struct Entry {
     bool ready = false;
     std::shared_ptr<const Verdict> verdict;
-    xbase::u64 order = 0;  // insertion order, for FIFO eviction
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable ready_cv;
     std::unordered_map<VerdictKey, std::shared_ptr<Entry>, KeyHash> map;
-    xbase::u64 next_order = 0;
+    // The keys of the ready, cacheable entries, oldest publish first. They
+    // point into map nodes, which a rehash does not move; eviction is the
+    // only remover of a ready entry, so none dangles.
+    std::deque<const VerdictKey*> fifo;
     // Local stat counters (aggregated by stats()).
     xbase::u64 hits = 0;
     xbase::u64 misses = 0;

@@ -1,9 +1,11 @@
 // A bounded MPMC work queue for the admission pipeline. Producers block
 // while the queue is full — backpressure, never drop — and consumers block
 // while it is empty. Close() lets consumers drain the backlog and then
-// observe shutdown. Condition-variable based: admission requests are
-// milliseconds of verification work, so queue overhead is noise and
-// correctness under TSan is what matters.
+// observe shutdown. Condition-variable based: an admission request is tens
+// of microseconds of work (perfbench admit-mixed, traced, on a shared
+// 4-vCPU host: prepass p50 ~50 us, verify p50 ~17 us), so one lock and one
+// notify per request stay a small share of it, and correctness under TSan
+// is what matters.
 #pragma once
 
 #include <condition_variable>

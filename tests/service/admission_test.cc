@@ -1,10 +1,12 @@
 // Admission pipeline unit tests: verdict-cache identity (a hit is
 // observationally the original verification), key separation across
 // privilege/version/epoch, bounded-queue backpressure (blocking, never
-// dropping), and thundering-herd coalescing (N duplicate submissions, one
-// verification).
+// dropping), thundering-herd coalescing (N duplicate submissions, one
+// verification), and the verdict cache at capacity (FIFO eviction by
+// publish order, pending entries never evicted).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -337,6 +339,152 @@ TEST_F(AdmissionTest, ServiceAdmittedProgramCountsTheImageItInstalls) {
   const CacheStats cache = svc.Metrics().cache;
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.hits, 1u);
+}
+
+// ---- the verdict cache at capacity -----------------------------------------
+
+// VerdictCache's geometry: 16 shards of 1024 entries.
+constexpr xbase::usize kCacheCapacity = 16 * 1024;
+// Enough distinct keys to overflow every shard (~1250 each).
+constexpr xbase::u64 kFlood = 20000;
+
+// A distinct key per index; the hash takes the digest's first eight bytes.
+VerdictKey FloodKey(xbase::u64 index) {
+  VerdictKey key;
+  for (xbase::usize i = 0; i < 8; ++i) {
+    key.content[i] = static_cast<xbase::u8>(index >> (8 * i));
+  }
+  key.content[8] = 0xf1;  // apart from the keys a test picks by hand
+  return key;
+}
+
+// Claims `key` as its owner and publishes an admitted verdict for it.
+void PublishFresh(VerdictCache& cache, const VerdictKey& key) {
+  ASSERT_TRUE(cache.Acquire(key).owner);
+  cache.Publish(key, Verdict{}, /*cacheable=*/true);
+}
+
+// True if `key` is cached. A miss claims the key, so it is published again
+// and becomes the newest entry of its shard.
+bool Cached(VerdictCache& cache, const VerdictKey& key) {
+  if (cache.Acquire(key).hit) {
+    return true;
+  }
+  cache.Publish(key, Verdict{}, /*cacheable=*/true);
+  return false;
+}
+
+TEST(VerdictCacheTest, FullCacheEvictsTheOldestPublishedFirst) {
+  VerdictCache cache;
+  for (xbase::u64 i = 0; i < kFlood; ++i) {
+    PublishFresh(cache, FloodKey(i));
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.published, kFlood);
+  EXPECT_LE(stats.entries, kCacheCapacity);
+  EXPECT_EQ(stats.entries, kCacheCapacity);  // every shard overflowed
+  EXPECT_EQ(stats.evictions, stats.published - stats.entries);
+
+  // The last 1024 published are the newest of every shard they land in.
+  for (xbase::u64 i = kFlood - 1024; i < kFlood; ++i) {
+    EXPECT_TRUE(cache.Acquire(FloodKey(i)).hit) << "key " << i;
+  }
+  EXPECT_FALSE(Cached(cache, FloodKey(0)));
+  EXPECT_LE(cache.stats().entries, kCacheCapacity);
+}
+
+// Two verifications overlap: A is acquired first but published second, so
+// B goes first. The flood that pushes A's shard over capacity in a scratch
+// cache names a key in A's shard to play B.
+TEST(VerdictCacheTest, OverlappingVerificationsLeaveInPublishOrder) {
+  const VerdictKey a = FloodKey(kFlood);
+  VerdictKey b;
+  {
+    VerdictCache scratch;
+    PublishFresh(scratch, a);
+    for (xbase::u64 i = 0; i < kFlood; ++i) {
+      PublishFresh(scratch, FloodKey(i));
+      if (!Cached(scratch, a)) {
+        b = FloodKey(i);
+        break;
+      }
+    }
+    ASSERT_NE(b, VerdictKey{}) << "the flood never evicted A";
+  }
+
+  VerdictCache cache;
+  ASSERT_TRUE(cache.Acquire(a).owner);
+  ASSERT_TRUE(cache.Acquire(b).owner);
+  cache.Publish(b, Verdict{}, /*cacheable=*/true);
+  cache.Publish(a, Verdict{}, /*cacheable=*/true);
+  for (xbase::u64 i = 0; i < kFlood; ++i) {
+    const VerdictKey key = FloodKey(i);
+    if (key == b) {
+      continue;
+    }
+    PublishFresh(cache, key);
+    if (!cache.Acquire(b).hit) {
+      EXPECT_TRUE(cache.Acquire(a).hit) << "A left before B";
+      return;
+    }
+    ASSERT_TRUE(cache.Acquire(a).hit) << "A left before B";
+  }
+  FAIL() << "the flood never evicted B";
+}
+
+TEST(VerdictCacheTest, PendingEntrySurvivesAFloodAndPublishesToItsWaiter) {
+  VerdictCache cache;
+  VerdictKey pending;
+  pending.content[0] = 0x5a;
+  ASSERT_TRUE(cache.Acquire(pending).owner);
+  for (xbase::u64 i = 0; i < kFlood; ++i) {
+    PublishFresh(cache, FloodKey(i));
+  }
+  EXPECT_LE(cache.stats().entries, kCacheCapacity);
+
+  VerdictCache::Acquisition waited;
+  std::thread waiter([&] { waited = cache.Acquire(pending); });
+  while (cache.stats().coalesced_waits == 0) {
+    std::this_thread::yield();
+  }
+  Verdict verdict;
+  verdict.status = xbase::Internal("owner's verdict");
+  cache.Publish(pending, std::move(verdict), /*cacheable=*/true);
+  waiter.join();
+
+  EXPECT_TRUE(waited.hit);
+  EXPECT_TRUE(waited.waited);
+  ASSERT_NE(waited.verdict, nullptr);
+  EXPECT_EQ(waited.verdict->status.message(), "owner's verdict");
+  EXPECT_TRUE(cache.Acquire(pending).hit);
+  const CacheStats stats = cache.stats();
+  EXPECT_LE(stats.entries, kCacheCapacity);
+  EXPECT_EQ(stats.evictions, stats.published - stats.entries);
+}
+
+TEST(VerdictCacheTest, ConcurrentFloodsKeepTheCountsExact) {
+  VerdictCache cache;
+  std::atomic<bool> go{false};
+  auto flood = [&](xbase::u64 first) {
+    while (!go.load()) {
+      std::this_thread::yield();
+    }
+    for (xbase::u64 i = first; i < first + kFlood; ++i) {
+      PublishFresh(cache, FloodKey(i));
+    }
+  };
+  std::thread one(flood, 0);
+  std::thread two(flood, kFlood);
+  go.store(true);
+  one.join();
+  two.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2 * kFlood);
+  EXPECT_EQ(stats.published, 2 * kFlood);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, kCacheCapacity);
+  EXPECT_EQ(stats.evictions, stats.published - stats.entries);
 }
 
 }  // namespace
