@@ -523,7 +523,13 @@ xbase::Result<RangeFuzzReport> RunRangeFuzz(const RangeFuzzOptions& opts) {
   RangeFuzzReport report;
   Rng scheduler(opts.seed);
   FaultRegistry faults;
+  const std::vector<FaultInfo>& catalog = FaultRegistry::Catalog();
   for (const std::string& id : opts.verifier_faults) {
+    if (std::none_of(catalog.begin(), catalog.end(),
+                     [&](const FaultInfo& info) { return info.id == id; })) {
+      return xbase::InvalidArgument(
+          StrFormat("unknown fault id '%s'", id.c_str()));
+    }
     faults.Inject(id);
   }
   const FaultRegistry* faults_ptr =
@@ -668,279 +674,135 @@ std::string FormatRangeFuzzReport(const RangeFuzzReport& report) {
   return out;
 }
 
-xbase::Result<std::vector<RangeFaultResult>> CheckRangeFaults(u32 execs) {
-  struct Witness {
-    std::string_view fault_id;
-    const char* name;
-    xbase::Result<Program> (*build)(int);
-    u64 value_word0;  // first 8 bytes of the 16-byte map value (LE)
-  };
-  // Triggering inputs: alu32-trunc reads a u32 (0x100 + 8 = 264 escapes
-  // the truncated [0,7]); jgt needs exactly the off-by-one value 9;
-  // tnum-mul needs an odd word so (r & 1) * 24 lands on 24; sign-ext
-  // triggers independently of the map value.
-  static const Witness kWitnesses[] = {
-      {kFaultVerifierAlu32BoundsTrunc, "alu32-trunc-oob",
-       BuildAlu32TruncExploit, 0x100},
-      {kFaultVerifierSignExtConfusion, "sign-ext-oob", BuildSignExtExploit,
-       0},
-      {kFaultVerifierJgtOffByOne, "jgt-off-by-one", BuildJgtOffByOneExploit,
-       9},
-      {kFaultVerifierTnumMulPrecision, "tnum-mul-oob", BuildTnumMulExploit,
-       1},
-  };
+namespace {
 
-  std::vector<RangeFaultResult> rows;
-  for (const Witness& witness : kWitnesses) {
-    RangeFaultResult row;
-    row.fault_id = std::string(witness.fault_id);
-    row.witness = witness.name;
+// Triggering inputs: alu32-trunc reads a u32 (0x100 + 8 = 264 escapes the
+// truncated [0,7]); jgt needs exactly the off-by-one value 9; tnum-mul
+// needs an odd word so (r & 1) * 24 lands on 24; sign-ext triggers
+// independently of the map value. reg-reg needs r8 == 8 (u32 at offset 8)
+// and the one-excluded value r7 == 7; spill-width needs a small spilled
+// value whose low byte the narrow store replaces with 0x7f; the packet
+// witness triggers statically (the stale dereference is in the bytecode).
+const FaultWitness kFaultWitnesses[] = {
+    {kFaultVerifierAlu32BoundsTrunc, "alu32-trunc-oob",
+     BuildAlu32TruncExploit, false, 16, {0x100, 0}},
+    {kFaultVerifierSignExtConfusion, "sign-ext-oob", BuildSignExtExploit,
+     false, 16, {0, 0}},
+    {kFaultVerifierJgtOffByOne, "jgt-off-by-one", BuildJgtOffByOneExploit,
+     false, 16, {9, 0}},
+    {kFaultVerifierTnumMulPrecision, "tnum-mul-oob", BuildTnumMulExploit,
+     false, 16, {1, 0}},
+    {kFaultVerifierRegRegOffByOne, "reg-reg-off-by-one",
+     BuildRegRegOffByOneExploit, true, kFuzzValueSize, {7, 8}},
+    {kFaultVerifierSpillWidth, "spill-width", BuildSpillWidthExploit, true,
+     kFuzzValueSize, {1, 0}},
+    {kFaultVerifierPktRangeStale, "pkt-range-stale",
+     [](int) { return BuildPktRangeStaleExploit(); }, true, 0, {0, 0}},
+};
 
-    FuzzCell cell;
-    if (!cell.boot_ok) {
-      return xbase::Internal("rangefuzz: cell bootstrap failed");
-    }
-    XB_ASSIGN_OR_RETURN(int fd, cell.CreateMap(16));
-    XB_ASSIGN_OR_RETURN(Program prog, witness.build(fd));
-
-    {
-      VerifyOptions vopts;
-      vopts.version = cell.kernel.version();
-      vopts.kfuncs = &cell.bpf.kfuncs();
-      row.clean_verifier_rejects =
-          !Verify(prog, cell.bpf.maps(), cell.bpf.helpers(), vopts).ok();
-    }
-
-    FaultRegistry faults;
-    faults.Inject(witness.fault_id);
-    RangeTrace verifier_trace;
-    {
-      VerifyOptions vopts;
-      vopts.version = cell.kernel.version();
-      vopts.kfuncs = &cell.bpf.kfuncs();
-      vopts.faults = &faults;
-      vopts.range_trace = &verifier_trace;
-      row.faulted_verifier_accepts =
-          Verify(prog, cell.bpf.maps(), cell.bpf.helpers(), vopts).ok();
-      if (!row.faulted_verifier_accepts) {
-        verifier_trace.Reset(0);
-      }
-    }
-
-    RangeTrace static_trace;
-    {
-      staticcheck::CheckOptions copts;
-      copts.maps = &cell.bpf.maps();
-      copts.helpers = &cell.bpf.helpers();
-      copts.callgraph = &cell.kernel.callgraph();
-      copts.range_trace = &static_trace;
-      auto report = staticcheck::RunChecks(prog, copts);
-      if (report.ok()) {
-        row.staticcheck_rejects = report.value().errors() > 0;
-        if (!report.value().analysis_complete) {
-          static_trace.Reset(0);
-        }
-      }
-    }
-
-    row.witness_divergence =
-        CompareRangeTraces(static_trace, verifier_trace).disjoint > 0;
-
-    RangeFuzzStats scratch;
-    ClaimChecker checker(static_trace, verifier_trace, &scratch);
-    std::array<u8, 16> value{};
-    std::memcpy(value.data(), &witness.value_word0,
-                sizeof(witness.value_word0));
-    XB_RETURN_IF_ERROR(cell.SetValue(fd, value));
-    const LoadedProgram loaded = ExecFixture(cell, prog);
-    for (u32 e = 0; e < std::max<u32>(execs, 1); ++e) {
-      ExecuteWithChecker(cell, loaded, checker);
-    }
-    row.witness_unsound = !checker.verifier_escapes().empty();
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::string FormatRangeFaultTable(const std::vector<RangeFaultResult>& rows) {
-  std::string out = StrFormat("%-36s %-18s %7s %7s %8s %8s %8s  %s\n",
-                              "injected range fault", "witness", "cleanV",
-                              "faultV", "unsound", "diverge", "detected",
-                              "staticcheck");
-  out += std::string(110, '-') + "\n";
+// The range (`relational` false) or the relational half of the rows.
+std::string FormatFaultTable(const std::vector<FaultWitnessResult>& rows,
+                             bool relational) {
+  const char* kind = relational ? "relational" : "range";
+  const int id_width = relational ? 38 : 36;
+  const int name_width = id_width - 18;
+  const std::string rule(static_cast<usize>(id_width + name_width + 56), '-');
+  const std::string title = StrFormat("injected %s fault", kind);
+  std::string out =
+      StrFormat("%-*s %-*s %7s %7s %8s %8s %8s  %s\n", id_width,
+                title.c_str(), name_width, "witness", "cleanV", "faultV",
+                "unsound", "diverge", "detected", "staticcheck");
+  out += rule + "\n";
+  usize shown = 0;
   usize detected = 0;
-  for (const RangeFaultResult& row : rows) {
+  std::string tsv;
+  for (const FaultWitnessResult& row : rows) {
+    if (row.witness.relational != relational) {
+      continue;
+    }
+    ++shown;
     detected += row.detected() ? 1 : 0;
-    out += StrFormat("%-36s %-18s %7s %7s %8s %8s %8s  %s\n",
-                     row.fault_id.c_str(), row.witness.c_str(),
+    const std::string id(row.witness.fault_id);
+    out += StrFormat("%-*s %-*s %7s %7s %8s %8s %8s  %s\n", id_width,
+                     id.c_str(), name_width, row.witness.name,
                      row.clean_verifier_rejects ? "reject" : "accept",
                      row.faulted_verifier_accepts ? "accept" : "reject",
                      row.witness_unsound ? "YES" : "no",
                      row.witness_divergence ? "YES" : "no",
                      row.detected() ? "YES" : "NO",
                      row.staticcheck_rejects ? "reject" : "accept");
-  }
-  out += std::string(110, '-') + "\n";
-  out += StrFormat("injected range faults detected: %zu/%zu\n", detected,
-                   rows.size());
-  for (const RangeFaultResult& row : rows) {
-    out += StrFormat("RANGEFAULT-TSV\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
-                     row.fault_id.c_str(), row.witness.c_str(),
+    tsv += StrFormat("%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
+                     relational ? "RELFAULT-TSV" : "RANGEFAULT-TSV",
+                     id.c_str(), row.witness.name,
                      row.clean_verifier_rejects ? 1 : 0,
                      row.faulted_verifier_accepts ? 1 : 0,
                      row.witness_unsound ? 1 : 0,
-                     row.witness_divergence ? 1 : 0,
-                     row.detected() ? 1 : 0,
+                     row.witness_divergence ? 1 : 0, row.detected() ? 1 : 0,
                      row.staticcheck_rejects ? 1 : 0);
   }
-  return out;
-}
-
-namespace {
-
-// BuildPktRangeStaleExploit takes no map; adapter for the witness table.
-xbase::Result<Program> BuildPktStaleAdapter(int) {
-  return BuildPktRangeStaleExploit();
+  out += rule + "\n";
+  out += StrFormat("injected %s faults detected: %zu/%zu\n", kind, detected,
+                   shown);
+  return out + tsv;
 }
 
 }  // namespace
 
-xbase::Result<std::vector<RelFaultResult>> CheckRelationalFaults(u32 execs) {
-  struct Witness {
-    std::string_view fault_id;
-    const char* name;
-    xbase::Result<Program> (*build)(int);
-    bool needs_map;
-    u64 value_word0;  // bytes 0-7 of the 64-byte map value (LE)
-    u64 value_word1;  // bytes 8-15
-  };
-  // Triggering inputs: reg-reg needs r8 == 8 (u32 at offset 8) and the
-  // one-excluded value r7 == 7; spill-width needs a small spilled value
-  // whose low byte the narrow store replaces with 0x7f; the packet witness
-  // triggers statically (the stale dereference is in the bytecode).
-  static const Witness kWitnesses[] = {
-      {kFaultVerifierRegRegOffByOne, "reg-reg-off-by-one",
-       BuildRegRegOffByOneExploit, true, 7, 8},
-      {kFaultVerifierSpillWidth, "spill-width", BuildSpillWidthExploit, true,
-       1, 0},
-      {kFaultVerifierPktRangeStale, "pkt-range-stale", BuildPktStaleAdapter,
-       false, 0, 0},
-  };
+std::span<const FaultWitness> FaultWitnesses() { return kFaultWitnesses; }
 
-  std::vector<RelFaultResult> rows;
-  for (const Witness& witness : kWitnesses) {
-    RelFaultResult row;
-    row.fault_id = std::string(witness.fault_id);
-    row.witness = witness.name;
+xbase::Result<std::vector<FaultWitnessResult>> CheckFaultWitnesses(
+    u32 execs) {
+  std::vector<FaultWitnessResult> rows;
+  for (const FaultWitness& witness : kFaultWitnesses) {
+    FaultWitnessResult row;
+    row.witness = witness;
 
     FuzzCell cell;
     if (!cell.boot_ok) {
       return xbase::Internal("rangefuzz: cell bootstrap failed");
     }
     int fd = -1;
-    if (witness.needs_map) {
-      XB_ASSIGN_OR_RETURN(fd, cell.CreateMap(kFuzzValueSize));
+    if (witness.value_size != 0) {
+      XB_ASSIGN_OR_RETURN(fd, cell.CreateMap(witness.value_size));
     }
     XB_ASSIGN_OR_RETURN(Program prog, witness.build(fd));
 
-    {
-      VerifyOptions vopts;
-      vopts.version = cell.kernel.version();
-      vopts.kfuncs = &cell.bpf.kfuncs();
-      row.clean_verifier_rejects =
-          !Verify(prog, cell.bpf.maps(), cell.bpf.helpers(), vopts).ok();
-    }
-
+    row.clean_verifier_rejects =
+        !RunStaticOracles(cell, prog, nullptr).verifier_accepted;
     FaultRegistry faults;
     faults.Inject(witness.fault_id);
-    RangeTrace verifier_trace;
-    {
-      VerifyOptions vopts;
-      vopts.version = cell.kernel.version();
-      vopts.kfuncs = &cell.bpf.kfuncs();
-      vopts.faults = &faults;
-      vopts.range_trace = &verifier_trace;
-      row.faulted_verifier_accepts =
-          Verify(prog, cell.bpf.maps(), cell.bpf.helpers(), vopts).ok();
-      if (!row.faulted_verifier_accepts) {
-        verifier_trace.Reset(0);
-      }
-    }
-
-    RangeTrace static_trace;
-    {
-      staticcheck::CheckOptions copts;
-      copts.maps = &cell.bpf.maps();
-      copts.helpers = &cell.bpf.helpers();
-      copts.callgraph = &cell.kernel.callgraph();
-      copts.range_trace = &static_trace;
-      auto report = staticcheck::RunChecks(prog, copts);
-      if (report.ok()) {
-        row.staticcheck_rejects = report.value().errors() > 0;
-        if (!report.value().analysis_complete) {
-          static_trace.Reset(0);
-        }
-      }
-    }
-
+    const OracleRun run = RunStaticOracles(cell, prog, &faults);
+    row.faulted_verifier_accepts = run.verifier_accepted;
+    row.staticcheck_rejects = run.static_errors > 0;
     row.witness_divergence =
-        CompareRangeTraces(static_trace, verifier_trace).disjoint > 0 ||
-        CompareRelTraces(static_trace, verifier_trace).contradictions > 0;
+        CompareRangeTraces(run.static_trace, run.verifier_trace).disjoint >
+            0 ||
+        (witness.relational &&
+         CompareRelTraces(run.static_trace, run.verifier_trace)
+                 .contradictions > 0);
 
     RangeFuzzStats scratch;
-    ClaimChecker checker(static_trace, verifier_trace, &scratch);
-    if (witness.needs_map) {
-      std::array<u8, kFuzzValueSize> value{};
-      std::memcpy(value.data(), &witness.value_word0,
-                  sizeof(witness.value_word0));
-      std::memcpy(value.data() + 8, &witness.value_word1,
-                  sizeof(witness.value_word1));
+    ClaimChecker checker(run.static_trace, run.verifier_trace, &scratch);
+    if (fd >= 0) {
+      std::vector<u8> value(witness.value_size);
+      std::memcpy(value.data(), witness.words, sizeof(witness.words));
       XB_RETURN_IF_ERROR(cell.SetValue(fd, value));
     }
     const LoadedProgram loaded = ExecFixture(cell, prog);
     for (u32 e = 0; e < std::max<u32>(execs, 1); ++e) {
       ExecuteWithChecker(cell, loaded, checker);
     }
-    row.witness_unsound = !checker.verifier_escapes().empty() ||
-                          !checker.verifier_rel_escapes().empty();
+    row.witness_unsound =
+        !checker.verifier_escapes().empty() ||
+        (witness.relational && !checker.verifier_rel_escapes().empty());
     rows.push_back(std::move(row));
   }
   return rows;
 }
 
-std::string FormatRelationalFaultTable(
-    const std::vector<RelFaultResult>& rows) {
-  std::string out = StrFormat("%-38s %-20s %7s %7s %8s %8s %8s  %s\n",
-                              "injected relational fault", "witness",
-                              "cleanV", "faultV", "unsound", "diverge",
-                              "detected", "staticcheck");
-  out += std::string(114, '-') + "\n";
-  usize detected = 0;
-  for (const RelFaultResult& row : rows) {
-    detected += row.detected() ? 1 : 0;
-    out += StrFormat("%-38s %-20s %7s %7s %8s %8s %8s  %s\n",
-                     row.fault_id.c_str(), row.witness.c_str(),
-                     row.clean_verifier_rejects ? "reject" : "accept",
-                     row.faulted_verifier_accepts ? "accept" : "reject",
-                     row.witness_unsound ? "YES" : "no",
-                     row.witness_divergence ? "YES" : "no",
-                     row.detected() ? "YES" : "NO",
-                     row.staticcheck_rejects ? "reject" : "accept");
-  }
-  out += std::string(114, '-') + "\n";
-  out += StrFormat("injected relational faults detected: %zu/%zu\n",
-                   detected, rows.size());
-  for (const RelFaultResult& row : rows) {
-    out += StrFormat("RELFAULT-TSV\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
-                     row.fault_id.c_str(), row.witness.c_str(),
-                     row.clean_verifier_rejects ? 1 : 0,
-                     row.faulted_verifier_accepts ? 1 : 0,
-                     row.witness_unsound ? 1 : 0,
-                     row.witness_divergence ? 1 : 0,
-                     row.detected() ? 1 : 0,
-                     row.staticcheck_rejects ? 1 : 0);
-  }
-  return out;
+std::string FormatFaultWitnessTables(
+    const std::vector<FaultWitnessResult>& rows) {
+  return FormatFaultTable(rows, false) + "\n" + FormatFaultTable(rows, true);
 }
 
 }  // namespace analysis

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/ebpf/prog.h"
@@ -50,7 +52,8 @@ struct RangeFuzzOptions {
   xbase::u32 body_len = 24;  // random body instructions per program
   // Fault ids injected into the *verifier* oracle only; staticcheck and
   // the concrete interpreter never see them. With a Table-1 range fault
-  // here, verifier-unsoundness findings are the expected outcome.
+  // here, verifier-unsoundness findings are the expected outcome. An id
+  // outside FaultRegistry::Catalog() is refused (InvalidArgument).
   std::vector<std::string> verifier_faults;
   // Nonzero: skip seed scheduling and fuzz exactly the one program this
   // per-program seed generates (the replay path findings print).
@@ -117,54 +120,52 @@ xbase::Result<RangeFuzzReport> RunRangeFuzz(const RangeFuzzOptions& opts);
 
 std::string FormatRangeFuzzReport(const RangeFuzzReport& report);
 
-// ---- deterministic Table-1 fault witnesses ---------------------------------
+// ---- deterministic fault witnesses -----------------------------------------
 
-// One row per injectable range fault: the paired exploit is verified under
-// the clean and the faulted verifier, analyzed by staticcheck, executed
-// concretely with the triggering map value, and the two range traces are
-// compared. `detected()` is the acceptance bar: the fault must surface as
-// an unsoundness witness or as trace divergence.
-struct RangeFaultResult {
-  std::string fault_id;
-  std::string witness;  // workload name
-  bool clean_verifier_rejects = false;
-  bool faulted_verifier_accepts = false;
-  bool witness_unsound = false;     // concrete escape of a faulted claim
-  bool witness_divergence = false;  // staticcheck vs faulted claims disjoint
-  bool staticcheck_rejects = false; // error-severity finding on the witness
-  bool detected() const { return witness_unsound || witness_divergence; }
+// One row per injectable range or relational verifier fault: the exploit
+// that fault admits and the map value that triggers it. Each row is
+// verified under the clean and the faulted verifier, analyzed by
+// staticcheck, executed concretely, and the two static traces are compared.
+//
+// Relational rows (reg-reg refinement, spill-width confusion, stale packet
+// ranges) exercise memory and pointer state the interval traces cannot
+// always see, so they also count relational contradictions and escapes,
+// and their acceptance bar gains a third channel: the faulted verifier
+// admitting a program staticcheck rejects (the diffcheck shape).
+struct FaultWitness {
+  std::string_view fault_id;
+  const char* name;  // witness workload name
+  xbase::Result<ebpf::Program> (*build)(int map_fd);
+  bool relational;
+  xbase::u32 value_size;  // array-map value bytes; 0 = no map
+  xbase::u64 words[2];    // first 16 bytes of the map value (LE)
 };
 
-xbase::Result<std::vector<RangeFaultResult>> CheckRangeFaults(
-    xbase::u32 execs = 8);
+// The seven witnesses, range rows first. `rangefuzz --check-faults` and
+// `--list-faults` both read this table.
+std::span<const FaultWitness> FaultWitnesses();
 
-std::string FormatRangeFaultTable(const std::vector<RangeFaultResult>& rows);
-
-// ---- deterministic relational fault witnesses ------------------------------
-
-// Same shape for the relational fault classes (reg-reg refinement,
-// spill-width confusion, stale packet ranges). Because these witnesses
-// exercise *memory* and *pointer* state the interval traces cannot always
-// see, the acceptance bar gains a third channel: the faulted verifier
-// admitting a program staticcheck rejects is itself the differential
-// detection (the diffcheck shape, specialized to relational faults).
-struct RelFaultResult {
-  std::string fault_id;
-  std::string witness;
+struct FaultWitnessResult {
+  FaultWitness witness;
   bool clean_verifier_rejects = false;
   bool faulted_verifier_accepts = false;
   bool witness_unsound = false;     // concrete escape of a faulted claim
-  bool witness_divergence = false;  // interval or relational contradiction
-  bool staticcheck_rejects = false;
+  bool witness_divergence = false;  // disjoint or contradictory claims
+  bool staticcheck_rejects = false; // error-severity finding on the witness
+  // The acceptance bar: the fault surfaces as an unsoundness witness or as
+  // trace divergence (or, on a relational row, as the differential).
   bool detected() const {
     return witness_unsound || witness_divergence ||
-           (faulted_verifier_accepts && staticcheck_rejects);
+           (witness.relational && faulted_verifier_accepts &&
+            staticcheck_rejects);
   }
 };
 
-xbase::Result<std::vector<RelFaultResult>> CheckRelationalFaults(
+xbase::Result<std::vector<FaultWitnessResult>> CheckFaultWitnesses(
     xbase::u32 execs = 8);
 
-std::string FormatRelationalFaultTable(const std::vector<RelFaultResult>& rows);
+// The range table, a blank line, then the relational table.
+std::string FormatFaultWitnessTables(
+    const std::vector<FaultWitnessResult>& rows);
 
 }  // namespace analysis

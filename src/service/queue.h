@@ -39,6 +39,9 @@ class BoundedQueue {
     if (items_.size() > peak_depth_) {
       peak_depth_ = items_.size();
     }
+    // Notify after unlocking, so the woken consumer does not go straight
+    // back to sleep on mu_.
+    lock.unlock();
     not_empty_.notify_one();
     return true;
   }
@@ -52,6 +55,7 @@ class BoundedQueue {
     }
     T item = std::move(items_.front());
     items_.pop_front();
+    lock.unlock();
     not_full_.notify_one();
     return item;
   }

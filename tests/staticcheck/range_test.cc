@@ -274,15 +274,32 @@ TEST(RangeFuzzTest, InjectedFaultSurfacesAsVerifierUnsoundness) {
   EXPECT_FALSE(report.value().StaticUnsound());
 }
 
-TEST(RangeFaultTest, AllInjectedRangeFaultsDetected) {
-  auto rows = analysis::CheckRangeFaults(/*execs=*/8);
+TEST(RangeFuzzTest, UnknownFaultIdRefused) {
+  analysis::RangeFuzzOptions opts;
+  opts.programs = 1;
+  opts.verifier_faults = {"bogus.id"};
+  auto report = analysis::RunRangeFuzz(opts);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), xbase::Code::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("bogus.id"), std::string::npos);
+}
+
+// Every witness row, range and relational: the clean verifier rejects the
+// exploit, the faulted one admits it, and the fault is detected.
+// staticcheck rejects every range witness; it accepts spill-width, whose
+// detection rests on the concrete escape.
+TEST(FaultWitnessTest, EveryInjectedFaultDetected) {
+  auto rows = analysis::CheckFaultWitnesses(/*execs=*/8);
   ASSERT_TRUE(rows.ok());
-  ASSERT_GE(rows.value().size(), 4u);
-  for (const analysis::RangeFaultResult& row : rows.value()) {
-    EXPECT_TRUE(row.clean_verifier_rejects) << row.fault_id;
-    EXPECT_TRUE(row.faulted_verifier_accepts) << row.fault_id;
-    EXPECT_TRUE(row.detected()) << row.fault_id;
-    EXPECT_TRUE(row.staticcheck_rejects) << row.fault_id;
+  ASSERT_EQ(rows.value().size(), 7u);
+  for (const analysis::FaultWitnessResult& row : rows.value()) {
+    const std::string id(row.witness.fault_id);
+    EXPECT_TRUE(row.clean_verifier_rejects) << id;
+    EXPECT_TRUE(row.faulted_verifier_accepts) << id;
+    EXPECT_TRUE(row.detected()) << id;
+    if (!row.witness.relational) {
+      EXPECT_TRUE(row.staticcheck_rejects) << id;
+    }
   }
 }
 

@@ -1,16 +1,20 @@
 // rangefuzz: the three-oracle range-soundness fuzzer from the command line.
 //
 //   rangefuzz --seed N --progs N --execs N   seeded fuzz campaign
-//   rangefuzz ... --fault ID                 inject a verifier range fault
-//                                            (repeatable; expect findings)
+//   rangefuzz ... --fault ID                 inject a verifier fault
+//                                            (repeatable; expect findings;
+//                                            an unknown id exits 2)
 //   rangefuzz --replay SEED [--execs N]      re-fuzz one program by the
 //                                            per-program seed a finding
 //                                            printed
 //   rangefuzz --check-faults                 deterministic Table-1 witness
-//                                            tables (all four range faults
-//                                            AND all three relational
-//                                            faults must be detected)
-//   rangefuzz --list-faults                  injectable range fault ids
+//                                            tables (every range AND
+//                                            relational fault must be
+//                                            detected)
+//   rangefuzz --list-faults                  the witnessed fault ids
+//
+// Both fault flags read one table, analysis::FaultWitnesses(): four range
+// rows, then three relational rows.
 //
 // A campaign prints a `rangefuzz: k=v ...` header first, and on a finding
 // a replay line for the whole campaign. Exit status: 0 clean / all faults
@@ -23,45 +27,22 @@
 
 namespace {
 
-const char* const kRangeFaults[] = {
-    "verifier.alu32_bounds_trunc",
-    "verifier.sign_ext_confusion",
-    "verifier.jgt_refine_off_by_one",
-    "verifier.tnum_mul_precision",
-    "verifier.reg_reg_refine_off_by_one",
-    "verifier.spill_width_confusion",
-    "verifier.pkt_range_stale_helper",
-};
-
 int ListFaults() {
-  for (const char* id : kRangeFaults) {
-    std::printf("%s\n", id);
+  for (const analysis::FaultWitness& witness : analysis::FaultWitnesses()) {
+    std::printf("%.*s\n", static_cast<int>(witness.fault_id.size()),
+                witness.fault_id.data());
   }
   return 0;
 }
 
 int CheckFaults() {
-  auto rows = analysis::CheckRangeFaults();
+  auto rows = analysis::CheckFaultWitnesses();
   if (!rows.ok()) {
     std::fprintf(stderr, "rangefuzz: %s\n", rows.status().ToString().c_str());
     return 2;
   }
-  std::fputs(analysis::FormatRangeFaultTable(rows.value()).c_str(), stdout);
-  auto rel_rows = analysis::CheckRelationalFaults();
-  if (!rel_rows.ok()) {
-    std::fprintf(stderr, "rangefuzz: %s\n",
-                 rel_rows.status().ToString().c_str());
-    return 2;
-  }
-  std::fputs("\n", stdout);
-  std::fputs(analysis::FormatRelationalFaultTable(rel_rows.value()).c_str(),
-             stdout);
+  std::fputs(analysis::FormatFaultWitnessTables(rows.value()).c_str(), stdout);
   for (const auto& row : rows.value()) {
-    if (!row.detected()) {
-      return 1;
-    }
-  }
-  for (const auto& row : rel_rows.value()) {
     if (!row.detected()) {
       return 1;
     }
